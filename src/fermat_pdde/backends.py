@@ -1,70 +1,38 @@
-"""Tape execution backends: a numba kernel and a pure-numpy fallback.
+"""Tape execution: a vectorized numpy interpreter over fixed-size point blocks.
 
-The active backend is chosen by the environment variable
-``FERMAT_PDDE_BACKEND`` (``numba`` or ``numpy``); unset means numba when
-importable, numpy otherwise.  Both paths interpret the same tape and are
-cross-checked in the test suite; `benchmarks/bench_backends.py` compares
-their throughput.
+The interpreter runs a slot tape (see `tape`) over the points in blocks of
+`BLOCK` rows, so the working set is the tape's slot count times `BLOCK`
+values, whatever the number of points.  Every operation is elementwise,
+so a point's value does not depend on the block it falls in.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import tape as tp
-from .elliptic import EllipticContext, default_context
+from .elliptic import EllipticContext
 from .errors import MissingEllipticContextError, PDDEError
 from .expr import DEFAULT_POLE_EPS, Expr
 
 __all__ = [
-    "BACKEND_ENV",
-    "NUMBA_AVAILABLE",
+    "BLOCK",
     "available_backends",
     "default_backend",
     "eval_batch",
 ]
 
-BACKEND_ENV = "FERMAT_PDDE_BACKEND"
-
-# the default probe of newer threading layers warns on older TBB installs;
-# the portable workqueue layer is always present (overridable by the user)
-os.environ.setdefault("NUMBA_THREADING_LAYER", "workqueue")
-
-try:
-    from numba import njit, prange
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+#: points per block: a slot row is BLOCK complex values (64 KiB)
+BLOCK = 4096
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if NUMBA_AVAILABLE else ("numpy",)
+    return ("numpy",)
 
 
 def default_backend() -> str:
-    name = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if name in ("", "auto"):
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if name not in ("numba", "numpy"):
-        raise PDDEError(f"unknown backend {name!r} in ${BACKEND_ENV} (use 'numba' or 'numpy')")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise PDDEError(f"${BACKEND_ENV}=numba but numba is not importable")
-    return name
+    return "numpy"
 
-
-# ---------------------------------------------------------------------------
-# pure numpy backend
 
 def _ipow_array(base: np.ndarray, k: int, pole_eps: float, ok: np.ndarray) -> np.ndarray:
     if k < 0:
@@ -83,211 +51,58 @@ def _ipow_array(base: np.ndarray, k: int, pole_eps: float, ok: np.ndarray) -> np
     return out
 
 
-def _run_numpy(tape: tp.Tape, points: np.ndarray, pole_eps: float, ell: EllipticContext | None):
-    P = points.shape[0]
-    stack = np.empty((tape.stack_size, P), dtype=np.complex128)
-    ok = np.ones(P, dtype=bool)
-    sp = 0
-    with np.errstate(all="ignore"):
-        for op, arg in zip(tape.ops, tape.args):
-            if op == tp.OP_CONST:
-                stack[sp] = tape.consts[arg]
-                sp += 1
-            elif op == tp.OP_VAR:
-                stack[sp] = points[:, arg]
-                sp += 1
-            elif op == tp.OP_ADD:
-                stack[sp - 2] += stack[sp - 1]
-                sp -= 1
-            elif op == tp.OP_MUL:
-                stack[sp - 2] *= stack[sp - 1]
-                sp -= 1
-            elif op == tp.OP_NEG:
-                stack[sp - 1] = -stack[sp - 1]
-            elif op == tp.OP_DIV:
-                den = stack[sp - 1]
-                bad = np.abs(den) < pole_eps
-                ok &= ~bad
-                stack[sp - 2] = stack[sp - 2] / np.where(bad, 1.0, den)
-                sp -= 1
-            elif op == tp.OP_POWI:
-                stack[sp - 1] = _ipow_array(stack[sp - 1], int(arg), pole_eps, ok)
-            elif op == tp.OP_EXP:
-                stack[sp - 1] = np.exp(stack[sp - 1])
-            elif op == tp.OP_SIN:
-                stack[sp - 1] = np.sin(stack[sp - 1])
-            elif op == tp.OP_COS:
-                stack[sp - 1] = np.cos(stack[sp - 1])
-            elif op in (tp.OP_WP, tp.OP_WPP):
-                x, y, wok = ell.wp_many(stack[sp - 1])
-                ok &= wok
-                stack[sp - 1] = np.where(wok, x if op == tp.OP_WP else y, 0.0)
-            else:  # pragma: no cover
-                raise PDDEError(f"bad opcode {op}")
-    values = stack[0].copy()
-    values[~ok] = np.nan
-    return values, ok
+_UFUNC = {tp.OP_ADD: np.add, tp.OP_MUL: np.multiply}
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _wp_point(z, b1, b2, m00, m01, m10, m11, coeffs, series_radius, pole_radius):
-        mu = np.rint(m00 * z.real + m01 * z.imag)
-        nu = np.rint(m10 * z.real + m11 * z.imag)
-        zr = z - mu * b1 - nu * b2
-        best = zr
-        best_abs = abs(zr)
-        for dm in range(-1, 2):
-            for dn in range(-1, 2):
-                cand = zr - (dm * b1 + dn * b2)
-                a = abs(cand)
-                if a < best_abs:
-                    best = cand
-                    best_abs = a
-        if best_abs < pole_radius:
-            return complex(np.nan, np.nan), complex(np.nan, np.nan), False
-        s = 0
-        u = best
-        while abs(u) > series_radius and s < 2:
-            u = u * 0.5
-            s += 1
-        u2 = u * u
-        p = 0j
-        dp = 0j
-        for k in range(coeffs.shape[0] - 1, 1, -1):
-            p = p * u2 + coeffs[k]
-            dp = dp * u2 + (2 * k - 2) * coeffs[k]
-        x = 1.0 / u2 + u2 * p
-        y = -2.0 / (u2 * u) + u * dp
-        for _ in range(s):
-            lam = 6.0 * x * x / y
-            xn = 0.25 * lam * lam - 2.0 * x
-            y = -(y + lam * (xn - x))
-            x = xn
-        return x, y, True
-
-    @njit(cache=True)
-    def _ipow_scalar(base, k, pole_eps):
-        neg = k < 0
-        if neg:
-            k = -k
-        out = 1.0 + 0j
-        b = base
-        while k:
-            if k & 1:
-                out = out * b
-            b = b * b
-            k >>= 1
-        if neg:
-            if abs(out) < pole_eps:
-                return 0j, False
-            return 1.0 / out, True
-        return out, True
-
-    @njit(cache=True, parallel=True)
-    def _run_kernel(
-        ops,
-        args,
-        consts,
-        points,
-        pole_eps,
-        stack_size,
-        b1,
-        b2,
-        m00,
-        m01,
-        m10,
-        m11,
-        coeffs,
-        series_radius,
-        pole_radius,
-        out,
-        ok,
-    ):
-        P = points.shape[0]
-        m = ops.shape[0]
-        for pidx in prange(P):
-            stack = np.empty(stack_size, dtype=np.complex128)
-            sp = 0
-            good = True
-            for kk in range(m):
-                op = ops[kk]
-                arg = args[kk]
-                if op == 0:  # const
-                    stack[sp] = consts[arg]
-                    sp += 1
-                elif op == 1:  # var
-                    stack[sp] = points[pidx, arg]
-                    sp += 1
-                elif op == 2:  # add
-                    sp -= 1
-                    stack[sp - 1] = stack[sp - 1] + stack[sp]
-                elif op == 3:  # mul
-                    sp -= 1
-                    stack[sp - 1] = stack[sp - 1] * stack[sp]
-                elif op == 4:  # neg
-                    stack[sp - 1] = -stack[sp - 1]
-                elif op == 5:  # div
-                    sp -= 1
-                    den = stack[sp]
-                    if abs(den) < pole_eps:
-                        good = False
-                        break
-                    stack[sp - 1] = stack[sp - 1] / den
-                elif op == 6:  # integer power
-                    v, g = _ipow_scalar(stack[sp - 1], arg, pole_eps)
-                    if not g:
-                        good = False
-                        break
-                    stack[sp - 1] = v
-                elif op == 7:
-                    stack[sp - 1] = np.exp(stack[sp - 1])
-                elif op == 8:
-                    stack[sp - 1] = np.sin(stack[sp - 1])
-                elif op == 9:
-                    stack[sp - 1] = np.cos(stack[sp - 1])
-                else:  # wp / wpd
-                    x, y, g = _wp_point(
-                        stack[sp - 1], b1, b2, m00, m01, m10, m11, coeffs, series_radius, pole_radius
-                    )
-                    if not g:
-                        good = False
-                        break
-                    stack[sp - 1] = x if op == 10 else y
-            if good:
-                out[pidx] = stack[0]
-                ok[pidx] = True
+def _run_block(tape: tp.Tape, cols: np.ndarray, slots: np.ndarray, bad: np.ndarray,
+               out: np.ndarray, pole_eps: float, ell: EllipticContext | None) -> None:
+    """Run the tape on one block: `cols` holds one contiguous row per variable."""
+    for op, dst, src, arg, fail, outs, steps in tape.ops:
+        d = slots[dst]
+        if op == tp.OP_ADD or op == tp.OP_MUL:
+            ufunc = _UFUNC[op]
+            if len(src) == 1:
+                d[...] = slots[src[0]]
             else:
-                out[pidx] = complex(np.nan, np.nan)
-                ok[pidx] = False
+                ufunc(slots[src[0]], slots[src[1]], out=d)
+                for s in src[2:]:
+                    ufunc(d, slots[s], out=d)
+        elif op == tp.OP_CONST:
+            d.fill(arg)
+        elif op == tp.OP_VAR:
+            d[...] = cols[arg]
+        elif op == tp.OP_NEG:
+            np.negative(slots[src[0]], out=d)
+        elif op == tp.OP_EXP:
+            np.exp(slots[src[0]], out=d)
+        elif op == tp.OP_SIN:
+            np.sin(slots[src[0]], out=d)
+        elif op == tp.OP_COS:
+            np.cos(slots[src[0]], out=d)
+        elif op == tp.OP_DIV:
+            den = slots[src[1]]
+            np.less(np.abs(den), pole_eps, out=bad[fail])
+            np.divide(slots[src[0]], np.where(bad[fail], 1.0, den), out=d)
+        elif op == tp.OP_POWI:
+            if fail < 0:
+                d[...] = _ipow_array(slots[src[0]], arg, pole_eps, None)
+            else:
+                ok = np.ones(d.shape, dtype=bool)
+                d[...] = _ipow_array(slots[src[0]], arg, pole_eps, ok)
+                np.logical_not(ok, out=bad[fail])
+        elif op == tp.OP_WP:
+            x, y, wok = ell.wp_many(slots[src[0]])
+            np.logical_not(wok, out=bad[fail])
+            for s, val in zip(arg, (x, y)):
+                if s >= 0:
+                    slots[s] = np.where(wok, val, 0.0)
+        elif op != tp.OP_WP_SHARED:  # pragma: no cover
+            raise PDDEError(f"bad opcode {op}")
+        for r in outs:
+            out[r] = d
+        for step_op, acc, left, right in steps:
+            _UFUNC[step_op](slots[left], slots[right], out=slots[acc])
 
-
-def _run_numba(tape: tp.Tape, points: np.ndarray, pole_eps: float, ell: EllipticContext | None):
-    if ell is None:
-        params = (0j, 0j, 0.0, 0.0, 0.0, 0.0, np.zeros(2), 1.0, 0.0)
-    else:
-        params = ell.kernel_params()
-    out = np.empty(points.shape[0], dtype=np.complex128)
-    ok = np.empty(points.shape[0], dtype=np.bool_)
-    _run_kernel(
-        tape.ops,
-        tape.args,
-        tape.consts,
-        np.ascontiguousarray(points),
-        float(pole_eps),
-        int(tape.stack_size),
-        *params,
-        out,
-        ok,
-    )
-    return out, ok
-
-
-# ---------------------------------------------------------------------------
 
 def eval_batch(
     e: Expr | tp.Tape,
@@ -302,8 +117,11 @@ def eval_batch(
     `points` is an array of shape (P, n) of complex coordinates.  Returns
     (values, ok): lanes with ok=False hit a pole (near-zero denominator,
     negative power of a near-zero base, or a wp lattice neighborhood) and
-    carry NaN values.
+    carry NaN values.  A tape compiled from a list of roots gives arrays of
+    shape (roots, P), one row per root; otherwise both are of shape (P,).
     """
+    if backend not in (None, "numpy"):
+        raise PDDEError(f"unknown backend {backend!r} (the only backend is 'numpy')")
     tape = e if isinstance(e, tp.Tape) else tp.compile_expr(e)
     points = np.asarray(points, dtype=np.complex128)
     if points.ndim == 1:
@@ -314,11 +132,25 @@ def eval_batch(
         )
     if tape.has_wp and ell is None:
         raise MissingEllipticContextError("expression contains wp/wpd: pass an elliptic context")
-    name = backend if backend is not None else default_backend()
-    if name == "numba" and NUMBA_AVAILABLE:
-        return _run_numba(tape, points, pole_eps, ell)
-    if name == "numba":
-        raise PDDEError("numba backend requested but numba is not importable")
-    if name != "numpy":
-        raise PDDEError(f"unknown backend {name!r}")
-    return _run_numpy(tape, points, pole_eps, ell)
+
+    P = points.shape[0]
+    R = len(tape.root_fails)
+    values = np.empty((R, P), dtype=np.complex128)
+    bad_all = np.zeros((R, P), dtype=bool)
+    width = min(P, BLOCK)
+    slots = np.empty((tape.n_slots, width), dtype=np.complex128)
+    bad = np.zeros((tape.n_fail, width), dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, P, BLOCK):
+            hi = min(lo + BLOCK, P)
+            m = hi - lo
+            cols = np.ascontiguousarray(points[lo:hi, : tape.n_min].T)
+            _run_block(tape, cols, slots[:, :m], bad[:, :m], values[:, lo:hi], pole_eps, ell)
+            for r, fails in enumerate(tape.root_fails):
+                if fails:
+                    np.any(bad[list(fails), :m], axis=0, out=bad_all[r, lo:hi])
+    values[bad_all] = np.nan
+    ok = ~bad_all
+    if tape.single:
+        return values[0], ok[0]
+    return values, ok

@@ -18,7 +18,6 @@ import json
 import os
 import sys
 
-from .backends import default_backend
 from .construct import (
     construct_cor1,
     construct_cor2,

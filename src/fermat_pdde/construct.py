@@ -39,6 +39,7 @@ from .expr import (
 )
 from .operators import PDDEProblem
 from .periodic import omega_expr
+from .tape import compile_expr
 
 __all__ = [
     "T1Params",
@@ -72,8 +73,7 @@ def _max_violation(delta: Expr, scale: Expr, n: int) -> float:
     """max over sample points of |delta| / max(1, |scale|)."""
     pts = _check_points(n)
     ell = default_context() if (uses_wp(delta) or uses_wp(scale)) else None
-    dvals, dok = eval_batch(delta, pts, ell=ell)
-    svals, sok = eval_batch(scale, pts, ell=ell)
+    (dvals, svals), (dok, sok) = eval_batch(compile_expr([delta, scale]), pts, ell=ell)
     keep = dok & sok & np.isfinite(dvals) & np.isfinite(svals)
     if keep.sum() < len(pts) // 2:
         raise ConstructionError("validation sample lost more than half its points to poles")

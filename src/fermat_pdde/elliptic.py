@@ -150,22 +150,6 @@ class EllipticContext:
             )
         return complex(x[0]), complex(y[0])
 
-    # -- flattened parameters for the numba kernel --------------------------
-
-    def kernel_params(self) -> tuple:
-        m00, m01, m10, m11 = self._inv
-        return (
-            self.b1,
-            self.b2,
-            m00,
-            m01,
-            m10,
-            m11,
-            np.ascontiguousarray(self.coeffs),
-            self.series_radius,
-            self.pole_radius,
-        )
-
 
 @lru_cache(maxsize=1)
 def default_context() -> EllipticContext:

@@ -1,19 +1,31 @@
-"""Immutable complex expression trees over variables z1..zn.
+"""Hash-consed complex expressions over variables z1..zn.
 
 The node set is deliberately small: constants, variables, sums, products,
 negation, quotients, integer powers, exp/sin/cos, and the Weierstrass pair
-wp/wpd.  Trees are frozen dataclasses, so structural equality and hashing
-come for free and values can be shared across threads.
+wp/wpd.  Nodes are interned: constructing a node whose children and data
+equal those of a live node returns that node, so structurally equal
+subtrees are one object and an expression is a DAG, also when threads
+build expressions at the same time.  Equality and hashing are by
+identity, which is structural equality under interning.  A `Const` is
+keyed on the bit pattern of its value, so 0.0 and -0.0 stay distinct and
+folding is bit-exact.  The intern table holds nodes weakly; a node lives
+as long as something else refers to it.
 
-Exact symbolic differentiation (`partial`), argument shifting (`shift`),
-light constant folding (`fold_constants`), scalar evaluation (`evaluate`),
-and a central-difference oracle (`fd_partial`) live here.  Batched
-evaluation over many sample points is in `tape`/`backends`.
+The tree walks (`free_variables`, `uses_wp`, `fold_constants`) and each
+directional derivative are memoized on the node they start from, so a
+shared subtree is walked or differentiated once.  Exact symbolic
+differentiation (`partial`), argument shifting (`shift`), light constant
+folding (`fold_constants`), scalar evaluation (`evaluate`), and a
+central-difference oracle (`fd_partial`) live here.  Batched evaluation
+over many sample points is in `tape`/`backends`.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +56,7 @@ __all__ = [
     "const",
     "var",
     "variables",
+    "interned_count",
     "free_variables",
     "max_var_index",
     "uses_wp",
@@ -60,13 +73,54 @@ __all__ = [
 #: |denominator| below this is treated as a pole hit in scalar evaluation.
 DEFAULT_POLE_EPS = 1e-12
 
-ZERO = None  # assigned after Const is defined
-ONE = None
+# ---------------------------------------------------------------------------
+# interning
+
+#: intern key -> weak reference to the live node with that key.  Keys name
+#: children by id(): a live node keeps its children alive, so their ids
+#: cannot be reused while its entry exists, and a key holds no reference
+#: that could keep a node (or a memo cycle through it) alive.
+_TABLE: dict[tuple, weakref.KeyedRef] = {}
+#: guards the check-then-insert of a new node and the removal of a dead one,
+#: so threads building equal expressions get one node; reentrant because a
+#: collection triggered inside _intern runs _forget on the same thread
+_LOCK = threading.RLock()
 
 
-@dataclass(frozen=True)
+def _forget(ref: weakref.KeyedRef) -> None:
+    with _LOCK:
+        if _TABLE.get(ref.key) is ref:
+            del _TABLE[ref.key]
+
+
+def _intern(cls, key: tuple, kids: tuple, **fields):
+    ref = _TABLE.get(key)
+    node = ref() if ref is not None else None
+    if node is None:
+        with _LOCK:
+            ref = _TABLE.get(key)
+            node = ref() if ref is not None else None
+            if node is None:
+                node = object.__new__(cls)
+                node.__dict__.update(fields)
+                node.__dict__["_kids"] = kids
+                _TABLE[key] = weakref.KeyedRef(node, _forget, key)
+    return node
+
+
+def interned_count() -> int:
+    """Number of live interned nodes (the size of the process-wide table)."""
+    return len(_TABLE)
+
+
+# Nodes are dataclasses for their field list and repr only: construction
+# goes through each class's __new__, which interns, and equality and
+# hashing stay those of object (identity).  Memos are written straight
+# into a node's __dict__, past the frozen __setattr__.
+
+@dataclass(frozen=True, eq=False, init=False)
 class Expr:
-    """Base node.  All concrete nodes are frozen dataclasses."""
+    """Base node."""
 
     def __add__(self, other) -> Expr:
         return _add(self, as_expr(other))
@@ -101,84 +155,113 @@ class Expr:
     def __str__(self) -> str:
         return to_string(self)
 
+    def __reduce__(self):
+        return type(self), tuple(self.__dict__[f] for f in self.__dataclass_fields__)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Const(Expr):
     value: complex
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+    def __new__(cls, value):
+        v = complex(value)
+        return _intern(cls, (cls, struct.pack("<2d", v.real, v.imag)), (), value=v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Var(Expr):
     index: int  # 1-based
 
-    def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 1:
-            raise DimensionError(f"variable index must be a positive integer, got {self.index!r}")
+    def __new__(cls, index):
+        if not isinstance(index, int) or index < 1:
+            raise DimensionError(f"variable index must be a positive integer, got {index!r}")
+        return _intern(cls, (cls, index), (), index=index)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Add(Expr):
     terms: tuple[Expr, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __new__(cls, terms):
+        terms = tuple(terms)
+        return _intern(cls, (cls, *map(id, terms)), terms, terms=terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Mul(Expr):
     factors: tuple[Expr, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+    def __new__(cls, factors):
+        factors = tuple(factors)
+        return _intern(cls, (cls, *map(id, factors)), factors, factors=factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Neg(Expr):
     arg: Expr
 
+    def __new__(cls, arg):
+        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Div(Expr):
     num: Expr
     den: Expr
 
+    def __new__(cls, num, den):
+        return _intern(cls, (cls, id(num), id(den)), (num, den), num=num, den=den)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Pow(Expr):
     base: Expr
     exponent: int
 
-    def __post_init__(self):
-        if isinstance(self.exponent, bool) or not isinstance(self.exponent, int):
-            raise EvalError(f"Pow exponent must be an integer, got {self.exponent!r}")
+    def __new__(cls, base, exponent):
+        if isinstance(exponent, bool) or not isinstance(exponent, int):
+            raise EvalError(f"Pow exponent must be an integer, got {exponent!r}")
+        return _intern(cls, (cls, id(base), exponent), (base,), base=base, exponent=exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Exp(Expr):
     arg: Expr
 
+    def __new__(cls, arg):
+        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Sin(Expr):
     arg: Expr
 
+    def __new__(cls, arg):
+        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Cos(Expr):
     arg: Expr
 
+    def __new__(cls, arg):
+        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Wp(Expr):
     arg: Expr
 
+    def __new__(cls, arg):
+        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class WpPrime(Expr):
     arg: Expr
+
+    def __new__(cls, arg):
+        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
 
 
 ZERO = Const(0.0)
@@ -229,27 +312,20 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Add):
-        return e.terms
-    if isinstance(e, Mul):
-        return e.factors
-    if isinstance(e, Div):
-        return (e.num, e.den)
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, (Neg, Exp, Sin, Cos, Wp, WpPrime)):
-        return (e.arg,)
-    return ()
+    """The node's operands, in evaluation order (stored at construction)."""
+    return e._kids
 
 
 def free_variables(e: Expr) -> frozenset[int]:
-    """Set of 1-based variable indices occurring in the tree."""
-    if isinstance(e, Var):
-        return frozenset((e.index,))
-    out: set[int] = set()
-    for child in _children(e):
-        out |= free_variables(child)
-    return frozenset(out)
+    """Set of 1-based variable indices occurring in the expression."""
+    out = e.__dict__.get("_free")
+    if out is None:
+        if isinstance(e, Var):
+            out = frozenset((e.index,))
+        else:
+            out = frozenset().union(*(free_variables(c) for c in _children(e)))
+        e.__dict__["_free"] = out
+    return out
 
 
 def max_var_index(e: Expr) -> int:
@@ -258,104 +334,45 @@ def max_var_index(e: Expr) -> int:
 
 
 def uses_wp(e: Expr) -> bool:
-    if isinstance(e, (Wp, WpPrime)):
-        return True
-    return any(uses_wp(c) for c in _children(e))
+    out = e.__dict__.get("_uses_wp")
+    if out is None:
+        out = isinstance(e, (Wp, WpPrime)) or any(uses_wp(c) for c in _children(e))
+        e.__dict__["_uses_wp"] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
 # constant folding
-
-def _is_const(e: Expr, value=None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return value is None or e.value == value
-
 
 def fold_constants(e: Expr) -> Expr:
     """Collapse constant subtrees, drop zero terms and unit factors.
 
     The result evaluates identically to the input wherever the input is
     defined.  This is deliberately *not* a canonical form: no expansion,
-    no term collection beyond constants.
+    no term collection beyond constants.  Memoized per node; a node that
+    folds to itself is marked rather than pointing at itself.
     """
+    out = e.__dict__.get("_folded")
+    if out is None:
+        out = _fold(e)
+        e.__dict__["_folded"] = True if out is e else out
+        return out
+    return e if out is True else out
+
+
+def _fold(e: Expr) -> Expr:
     if isinstance(e, (Const, Var)):
         return e
     if isinstance(e, Add):
-        terms: list[Expr] = []
-        csum = 0j
-        for t in e.terms:
-            t = fold_constants(t)
-            if isinstance(t, Add):
-                inner = list(t.terms)
-            else:
-                inner = [t]
-            for x in inner:
-                if isinstance(x, Const):
-                    csum += x.value
-                else:
-                    terms.append(x)
-        if csum != 0:
-            terms.insert(0, Const(csum))
-        if not terms:
-            return Const(0.0)
-        if len(terms) == 1:
-            return terms[0]
-        return Add(tuple(terms))
+        return _fold_add([fold_constants(t) for t in e.terms])
     if isinstance(e, Mul):
-        factors: list[Expr] = []
-        cprod = 1 + 0j
-        for f in e.factors:
-            f = fold_constants(f)
-            if isinstance(f, Mul):
-                inner = list(f.factors)
-            else:
-                inner = [f]
-            for x in inner:
-                if isinstance(x, Const):
-                    cprod *= x.value
-                else:
-                    factors.append(x)
-        if cprod == 0:
-            return Const(0.0)
-        if cprod != 1:
-            factors.insert(0, Const(cprod))
-        if not factors:
-            return Const(1.0)
-        if len(factors) == 1:
-            return factors[0]
-        return Mul(tuple(factors))
+        return _fold_mul([fold_constants(f) for f in e.factors])
     if isinstance(e, Neg):
-        arg = fold_constants(e.arg)
-        if isinstance(arg, Const):
-            return Const(-arg.value)
-        if isinstance(arg, Neg):
-            return arg.arg
-        return Neg(arg)
+        return _fold_neg(fold_constants(e.arg))
     if isinstance(e, Div):
-        num = fold_constants(e.num)
-        den = fold_constants(e.den)
-        if isinstance(den, Const) and den.value != 0:
-            if isinstance(num, Const):
-                return Const(num.value / den.value)
-            if den.value == 1:
-                return num
-        return Div(num, den)
+        return _fold_div(fold_constants(e.num), fold_constants(e.den))
     if isinstance(e, Pow):
-        base = fold_constants(e.base)
-        if e.exponent == 0:
-            return Const(1.0)
-        if e.exponent == 1:
-            return base
-        if isinstance(base, Const) and not (base.value == 0 and e.exponent < 0):
-            try:
-                return Const(base.value ** e.exponent)
-            except (OverflowError, ZeroDivisionError):
-                # extreme magnitudes stay unfolded (overflow, or a negative
-                # power whose intermediate underflows to zero); evaluation
-                # reports inf or a pole hit there instead
-                return Pow(base, e.exponent)
-        return Pow(base, e.exponent)
+        return _fold_pow(fold_constants(e.base), e.exponent)
     if isinstance(e, (Exp, Sin, Cos)):
         arg = fold_constants(e.arg)
         if isinstance(arg, Const):
@@ -369,49 +386,145 @@ def fold_constants(e: Expr) -> Expr:
     raise TypeError(f"unknown node {e!r}")
 
 
+# The _fold_* helpers take operands that are already folded and return what
+# _fold returns for the node built from them, so the derivative below can
+# fold as it goes without building the unfolded node first.
+
+def _fold_add(terms_in: list[Expr]) -> Expr:
+    terms: list[Expr] = []
+    csum = 0j
+    for t in terms_in:
+        for x in t.terms if isinstance(t, Add) else (t,):
+            if isinstance(x, Const):
+                csum += x.value
+            else:
+                terms.append(x)
+    if csum != 0:
+        terms.insert(0, Const(csum))
+    if not terms:
+        return ZERO
+    if len(terms) == 1:
+        return terms[0]
+    return Add(tuple(terms))
+
+
+def _fold_mul(factors_in: list[Expr]) -> Expr:
+    factors: list[Expr] = []
+    cprod = 1 + 0j
+    for f in factors_in:
+        for x in f.factors if isinstance(f, Mul) else (f,):
+            if isinstance(x, Const):
+                cprod *= x.value
+            else:
+                factors.append(x)
+    if cprod == 0:
+        return ZERO
+    if cprod != 1:
+        factors.insert(0, Const(cprod))
+    if not factors:
+        return ONE
+    if len(factors) == 1:
+        return factors[0]
+    return Mul(tuple(factors))
+
+
+def _fold_neg(arg: Expr) -> Expr:
+    if isinstance(arg, Const):
+        return Const(-arg.value)
+    if isinstance(arg, Neg):
+        return arg.arg
+    return Neg(arg)
+
+
+def _fold_div(num: Expr, den: Expr) -> Expr:
+    if isinstance(den, Const) and den.value != 0:
+        if isinstance(num, Const):
+            return Const(num.value / den.value)
+        if den.value == 1:
+            return num
+    return Div(num, den)
+
+
+def _fold_pow(base: Expr, k: int) -> Expr:
+    if k == 0:
+        return ONE
+    if k == 1:
+        return base
+    if isinstance(base, Const) and not (base.value == 0 and k < 0):
+        try:
+            return Const(base.value ** k)
+        except (OverflowError, ZeroDivisionError):
+            # extreme magnitudes stay unfolded (overflow, or a negative
+            # power whose intermediate underflows to zero); evaluation
+            # reports inf or a pole hit there instead
+            return Pow(base, k)
+    return Pow(base, k)
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 
-def _ddir(e: Expr, w: tuple[complex, ...]) -> Expr:
-    """Unfolded derivative along the constant direction w: sum_j w_j d/dz_j."""
+def _deriv(e: Expr, w: tuple[Const, ...]) -> Expr:
+    """Folded derivative along the constant direction w: sum_j w_j d/dz_j.
+
+    The result is `fold_constants` of the chain-rule expansion (product
+    rule over every factor, quotient rule, ...), node for node, but it is
+    folded as it is built, so the unfolded expansion is never made.  `w`
+    holds interned constants, so it keys the per-node memo exactly (signed
+    zeros included).  The memo lives on `e`: a later derivative of the
+    same interned operand along the same direction is a lookup.
+    """
+    memo = e.__dict__.get("_deriv")
+    if memo is None:
+        memo = e.__dict__["_deriv"] = {}
+    out = memo.get(w)
+    if out is None:
+        out = memo[w] = _deriv_node(e, w)
+    return out
+
+
+def _deriv_node(e: Expr, w: tuple[Const, ...]) -> Expr:
+    fold = fold_constants
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
-        return Const(w[e.index - 1])
+        return w[e.index - 1]
     if isinstance(e, Add):
-        return Add(tuple(_ddir(t, w) for t in e.terms))
+        return _fold_add([_deriv(t, w) for t in e.terms])
     if isinstance(e, Mul):
-        terms = []
-        fs = e.factors
-        for i in range(len(fs)):
-            terms.append(Mul(fs[:i] + (_ddir(fs[i], w),) + fs[i + 1:]))
-        return Add(tuple(terms))
+        folded = [fold(f) for f in e.factors]
+        return _fold_add([
+            _fold_mul(folded[:i] + [_deriv(f, w)] + folded[i + 1:])
+            for i, f in enumerate(e.factors)
+        ])
     if isinstance(e, Neg):
-        return Neg(_ddir(e.arg, w))
+        return _fold_neg(_deriv(e.arg, w))
     if isinstance(e, Div):
         u, v = e.num, e.den
-        return Div(Add((Mul((_ddir(u, w), v)), Neg(Mul((u, _ddir(v, w)))))), Pow(v, 2))
+        num = _fold_add([_fold_mul([_deriv(u, w), fold(v)]),
+                         _fold_neg(_fold_mul([fold(u), _deriv(v, w)]))])
+        return _fold_div(num, _fold_pow(fold(v), 2))
     if isinstance(e, Pow):
         k = e.exponent
         if k == 0:
             return ZERO
-        return Mul((Const(k), Pow(e.base, k - 1), _ddir(e.base, w)))
+        return _fold_mul([Const(k), _fold_pow(fold(e.base), k - 1), _deriv(e.base, w)])
     if isinstance(e, Exp):
-        return Mul((e, _ddir(e.arg, w)))
+        return _fold_mul([fold(e), _deriv(e.arg, w)])
     if isinstance(e, Sin):
-        return Mul((Cos(e.arg), _ddir(e.arg, w)))
+        return _fold_mul([fold(Cos(e.arg)), _deriv(e.arg, w)])
     if isinstance(e, Cos):
-        return Neg(Mul((Sin(e.arg), _ddir(e.arg, w))))
+        return _fold_neg(_fold_mul([fold(Sin(e.arg)), _deriv(e.arg, w)]))
     if isinstance(e, Wp):
-        return Mul((WpPrime(e.arg), _ddir(e.arg, w)))
+        return _fold_mul([fold(WpPrime(e.arg)), _deriv(e.arg, w)])
     if isinstance(e, WpPrime):
         # (wp')^2 = 4 wp^3 - 1  =>  wp'' = 6 wp^2
-        return Mul((Const(6.0), Pow(Wp(e.arg), 2), _ddir(e.arg, w)))
+        return _fold_mul([Const(6.0), fold(Pow(Wp(e.arg), 2)), _deriv(e.arg, w)])
     raise TypeError(f"unknown node {e!r}")
 
 
-def _unit(j: int, n: int) -> tuple[complex, ...]:
-    return tuple(1 + 0j if i == j else 0j for i in range(1, n + 1))
+def _unit(j: int, n: int) -> tuple[Const, ...]:
+    return tuple(ONE if i == j else Const(0j) for i in range(1, n + 1))
 
 
 def directional_derivative(e: Expr, weights: Sequence[complex]) -> Expr:
@@ -422,12 +535,12 @@ def directional_derivative(e: Expr, weights: Sequence[complex]) -> Expr:
     structurally, which keeps the result well conditioned where the
     termwise sum would cancel catastrophically.
     """
-    w = tuple(complex(x) for x in weights)
+    w = tuple(Const(x) for x in weights)
     if max_var_index(e) > len(w):
         raise DimensionError(
             f"direction has {len(w)} components but the expression uses z{max_var_index(e)}"
         )
-    return fold_constants(_ddir(e, w))
+    return _deriv(e, w)
 
 
 def partial(e: Expr, multi_index: Sequence[int]) -> Expr:
@@ -436,7 +549,8 @@ def partial(e: Expr, multi_index: Sequence[int]) -> Expr:
     Each entry counts repeated differentiation in that variable; the
     all-zero index returns the expression unchanged.  The result is folded
     but otherwise unsimplified: compare derivatives numerically, not
-    structurally.
+    structurally.  Every step is memoized on its operand, so repeating a
+    partial of a live expression costs a few lookups.
     """
     idx = tuple(multi_index)
     if any((not isinstance(i, int)) or i < 0 for i in idx):
@@ -449,7 +563,7 @@ def partial(e: Expr, multi_index: Sequence[int]) -> Expr:
     for j, count in enumerate(idx, start=1):
         w = _unit(j, len(idx))
         for _ in range(count):
-            out = fold_constants(_ddir(out, w))
+            out = _deriv(out, w)
     return out
 
 
@@ -460,8 +574,15 @@ def shift(e: Expr, c: Sequence[complex]) -> Expr:
         raise DimensionError(
             f"shift vector has {len(cs)} components but the expression uses z{max_var_index(e)}"
         )
+    done: dict[Expr, Expr] = {}
 
     def sub(node: Expr) -> Expr:
+        out = done.get(node)
+        if out is None:
+            out = done[node] = sub_node(node)
+        return out
+
+    def sub_node(node: Expr) -> Expr:
         if isinstance(node, Const):
             return node
         if isinstance(node, Var):
@@ -520,7 +641,16 @@ def evaluate(e: Expr, point: Sequence[complex], ell=None, pole_eps: float = DEFA
     if ell is None and uses_wp(e):
         raise MissingEllipticContextError("expression contains wp/wpd: pass an elliptic context")
 
+    seen: dict[Expr, complex] = {}
+
     def ev(node: Expr) -> complex:
+        # a shared subtree is evaluated once
+        out = seen.get(node)
+        if out is None:
+            out = seen[node] = ev_node(node)
+        return out
+
+    def ev_node(node: Expr) -> complex:
         if isinstance(node, Const):
             return node.value
         if isinstance(node, Var):

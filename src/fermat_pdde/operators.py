@@ -41,6 +41,7 @@ from .expr import (
     shift,
     uses_wp,
 )
+from .tape import compile_expr
 
 __all__ = [
     "KINDS",
@@ -74,17 +75,31 @@ def _probe_points(n: int, count: int = 12, radius: float = 1.1) -> np.ndarray:
     return radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
 
 
-def is_identically_zero(e: Expr, n: int, tol: float = 1e-10) -> bool:
-    """Sampling test: no probe point with |value| above tol.
+def _summands(e: Expr) -> tuple[Expr, ...]:
+    """Top-level terms of a folded expression, through an outer negation."""
+    if isinstance(e, ex.Neg):
+        e = e.arg
+    return e.terms if isinstance(e, ex.Add) else (e,)
 
-    Holomorphic functions in this expression class that vanish on a dozen
-    generic points of a polydisc are identically zero for our purposes.
+
+def is_identically_zero(e: Expr, n: int, tol: float = 1e-10) -> bool:
+    """Sampling test: |e| <= tol * max |summand| at every probe point.
+
+    The value is judged against the expression's own top-level summands,
+    so a tiny nonzero expression is not mistaken for zero and huge terms
+    that cancel to roundoff are.  Holomorphic functions in this expression
+    class that vanish on a dozen generic points of a polydisc are
+    identically zero for our purposes.
     """
+    e = fold_constants(e)
+    roots = [e, *_summands(e)]
     ell = default_context() if uses_wp(e) else None
-    vals, ok = eval_batch(e, _probe_points(n), ell=ell)
-    if not ok.any():
+    vals, ok = eval_batch(compile_expr(roots), _probe_points(n), ell=ell)
+    keep = ok.all(axis=0) & np.isfinite(vals).all(axis=0)
+    if not keep.any():
         return False
-    return bool(np.all(np.abs(vals[ok]) <= tol))
+    scale = np.abs(vals[1:, keep]).max(axis=0)
+    return bool(np.all(np.abs(vals[0, keep]) <= tol * scale))
 
 
 @dataclass(frozen=True, eq=False)

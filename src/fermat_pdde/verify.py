@@ -137,27 +137,29 @@ def check_residual(
 ) -> VerificationReport:
     """Sample the residual and compare against max(1, largest scale term).
 
-    Points where any expression pole-hits, evaluates non-finite, or where a
-    guard expression has modulus below its floor are skipped (and counted);
-    a verdict needs at least half the sample to survive.
+    The residual, the scale terms and the guards compile to one tape and
+    are evaluated in one pass, so a subexpression they share is computed
+    once per point.  Points where any expression pole-hits, evaluates
+    non-finite, or where a guard expression has modulus below its floor
+    are skipped (and counted); a verdict needs at least half the sample to
+    survive.
     """
-    ell = _needs_ell([res, *scale_terms] + [g for g, _ in (guards or [])], ell)
+    guards = guards or []
+    roots = [res, *scale_terms, *(g for g, _ in guards)]
+    ell = _needs_ell(roots, ell)
     pts = sample_points(policy, n)
-    keep = np.ones(len(pts), dtype=bool)
-
-    rvals, rok = eval_batch(res, pts, ell=ell, pole_eps=policy.pole_eps)
-    keep &= rok & np.isfinite(rvals)
+    vals, oks = eval_batch(compile_expr(roots), pts, ell=ell, pole_eps=policy.pole_eps)
+    good = oks & np.isfinite(vals)
+    rvals = vals[0]
+    keep = good[0].copy()
 
     scale = np.ones(len(pts))
-    for term in scale_terms:
-        tvals, tok = eval_batch(term, pts, ell=ell, pole_eps=policy.pole_eps)
-        good = tok & np.isfinite(tvals)
-        keep &= good
-        scale = np.maximum(scale, np.where(good, np.abs(tvals), 1.0))
+    for k in range(1, 1 + len(scale_terms)):
+        keep &= good[k]
+        scale = np.maximum(scale, np.where(good[k], np.abs(vals[k]), 1.0))
 
-    for guard, floor in guards or []:
-        gvals, gok = eval_batch(guard, pts, ell=ell, pole_eps=policy.pole_eps)
-        keep &= gok & np.isfinite(gvals) & (np.abs(gvals) >= floor)
+    for k, (_, floor) in enumerate(guards, start=1 + len(scale_terms)):
+        keep &= good[k] & (np.abs(vals[k]) >= floor)
 
     tested = int(keep.sum())
     skipped = int(len(pts) - tested)

@@ -262,3 +262,17 @@ class TestProblemValidation:
     def test_is_identically_zero(self):
         assert is_identically_zero(parse("cos(z1)^2 + sin(z1)^2 - 1", 1), 1)
         assert not is_identically_zero(parse("z1^2", 1), 1)
+
+    def test_tiny_nonzero_is_not_zero(self):
+        # judged against its own summands, not an absolute 1e-10
+        assert not is_identically_zero(parse("1e-11*z2", 2), 2)
+        assert not is_identically_zero(parse("1e-300", 1), 1)
+
+    def test_huge_cancellation_is_zero(self):
+        e = parse("exp(30*z2)*(z2+1) - exp(30*z2)*z2 - exp(30*z2)", 2)
+        assert is_identically_zero(e, 2)
+        assert is_identically_zero(-e, 2)
+
+    def test_tiny_operator_coefficient_accepted(self):
+        op = LinearPDOperator(n=2, coeffs={(1, 0): parse("1e-11*z2", 2)})
+        assert set(op.coeffs) == {(1, 0)}
