@@ -2,7 +2,7 @@
 equations on C^n: closed-form solution families, exact symbolic
 differentiation, and randomized residual verification."""
 
-from .backends import available_backends, default_backend, eval_batch
+from .backends import default_backend, eval_batch
 from .construct import (
     T1Params,
     T2Params,

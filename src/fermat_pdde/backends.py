@@ -17,7 +17,6 @@ from .expr import DEFAULT_POLE_EPS, Expr
 
 __all__ = [
     "BLOCK",
-    "available_backends",
     "default_backend",
     "eval_batch",
 ]
@@ -26,11 +25,8 @@ __all__ = [
 BLOCK = 4096
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("numpy",)
-
-
 def default_backend() -> str:
+    """Name of the evaluation backend: numpy is the only one."""
     return "numpy"
 
 
@@ -110,7 +106,6 @@ def eval_batch(
     *,
     ell: EllipticContext | None = None,
     pole_eps: float = DEFAULT_POLE_EPS,
-    backend: str | None = None,
 ):
     """Evaluate an expression (or precompiled tape) at many points.
 
@@ -120,8 +115,6 @@ def eval_batch(
     carry NaN values.  A tape compiled from a list of roots gives arrays of
     shape (roots, P), one row per root; otherwise both are of shape (P,).
     """
-    if backend not in (None, "numpy"):
-        raise PDDEError(f"unknown backend {backend!r} (the only backend is 'numpy')")
     tape = e if isinstance(e, tp.Tape) else tp.compile_expr(e)
     points = np.asarray(points, dtype=np.complex128)
     if points.ndim == 1:

@@ -56,7 +56,6 @@ __all__ = [
     "const",
     "var",
     "variables",
-    "interned_count",
     "free_variables",
     "max_var_index",
     "uses_wp",
@@ -106,11 +105,6 @@ def _intern(cls, key: tuple, kids: tuple, **fields):
                 node.__dict__["_kids"] = kids
                 _TABLE[key] = weakref.KeyedRef(node, _forget, key)
     return node
-
-
-def interned_count() -> int:
-    """Number of live interned nodes (the size of the process-wide table)."""
-    return len(_TABLE)
 
 
 # Nodes are dataclasses for their field list and repr only: construction

@@ -75,31 +75,52 @@ def _probe_points(n: int, count: int = 12, radius: float = 1.1) -> np.ndarray:
     return radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
 
 
-def _summands(e: Expr) -> tuple[Expr, ...]:
-    """Top-level terms of a folded expression, through an outer negation."""
+def _zero_candidates(e: Expr) -> list[Expr]:
+    """Sums and leaves of a folded expression, one of which vanishes iff e does.
+
+    Holomorphic functions on a polydisc have no zero divisors, so a product
+    vanishes identically iff one of its factors does; a quotient iff its
+    numerator does; a positive power iff its base does.
+    """
     if isinstance(e, ex.Neg):
-        e = e.arg
-    return e.terms if isinstance(e, ex.Add) else (e,)
+        return _zero_candidates(e.arg)
+    if isinstance(e, ex.Mul):
+        return [c for factor in e.factors for c in _zero_candidates(factor)]
+    if isinstance(e, ex.Div):
+        return _zero_candidates(e.num)
+    if isinstance(e, ex.Pow) and e.exponent > 0:
+        return _zero_candidates(e.base)
+    return [e]
 
 
 def is_identically_zero(e: Expr, n: int, tol: float = 1e-10) -> bool:
-    """Sampling test: |e| <= tol * max |summand| at every probe point.
+    """Sampling test for e vanishing identically on a polydisc.
 
-    The value is judged against the expression's own top-level summands,
-    so a tiny nonzero expression is not mistaken for zero and huge terms
-    that cancel to roundoff are.  Holomorphic functions in this expression
-    class that vanish on a dozen generic points of a polydisc are
-    identically zero for our purposes.
+    Products, quotients and positive powers are split first: e vanishes
+    iff one of its `_zero_candidates` does.  A sum counts as zero when
+    |sum| <= tol * max |summand| at every probe point, any other leaf only
+    when it is exactly zero.  So a tiny nonzero expression is not mistaken
+    for zero and huge terms that cancel to roundoff are, also inside a
+    product.
+    Holomorphic functions in this expression class that vanish on a dozen
+    generic points of a polydisc are identically zero for our purposes.
     """
     e = fold_constants(e)
-    roots = [e, *_summands(e)]
+    roots = [e]  # evaluated only for its pole mask: denominators are no candidates
+    groups = []
+    for cand in _zero_candidates(e):
+        terms = cand.terms if isinstance(cand, ex.Add) else (cand,)
+        groups.append((len(roots), len(terms)))
+        roots += [cand, *terms]
     ell = default_context() if uses_wp(e) else None
     vals, ok = eval_batch(compile_expr(roots), _probe_points(n), ell=ell)
     keep = ok.all(axis=0) & np.isfinite(vals).all(axis=0)
     if not keep.any():
         return False
-    scale = np.abs(vals[1:, keep]).max(axis=0)
-    return bool(np.all(np.abs(vals[0, keep]) <= tol * scale))
+    mags = np.abs(vals[:, keep])
+    return any(
+        bool(np.all(mags[i] <= tol * mags[i + 1 : i + 1 + k].max(axis=0))) for i, k in groups
+    )
 
 
 @dataclass(frozen=True, eq=False)

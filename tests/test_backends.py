@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from fermat_pdde.backends import available_backends, default_backend, eval_batch
+from fermat_pdde.backends import default_backend, eval_batch
 from fermat_pdde.elliptic import default_context
 from fermat_pdde.errors import EvalError, MissingEllipticContextError, PDDEError, PoleHitError
 from fermat_pdde.expr import Div, Pow, Var, evaluate
@@ -12,7 +12,6 @@ from fermat_pdde.tape import compile_expr
 from conftest import disc_points
 from test_expr import F_EX1, F_EX4, exprs
 
-BACKENDS = available_backends()
 
 
 def scalar_reference(e, pts, ell=None):
@@ -28,23 +27,29 @@ def scalar_reference(e, pts, ell=None):
     return vals, ok
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.fixture(params=[default_backend()])
+def backend(request):
+    """Keeps the "[numpy]" suffix in the test ids; numpy is the only backend."""
+    return request.param
+
+
+@pytest.mark.usefixtures("backend")
 class TestAgainstScalarReference:
-    def test_fixture_expressions(self, backend):
+    def test_fixture_expressions(self):
         for e, n in ((F_EX4, 3), (F_EX1, 5)):
             pts = disc_points(31, 25, n, radius=1.5)
-            vals, ok = eval_batch(e, pts, backend=backend)
+            vals, ok = eval_batch(e, pts)
             ref, rok = scalar_reference(e, pts)
             assert ok.all() and rok.all()
             scale = np.maximum(1.0, np.abs(ref))
             assert (np.abs(vals - ref) / scale).max() < 1e-12
 
-    def test_rational_with_poles(self, backend):
+    def test_rational_with_poles(self):
         e = parse("(z1+1)/(z1-1) + z2^-2", 2)
         pts = disc_points(32, 40, 2, radius=1.5)
         pts[0, 0] = 1.0  # exact pole of the quotient
         pts[1, 1] = 0.0  # exact pole of the negative power
-        vals, ok = eval_batch(e, pts, backend=backend, pole_eps=1e-9)
+        vals, ok = eval_batch(e, pts, pole_eps=1e-9)
         assert not ok[0] and not ok[1]
         assert np.isnan(vals[0].real) and np.isnan(vals[1].real)
         ref, rok = scalar_reference(e, pts)
@@ -53,11 +58,11 @@ class TestAgainstScalarReference:
         scale = np.maximum(1.0, np.abs(ref[good]))
         assert (np.abs(vals[good] - ref[good]) / scale).max() < 1e-12
 
-    def test_wp_expressions(self, backend):
+    def test_wp_expressions(self):
         ctx = default_context()
         e = parse("wp(z1)^3*4 - wpd(z1)^2", 1)
         pts = disc_points(33, 30, 1, radius=1.4)
-        vals, ok = eval_batch(e, pts, ell=ctx, backend=backend)
+        vals, ok = eval_batch(e, pts, ell=ctx)
         x, y, wok = ctx.wp_many(pts[:, 0])
         expect = 4 * x**3 - y**2
         assert (ok == wok).all()
@@ -65,29 +70,29 @@ class TestAgainstScalarReference:
         scale = np.maximum(1.0, np.maximum(np.abs(4 * x**3), np.abs(y**2)))[ok]
         assert (np.abs(vals[ok] - expect[ok]) / scale).max() < 1e-12
 
-    def test_wp_node_values(self, backend):
+    def test_wp_node_values(self):
         from fermat_pdde.expr import Var, Wp, WpPrime
 
         ctx = default_context()
         pts = disc_points(33, 30, 1, radius=1.4)
         x, y, wok = ctx.wp_many(pts[:, 0])
         for node, expect in ((Wp(Var(1)), x), (WpPrime(Var(1)), y)):
-            vals, ok = eval_batch(node, pts, ell=ctx, backend=backend)
+            vals, ok = eval_batch(node, pts, ell=ctx)
             assert (ok == wok).all()
             scale = np.maximum(1.0, np.abs(expect[ok]))
             assert (np.abs(vals[ok] - expect[ok]) / scale).max() < 1e-13
 
-    def test_deterministic(self, backend):
+    def test_deterministic(self):
         pts = disc_points(34, 50, 5, radius=2.0)
-        a, _ = eval_batch(F_EX1, pts, backend=backend)
-        b, _ = eval_batch(F_EX1, pts, backend=backend)
+        a, _ = eval_batch(F_EX1, pts)
+        b, _ = eval_batch(F_EX1, pts)
         assert np.array_equal(a.view(np.float64), b.view(np.float64))
 
     @settings(max_examples=40, deadline=None)
     @given(exprs())
-    def test_random_trees(self, backend, e):
+    def test_random_trees(self, e):
         pts = disc_points(35, 6, 3, radius=0.8)
-        vals, ok = eval_batch(e, pts, backend=backend, pole_eps=1e-12)
+        vals, ok = eval_batch(e, pts, pole_eps=1e-12)
         ref, rok = scalar_reference(e, pts)
         both = ok & rok & np.isfinite(ref) & np.isfinite(vals)
         scale = np.maximum(1.0, np.abs(ref[both]))
@@ -98,17 +103,6 @@ class TestAgainstScalarReference:
 class TestSelection:
     def test_default_is_numpy(self):
         assert default_backend() == "numpy"
-        assert BACKENDS == ("numpy",)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(PDDEError):
-            eval_batch(Var(1), disc_points(37, 5, 1), backend="numba")
-
-    def test_explicit_backend_name(self):
-        pts = disc_points(37, 5, 1)
-        for name in BACKENDS:
-            vals, ok = eval_batch(Var(1), pts, backend=name)
-            assert np.allclose(vals, pts[:, 0])
 
 
 class TestTape:
@@ -132,7 +126,6 @@ class TestTape:
     def test_precompiled_tape_reuse(self):
         t = compile_expr(F_EX4)
         pts = disc_points(40, 10, 3)
-        for backend in BACKENDS:
-            vals, ok = eval_batch(t, pts, backend=backend)
-            ref, _ = scalar_reference(F_EX4, pts)
-            assert np.abs(vals - ref).max() < 1e-9
+        vals, ok = eval_batch(t, pts)
+        ref, _ = scalar_reference(F_EX4, pts)
+        assert np.abs(vals - ref).max() < 1e-9

@@ -273,6 +273,24 @@ class TestProblemValidation:
         assert is_identically_zero(e, 2)
         assert is_identically_zero(-e, 2)
 
+    def test_identity_inside_product_is_zero(self):
+        # the cancelling sum sits under a product, a quotient or a power
+        for text in (
+            "z3*(cos(z3)^2 + sin(z3)^2 - 1)",
+            "2*(exp(30*z2)*(z2+1) - exp(30*z2)*z2 - exp(30*z2))",
+            "(cos(z1)^2 + sin(z1)^2 - 1)/(z2+3)",
+            "-(exp(30*z2)*(z2+1) - exp(30*z2)*z2 - exp(30*z2))^3*z1",
+        ):
+            assert is_identically_zero(parse(text, 3), 3), text
+
+    def test_product_of_nonzero_factors_is_not_zero(self):
+        assert not is_identically_zero(parse("1e-11*z2*(z1+1)", 2), 2)
+        assert not is_identically_zero(parse("(z1 - z2)^2/(z1+3)", 2), 2)
+
+    def test_phi_vanishing_as_product_rejected(self):
+        with pytest.raises(ProblemSpecError, match="vanishes"):
+            PDDEProblem(kind="fte", n=3, m1=2, c=(1, 0, 0), phi=parse("z3*(cos(z3)^2 + sin(z3)^2 - 1)", 3))
+
     def test_tiny_operator_coefficient_accepted(self):
         op = LinearPDOperator(n=2, coeffs={(1, 0): parse("1e-11*z2", 2)})
         assert set(op.coeffs) == {(1, 0)}
