@@ -1,10 +1,14 @@
-"""Dump the verification report of every fixture over a seed x radius sweep.
+"""Dump the verification report of every fixture and Fermat pair over a seed x radius sweep.
 
 One JSON line per (fixture, seed, radius) with the verdict, the point
 counts and the exact `repr` of max_abs/max_rel, then a SHA-256 digest of
-those lines.  It uses only the public API, so running it on two commits
-and comparing the outputs (or just the digests) shows whether a change
-moved any report by a single bit:
+those lines.  Then the same for the Fermat pairs, built, guarded and
+toleranced by the `fermat` command itself (`--format machine`), with a
+digest of their own: the fixtures use no wp, so their digest shows
+whether a change moved a non-wp report by a single bit, while the pair
+digest shows whether the wp-heavy cubic reports moved.  Running it on two
+commits and comparing the outputs (or just the digests) tells which
+reports changed:
 
     PYTHONPATH=src python benchmarks/fixture_reports.py > reports.jsonl
     PYTHONPATH=src python benchmarks/fixture_reports.py --samples 20000 --seeds 0-4
@@ -13,14 +17,42 @@ moved any report by a single bit:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
 
 from fermat_pdde import check_residual, load_problem, residual, scale_terms
+from fermat_pdde.cli import main as cli_main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+#: (CLI kind, h, n): the corpus pairs and the bulk-sample cubic pair
+FERMAT_PAIRS = (
+    ("cos-sin", "z1+z2^2", 2),
+    ("mobius", "z1*z2", 2),
+    ("cubic", "z1", 1),
+    ("cubic", "z1 + z2/2", 2),
+)
+
+
+def _line(digest, record: dict) -> None:
+    line = json.dumps(record)
+    digest.update(line.encode() + b"\n")
+    print(line)
+
+
+def _fermat_report(kind: str, h: str, n: int, seed: int, radius: float, samples: int) -> dict:
+    argv = ["fermat", "--kind", kind, "--h", h, "--n", str(n), "--seed", str(seed),
+            "--radius", repr(radius), "--samples", str(samples), "--format", "machine"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"fermat {' '.join(argv)} exited {code}")
+    return json.loads(out.getvalue())["report"]
 
 
 def main() -> None:
@@ -41,15 +73,26 @@ def main() -> None:
             for radius in radii:
                 policy = replace(lp.policy, seed=seed, radius=radius, samples=args.samples)
                 rep = check_residual(res, scales, policy, lp.problem.n)
-                line = json.dumps({
+                _line(digest, {
                     "fixture": path.stem, "seed": seed, "radius": radius,
                     "verdict": rep.verdict, "tested": rep.points_tested,
                     "skipped": rep.points_skipped, "max_abs": repr(rep.max_abs_residual),
                     "max_rel": repr(rep.max_rel_residual),
                 })
-                digest.update(line.encode() + b"\n")
-                print(line)
     print(json.dumps({"sha256": digest.hexdigest()}))
+
+    digest = hashlib.sha256()
+    for kind, h, n in FERMAT_PAIRS:
+        for seed in range(lo, hi + 1):
+            for radius in radii:
+                rep = _fermat_report(kind, h, n, seed, radius, args.samples)
+                _line(digest, {
+                    "pair": kind, "h": h, "seed": seed, "radius": radius,
+                    "verdict": rep["verdict"], "tested": rep["points_tested"],
+                    "skipped": rep["points_skipped"], "max_abs": repr(rep["max_abs_residual"]),
+                    "max_rel": repr(rep["max_rel_residual"]),
+                })
+    print(json.dumps({"fermat_sha256": digest.hexdigest()}))
 
 
 if __name__ == "__main__":

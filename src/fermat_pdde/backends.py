@@ -30,74 +30,80 @@ def default_backend() -> str:
     return "numpy"
 
 
-def _ipow_array(base: np.ndarray, k: int, pole_eps: float, ok: np.ndarray) -> np.ndarray:
-    if k < 0:
-        v = _ipow_array(base, -k, pole_eps, ok)
-        bad = np.abs(v) < pole_eps
-        ok &= ~bad
-        return 1.0 / np.where(bad, 1.0, v)
-    out = np.ones_like(base)
-    b = base.copy()
-    while k:
-        if k & 1:
-            out = out * b
-        k >>= 1
-        if k:
-            b = b * b
-    return out
+def _power_into(d: np.ndarray, base, k: int) -> None:
+    """d = base**k for k >= 0 by binary powering, the lower power the left factor.
 
-
-_UFUNC = {tp.OP_ADD: np.add, tp.OP_MUL: np.multiply}
+    base**2 is base*base and base**3 is base*(base*base): complex multiply
+    is not commutative to the last bit where it uses FMA.
+    """
+    if k == 2:
+        np.multiply(base, base, out=d)
+    elif k == 3:
+        np.multiply(base, base, out=d)
+        np.multiply(base, d, out=d)
+    elif k == 0:
+        d.fill(1.0)
+    else:
+        acc = None
+        while True:
+            if k & 1:
+                acc = base if acc is None else acc * base
+            k >>= 1
+            if not k:
+                break
+            base = base * base
+        d[...] = acc
 
 
 def _run_block(tape: tp.Tape, cols: np.ndarray, slots: np.ndarray, bad: np.ndarray,
                out: np.ndarray, pole_eps: float, ell: EllipticContext | None) -> None:
     """Run the tape on one block: `cols` holds one contiguous row per variable."""
+    rows = [*tape.consts, *slots]  # operand index -> immediate or slot row
     for op, dst, src, arg, fail, outs, steps in tape.ops:
-        d = slots[dst]
+        d = rows[dst]
         if op == tp.OP_ADD or op == tp.OP_MUL:
-            ufunc = _UFUNC[op]
             if len(src) == 1:
-                d[...] = slots[src[0]]
+                d[...] = rows[src[0]]
             else:
-                ufunc(slots[src[0]], slots[src[1]], out=d)
-                for s in src[2:]:
-                    ufunc(d, slots[s], out=d)
-        elif op == tp.OP_CONST:
-            d.fill(arg)
+                acc = rows[src[0]]
+                for s, fold in zip(src[1:], arg):
+                    fold(acc, rows[s], out=d)
+                    acc = d
+        elif op == tp.OP_CONST:  # d is the immediate; `outs` broadcast it
+            pass
         elif op == tp.OP_VAR:
             d[...] = cols[arg]
         elif op == tp.OP_NEG:
-            np.negative(slots[src[0]], out=d)
+            np.negative(rows[src[0]], out=d)
         elif op == tp.OP_EXP:
-            np.exp(slots[src[0]], out=d)
+            np.exp(rows[src[0]], out=d)
         elif op == tp.OP_SIN:
-            np.sin(slots[src[0]], out=d)
+            np.sin(rows[src[0]], out=d)
         elif op == tp.OP_COS:
-            np.cos(slots[src[0]], out=d)
+            np.cos(rows[src[0]], out=d)
         elif op == tp.OP_DIV:
-            den = slots[src[1]]
-            np.less(np.abs(den), pole_eps, out=bad[fail])
-            np.divide(slots[src[0]], np.where(bad[fail], 1.0, den), out=d)
+            den = rows[src[1]]
+            if arg is None:  # not a constant, whose fail row eval_batch fixes once
+                np.less(np.abs(den), pole_eps, out=bad[fail])
+                den = np.where(bad[fail], 1.0, den)
+            np.divide(rows[src[0]], den, out=d)
         elif op == tp.OP_POWI:
-            if fail < 0:
-                d[...] = _ipow_array(slots[src[0]], arg, pole_eps, None)
-            else:
-                ok = np.ones(d.shape, dtype=bool)
-                d[...] = _ipow_array(slots[src[0]], arg, pole_eps, ok)
-                np.logical_not(ok, out=bad[fail])
+            _power_into(d, rows[src[0]], abs(arg))
+            if arg < 0:
+                np.less(np.abs(d), pole_eps, out=bad[fail])
+                np.divide(1.0, np.where(bad[fail], 1.0, d), out=d)
         elif op == tp.OP_WP:
-            x, y, wok = ell.wp_many(slots[src[0]])
+            x, y, wok = ell.wp_many(rows[src[0]])  # NaN on the lanes it rejects
             np.logical_not(wok, out=bad[fail])
             for s, val in zip(arg, (x, y)):
                 if s >= 0:
-                    slots[s] = np.where(wok, val, 0.0)
+                    rows[s][...] = val
         elif op != tp.OP_WP_SHARED:  # pragma: no cover
             raise PDDEError(f"bad opcode {op}")
         for r in outs:
             out[r] = d
-        for step_op, acc, left, right in steps:
-            _UFUNC[step_op](slots[left], slots[right], out=slots[acc])
+        for fold, acc, left, right in steps:
+            fold(rows[left], rows[right], out=rows[acc])
 
 
 def eval_batch(
@@ -133,6 +139,8 @@ def eval_batch(
     width = min(P, BLOCK)
     slots = np.empty((tape.n_slots, width), dtype=np.complex128)
     bad = np.zeros((tape.n_fail, width), dtype=bool)
+    for fail, divisor in tape.fixed_fails:
+        bad[fail] = np.abs(divisor) < pole_eps
     with np.errstate(all="ignore"):
         for lo in range(0, P, BLOCK):
             hi = min(lo + BLOCK, P)

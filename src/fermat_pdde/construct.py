@@ -40,6 +40,7 @@ from .expr import (
 from .operators import PDDEProblem
 from .periodic import omega_expr
 from .tape import compile_expr
+from .verify import SamplingPolicy, sample_points
 
 __all__ = [
     "T1Params",
@@ -62,11 +63,9 @@ ANNIHILATION_TOL = 1e-10
 FERMAT_PAIR_KINDS = ("cos_sin", "mobius", "cubic")
 
 
-def _check_points(n: int, count: int = 48, radius: float = 1.2) -> np.ndarray:
-    rng = np.random.default_rng(271828182 + n)
-    u = rng.random((count, n))
-    theta = rng.random((count, n))
-    return radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
+def _check_points(n: int) -> np.ndarray:
+    """The constructors' fixed validation sample: 48 points of the radius-1.2 polydisc."""
+    return sample_points(SamplingPolicy(samples=48, radius=1.2, seed=271828182 + n), n)
 
 
 def _max_violation(delta: Expr, scale: Expr, n: int) -> float:

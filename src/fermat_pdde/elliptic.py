@@ -1,15 +1,25 @@
 """Weierstrass wp and wp' for the normalization (wp')^2 = 4 wp^3 - 1.
 
-The invariant pair (g2, g3) = (0, 1) fixes a hexagonal period lattice:
-the real half-period is omega1 = Gamma(1/3)^3 / (4 pi) and the second
-half-period is omega2 = omega1 * e^{i pi/3}.  Evaluation reduces the
-argument to the Voronoi cell of the lattice, sums the Laurent series
-there, and applies the curve's point-doubling step when the reduced
-argument is too large for fast series convergence (at most two halvings
-are ever needed: the cell circumradius is about 1.767).
+The invariant pair (g2, g3) = (0, 1) fixes a hexagonal period lattice,
+the equianharmonic case (Abramowitz & Stegun, Handbook, 18.13): the real
+half-period is omega1 = Gamma(1/3)^3 / (4 pi) and the second half-period
+is omega2 = omega1 * e^{i pi/3}, so b1 = 2 omega1, b2 = 2 omega2 and
+b2 - b1 have equal length and the lattice cuts the plane into
+equilateral (Delaunay) triangles.
+
+Evaluation reduces the argument to the Voronoi cell of the lattice: the
+floor of its lattice coordinates names a parallelogram, the diagonal from
+b1 to b2 splits it into two such triangles, and the nearest lattice point
+is the closest of the three vertices of the triangle holding the point.
+wp(w z) = w wp(z) for w = e^{2 pi i/3}, so the Laurent series has nonzero
+terms only in z^-2 and z^(6j+4); it is summed by Horner's rule in u^6.
+Lanes whose reduced argument lies beyond `series_radius` are halved
+before the sum and doubled back with the curve's point-doubling step.
+One halving covers the whole cell at the default radius 0.95 (the cell
+circumradius is about 1.767); a smaller radius can need a second.
 
 Arguments within `pole_radius` of a lattice point are reported as pole
-hits, never evaluated.
+hits, never evaluated: their lanes carry NaN and ok=False.
 """
 
 from __future__ import annotations
@@ -47,6 +57,10 @@ def _laurent_coefficients(order: int) -> np.ndarray:
     return c
 
 
+#: most halvings before the series sum (see the module docstring)
+MAX_HALVINGS = 2
+
+
 @dataclass(frozen=True, eq=False)
 class EllipticContext:
     """Immutable evaluation context for wp/wpd; safe to share across threads."""
@@ -56,18 +70,26 @@ class EllipticContext:
     coeffs: np.ndarray
     series_radius: float
     pole_radius: float
-    _inv: tuple[float, float, float, float] = field(repr=False, default=(0.0,) * 4)
+    _inv: tuple[float, float, float, float] = field(init=False, repr=False)
+    #: Horner coefficients in u^6 of wp and of wp': c[3j+3] and (6j+4) c[3j+3]
+    _horner: tuple[tuple[float, ...], tuple[float, ...]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        b1, b2 = 2.0 * complex(self.omega1), 2.0 * complex(self.omega2)
+        det = b1.real * b2.imag - b2.real * b1.imag
+        object.__setattr__(self, "_inv", (b2.imag / det, -b2.real / det, -b1.imag / det, b1.real / det))
+        # c[k] is zero unless 3 divides k, so wp(z) = z^-2 + z^4 sum_j c[3j+3] z^(6j)
+        nonzero = [float(c) for c in self.coeffs[3::3]]
+        horner = (tuple(nonzero), tuple((6 * j + 4) * c for j, c in enumerate(nonzero)))
+        object.__setattr__(self, "_horner", horner)
 
     @staticmethod
     def create(order: int = 32, series_radius: float = 0.95, pole_radius: float = 1e-2) -> "EllipticContext":
         w1 = complex(OMEGA1)
         w2 = OMEGA1 * cmath.exp(1j * math.pi / 3.0)
-        b1, b2 = 2.0 * w1, 2.0 * w2
-        det = b1.real * b2.imag - b2.real * b1.imag
-        inv = (b2.imag / det, -b2.real / det, -b1.imag / det, b1.real / det)
         coeffs = _laurent_coefficients(order)
         coeffs.setflags(write=False)
-        return EllipticContext(w1, w2, coeffs, series_radius, pole_radius, inv)
+        return EllipticContext(w1, w2, coeffs, series_radius, pole_radius)
 
     def half_periods(self) -> tuple[complex, complex]:
         return self.omega1, self.omega2
@@ -83,23 +105,34 @@ class EllipticContext:
     # -- reduction ---------------------------------------------------------
 
     def _reduce_array(self, z: np.ndarray) -> np.ndarray:
+        """z minus its nearest lattice point, over a 1-D array."""
         m00, m01, m10, m11 = self._inv
-        mu = np.rint(m00 * z.real + m01 * z.imag)
-        nu = np.rint(m10 * z.real + m11 * z.imag)
-        zr = z - mu * self.b1 - nu * self.b2
-        best = zr.copy()
-        best_abs = np.abs(zr)
-        # rounding in an oblique basis is not always nearest; check neighbors
-        for dm in (-1, 0, 1):
-            for dn in (-1, 0, 1):
-                if dm == 0 and dn == 0:
-                    continue
-                cand = zr - (dm * self.b1 + dn * self.b2)
-                cand_abs = np.abs(cand)
-                closer = cand_abs < best_abs
-                best = np.where(closer, cand, best)
-                best_abs = np.where(closer, cand_abs, best_abs)
-        return best
+        x, y = z.real, z.imag
+        s = m00 * x + m01 * y  # lattice coordinates: z = s b1 + t b2
+        t = m10 * x + m11 * y
+        m = np.floor(s)
+        n = np.floor(t)
+        s -= m
+        t -= n
+        # (s, t) lies in the triangle (0, b1, b2) when s + t <= 1, else in
+        # (b1, b2, b1 + b2).  As |a b1 + b b2|^2 = |b1|^2 (a^2 + ab + b^2),
+        # the squared distance to a vertex, less the one to 0 and in units
+        # of |b1|^2, is linear: e1 for b1, e2 for b2, e0 for the corner,
+        # 0 or b1 + b2.  The least of the three names the nearest point.
+        st = s + t
+        upper = st > 1.0
+        e0 = np.where(upper, 3.0 - 3.0 * st, 0.0)
+        e1 = 1.0 - s - st
+        e2 = 1.0 - t - st
+        to_b1 = (e1 < e0) & (e1 <= e2)
+        to_b2 = (e2 < e0) & (e2 < e1)
+        m += (to_b1 | upper) & ~to_b2
+        n += (to_b2 | upper) & ~to_b1
+        b1, b2 = self.b1, self.b2
+        zr = np.empty_like(z)
+        zr.real = x - m * b1.real - n * b2.real
+        zr.imag = y - m * b1.imag - n * b2.imag
+        return zr
 
     def reduce_point(self, z: complex) -> complex:
         """Representative of z in the Voronoi cell of the lattice around 0."""
@@ -111,35 +144,43 @@ class EllipticContext:
     # -- evaluation --------------------------------------------------------
 
     def wp_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(wp(z), wp'(z), ok) over an array; ok is False near lattice points."""
+        """(wp(z), wp'(z), ok) over an array; ok is False near lattice points.
+
+        Lanes with ok=False carry NaN in both values.
+        """
         z = np.asarray(z, dtype=np.complex128)
-        zr = self._reduce_array(z)
-        ok = np.abs(zr) >= self.pole_radius
-        zs = np.where(ok, zr, 1.0)  # placeholder value on bad lanes
-        halvings = np.zeros(z.shape, dtype=np.int64)
-        for _ in range(2):
-            halvings += np.abs(zs) / 2.0**halvings > self.series_radius
-        u = zs / 2.0**halvings
-        u2 = u * u
-        p = np.zeros_like(u)
-        dp = np.zeros_like(u)
-        c = self.coeffs
-        for k in range(len(c) - 1, 1, -1):
-            p = p * u2 + c[k]
-            dp = dp * u2 + (2 * k - 2) * c[k]
-        x = 1.0 / u2 + u2 * p
-        y = -2.0 / (u2 * u) + u * dp
-        with np.errstate(all="ignore"):
-            for step in range(2):
-                active = halvings > step
-                lam = 6.0 * x * x / np.where(active, y, 1.0)
-                xn = 0.25 * lam * lam - 2.0 * x
-                yn = -(y + lam * (xn - x))
-                x = np.where(active, xn, x)
-                y = np.where(active, yn, y)
-        x = np.where(ok, x, np.nan)
-        y = np.where(ok, y, np.nan)
-        return x, y, ok
+        shape = z.shape
+        zr = self._reduce_array(z.reshape(-1))
+        r = np.abs(zr)
+        ok = r >= self.pole_radius
+        halve = [np.flatnonzero(r > 2.0**k * self.series_radius) for k in range(MAX_HALVINGS)]
+        with np.errstate(all="ignore"):  # pole lanes divide by ~0; they are masked below
+            u = zr
+            for lanes in halve:
+                u[lanes] *= 0.5
+            u2 = u * u
+            u3 = u2 * u
+            u6 = u3 * u3
+            cp, cd = self._horner
+            p = np.full_like(u, cp[-1])
+            dp = np.full_like(u, cd[-1])
+            for a, b in zip(cp[-2::-1], cd[-2::-1]):
+                p *= u6
+                p += a
+                dp *= u6
+                dp += b
+            x = 1.0 / u2 + (u2 * u2) * p
+            y = -2.0 / u3 + u3 * dp
+            for lanes in halve:
+                xs, ys = x[lanes], y[lanes]
+                lam = 6.0 * xs * xs / ys
+                xn = 0.25 * lam * lam - 2.0 * xs
+                y[lanes] = -(ys + lam * (xn - xs))
+                x[lanes] = xn
+        bad = np.flatnonzero(~ok)
+        x[bad] = np.nan
+        y[bad] = np.nan
+        return x.reshape(shape), y.reshape(shape), ok.reshape(shape)
 
     def wp_pair(self, z: complex) -> tuple[complex, complex]:
         """(wp(z), wp'(z)) at one point; raises PoleHitError near the lattice."""

@@ -42,6 +42,7 @@ from .expr import (
     uses_wp,
 )
 from .tape import compile_expr
+from .verify import SamplingPolicy, sample_points
 
 __all__ = [
     "KINDS",
@@ -68,11 +69,9 @@ def unit_index(j: int, n: int) -> tuple[int, ...]:
     return tuple(1 if i == j else 0 for i in range(1, n + 1))
 
 
-def _probe_points(n: int, count: int = 12, radius: float = 1.1) -> np.ndarray:
-    rng = np.random.default_rng(987654321 + n)
-    u = rng.random((count, n))
-    theta = rng.random((count, n))
-    return radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
+def _probe_points(n: int) -> np.ndarray:
+    """The identity test's fixed probe: 12 points of the radius-1.1 polydisc."""
+    return sample_points(SamplingPolicy(samples=12, radius=1.1, seed=987654321 + n), n)
 
 
 def _zero_candidates(e: Expr) -> list[Expr]:

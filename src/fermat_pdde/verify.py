@@ -110,13 +110,26 @@ class VerificationReport:
 
 
 def sample_points(policy: SamplingPolicy, n: int) -> np.ndarray:
-    """(samples, n) array; every coordinate uniform on the disc of the policy radius."""
+    """(samples, n) array; every coordinate uniform on the disc of the policy radius.
+
+    The value is radius * sqrt(u) * exp(2j*pi*theta) for uniform u and
+    theta, computed in place: cos and sin of 2*pi*theta go straight into
+    the real and imaginary parts, which are then scaled.
+    """
     if n < 1:
         raise ProblemSpecError(f"dimension must be >= 1, got {n}")
     rng = np.random.default_rng(policy.seed)
     u = rng.random((policy.samples, n))
     theta = rng.random((policy.samples, n))
-    return policy.radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
+    theta *= 2.0 * np.pi
+    pts = np.empty((policy.samples, n), dtype=np.complex128)
+    np.cos(theta, out=pts.real)
+    np.sin(theta, out=pts.imag)
+    np.sqrt(u, out=u)
+    u *= policy.radius
+    pts.real *= u
+    pts.imag *= u
+    return pts
 
 
 def _needs_ell(exprs, ell):
@@ -149,24 +162,22 @@ def check_residual(
     ell = _needs_ell(roots, ell)
     pts = sample_points(policy, n)
     vals, oks = eval_batch(compile_expr(roots), pts, ell=ell, pole_eps=policy.pole_eps)
-    good = oks & np.isfinite(vals)
-    rvals = vals[0]
-    keep = good[0].copy()
-
-    scale = np.ones(len(pts))
-    for k in range(1, 1 + len(scale_terms)):
-        keep &= good[k]
-        scale = np.maximum(scale, np.where(good[k], np.abs(vals[k]), 1.0))
-
+    # a point needs every row finite; |v| can overflow where v does not,
+    # so finiteness is judged on the values, not on their moduli
+    keep = np.all(oks & np.isfinite(vals), axis=0)
+    mags = np.abs(vals)
     for k, (_, floor) in enumerate(guards, start=1 + len(scale_terms)):
-        keep &= good[k] & (np.abs(vals[k]) >= floor)
+        keep &= mags[k] >= floor
 
     tested = int(keep.sum())
     skipped = int(len(pts) - tested)
     if tested == 0:
         return VerificationReport(n, 0, skipped, float("inf"), float("inf"), False, policy)
-    max_abs = float(np.abs(rvals[keep]).max())
-    max_rel = float((np.abs(rvals[keep]) / scale[keep]).max())
+    scale = np.ones(len(pts))
+    for row in mags[1 : 1 + len(scale_terms)]:
+        np.maximum(scale, row, out=scale)
+    max_abs = float(np.max(mags[0], where=keep, initial=0.0))
+    max_rel = float(np.max(mags[0] / scale, where=keep, initial=0.0))
     passed = bool(max_rel <= policy.tol and skipped < policy.samples / 2)
     return VerificationReport(n, tested, skipped, max_abs, max_rel, passed, policy)
 
@@ -255,17 +266,21 @@ def estimate_order(
     norms[norms == 0] = 1.0
     dirs = vecs / norms[:, None]
 
-    tape = compile_expr(f)
+    # one evaluation over every radius; the rows are then read in radius
+    # order, so a pole or an overflow past the first overflow never counts
+    pts = (np.asarray(radii)[:, None, None] * dirs).reshape(-1, n)
+    vals, ok = eval_batch(compile_expr(f), pts, ell=ell, pole_eps=1e-12)
+    vals = vals.reshape(len(radii), directions)
+    ok = ok.reshape(len(radii), directions)
     usable: list[float] = []
     max_mod: list[float] = []
     truncated = False
-    for r in radii:
-        vals, ok = eval_batch(tape, r * dirs, ell=ell, pole_eps=1e-12)
-        if not ok.all():
+    for r, row, row_ok in zip(radii, vals, ok):
+        if not row_ok.all():
             raise EstimationError(
                 f"pole hit at radius {r:g}: order estimation expects entire candidates"
             )
-        m = float(np.abs(vals).max())
+        m = float(np.abs(row).max())
         if not np.isfinite(m):
             truncated = True
             break

@@ -45,31 +45,45 @@ POLE_EPS = 1e-9
 def dags(draw, entire=False, max_nodes=12):
     """Root lists over one pool of nodes; each new node picks earlier ones.
 
-    Picking from the pool shares subtrees between parents and roots.  Unless
+    Picking from the pool shares subtrees between parents and roots, and
+    roots may be constants.  A difference a - b puts its negation -b in
+    the pool too, so other nodes (and roots) can read it as well.  Unless
     `entire`, nodes include quotients, negative powers and wp/wpd, whose
-    poles exercise the point masks.  Constants are 0 or have modulus >= 0.1,
-    so no denominator sits near the pole threshold by construction.
+    poles exercise the point masks, and quotients by a constant, some of
+    modulus below POLE_EPS (every lane masked).  Other constants are 0 or
+    have modulus >= 0.1, so no computed denominator sits near the pole
+    threshold by construction.
     """
     consts = st.one_of(
         st.just(0j),
         st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False,
                            allow_infinity=False),
     )
+    divisors = st.one_of(
+        consts,
+        st.sampled_from([1e-12 + 0j, complex(0.0, -3e-10), 0.9 * POLE_EPS + 0j]),
+    )
     pool = [Var(j) for j in range(1, N + 1)]
     pool += [Const(c) for c in draw(st.lists(consts, min_size=1, max_size=3))]
-    kinds = ["add", "mul", "neg", "pow", "exp", "sin", "cos"]
+    kinds = ["add", "mul", "neg", "sub", "pow", "exp", "sin", "cos"]
     if not entire:
-        kinds += ["div", "wp", "wpd"]
+        kinds += ["div", "divc", "wp", "wpd"]
     for _ in range(draw(st.integers(1, max_nodes))):
         pick = st.sampled_from(pool)
         kind = draw(st.sampled_from(kinds))
         if kind in ("add", "mul"):
             operands = tuple(draw(st.lists(pick, min_size=2, max_size=4)))
             node = Add(operands) if kind == "add" else Mul(operands)
+        elif kind == "sub":
+            neg = Neg(draw(pick))
+            pool.append(neg)
+            node = Add((draw(pick), neg, *draw(st.lists(pick, max_size=2))))
         elif kind == "div":
             node = Div(draw(pick), draw(pick))
+        elif kind == "divc":
+            node = Div(draw(pick), Const(draw(divisors)))
         elif kind == "pow":
-            node = Pow(draw(pick), draw(st.integers(0 if entire else -2, 3)))
+            node = Pow(draw(pick), draw(st.integers(0 if entire else -3, 3)))
         else:
             unary = {"neg": Neg, "exp": Exp, "sin": Sin, "cos": Cos, "wp": Wp, "wpd": WpPrime}
             node = unary[kind](draw(pick))
@@ -86,6 +100,22 @@ def distinct_nodes(roots):
             seen.add(node)
             stack.extend(ex._children(node))
     return seen
+
+
+def instruction_count(roots):
+    """Distinct nodes that need an instruction of their own.
+
+    A constant is an immediate unless it is a root; a negation is folded
+    into subtraction unless it is a root or is read other than as a sum's
+    operand past the first.
+    """
+    nodes = distinct_nodes(roots)
+    needed = set(roots)
+    for node in nodes:
+        for k, kid in enumerate(ex._children(node)):
+            if isinstance(kid, Neg) and not (isinstance(node, Add) and k > 0):
+                needed.add(kid)
+    return sum(1 for node in nodes if not isinstance(node, (Const, Neg)) or node in needed)
 
 
 def bits(a):
@@ -152,7 +182,7 @@ class TestSlotTape:
     @settings(max_examples=80, deadline=None)
     @given(dags())
     def test_one_instruction_per_distinct_node(self, roots):
-        assert len(compile_expr(roots).ops) == len(distinct_nodes(roots))
+        assert len(compile_expr(roots).ops) == instruction_count(roots)
 
     @settings(max_examples=80, deadline=None)
     @given(dags())
@@ -200,6 +230,39 @@ class TestSlotTape:
         d = partial(f, (1, 1, 1, 1, 1))
         assert len(d.terms) == 32
         assert compile_expr(d).n_slots < 16
+
+    def test_small_powers_multiply_in_order(self):
+        # complex multiply may use FMA, so z*(z*z) and (z*z)*z can differ in
+        # the last bit; the tape keeps the lower power as the left factor
+        pts = disc_points(56, 2000, 1, radius=1.7)
+        z = pts[:, 0]
+        z2 = z * z
+        for k, expect in ((2, z2), (3, z * z2), (-2, 1.0 / z2), (-3, 1.0 / (z * z2)),
+                          (5, z * (z2 * z2))):
+            vals, ok = eval_batch(Pow(Var(1), k), pts, pole_eps=POLE_EPS)
+            assert ok.all()
+            assert np.array_equal(bits(vals), bits(expect))
+
+    def test_empty_sum_and_product_are_constants(self):
+        pts = disc_points(58, 10, 1)
+        roots = [Add(()), Mul(()), Add((Var(1), Mul(()))), Const(2.5j)]
+        tape = compile_expr(roots)
+        assert len(tape.ops) == 5  # three constant roots, z1 and z1 + 1
+        vals, ok = eval_batch(tape, pts)
+        assert ok.all()
+        for row, expect in zip(vals, (0j, 1 + 0j, pts[:, 0] + 1, 2.5j)):
+            assert np.array_equal(bits(row), bits(np.broadcast_to(expect, row.shape)))
+
+    def test_constant_divisor_masks_all_or_none(self):
+        pts = disc_points(57, 300, 1, radius=1.5)
+        for c, masked in ((0.5 * POLE_EPS, True), (0j, True), (complex(0.0, 2 * POLE_EPS), False),
+                          (-3.0 + 1j, False)):
+            vals, ok = eval_batch(Div(Var(1), Const(c)), pts, pole_eps=POLE_EPS)
+            assert not ok.any() if masked else ok.all()
+            if masked:
+                assert np.isnan(vals).all()
+            else:
+                assert np.array_equal(bits(vals), bits(pts[:, 0] / c))
 
     def test_wp_pair_shares_one_call(self):
         h = parse("z1 + z2/2", 2)

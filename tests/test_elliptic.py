@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fermat_pdde.elliptic import E1, LATTICE_EPS, OMEGA1, default_context, half_periods
+from fermat_pdde.elliptic import (
+    E1,
+    LATTICE_EPS,
+    OMEGA1,
+    EllipticContext,
+    default_context,
+    half_periods,
+)
 from fermat_pdde.errors import PoleHitError
 
 #: wp(0.1) from the exact-fraction Laurent series (frozen oracle value)
@@ -93,6 +100,30 @@ class TestLaurentSeries:
         assert abs(x - WP_AT_TENTH) < 1e-9 * WP_AT_TENTH
 
 
+    @pytest.mark.parametrize("series_radius, most", [(0.95, 1), (0.6, 2)])
+    def test_kernel_against_series_by_doublings(self, series_radius, most):
+        # the Laurent series converges for |z| < |b1| ~ 3.53, so it is an
+        # oracle on the whole cell; at radius 0.6 lanes need 0, 1 or 2
+        # doublings, and each doubling costs about two digits
+        ctx = EllipticContext.create(series_radius=series_radius)
+        c = [float(v) for v in exact_laurent(60)]
+        rng = np.random.default_rng(9)
+        z = rng.uniform(0.05, 1.76, 3000) * np.exp(2j * np.pi * rng.random(3000))
+        x_ref = z**-2 + sum(c[k] * z ** (2 * k - 2) for k in range(2, 61))
+        y_ref = -2 * z**-3 + sum(c[k] * (2 * k - 2) * z ** (2 * k - 3) for k in range(2, 61))
+        x, y, ok = ctx.wp_many(z)
+        assert ok.all()
+        r = np.abs(ctx._reduce_array(z))
+        doublings = (r > series_radius).astype(int) + (r > 2 * series_radius)
+        assert doublings.max() == most
+        for k, tol in enumerate((1e-14, 1e-12, 1e-11)[: most + 1]):
+            lanes = doublings == k
+            assert lanes.sum() > 300
+            for val, ref in ((x, x_ref), (y, y_ref)):
+                err = np.abs(val - ref) / np.maximum(1.0, np.abs(ref))
+                assert err[lanes].max() <= tol
+
+
 class TestIdentities:
     def test_differential_equation(self):
         ctx = default_context()
@@ -156,11 +187,49 @@ class TestReduction:
         for z in sample_cell_points(200, seed=7):
             assert abs(ctx.reduce_point(z)) <= circumradius + 1e-9
 
+    def test_direct_construction_matches_create(self):
+        # the reduction matrix and the series are derived from the fields,
+        # not handed over by create()
+        ctx = default_context()
+        direct = EllipticContext(ctx.omega1, ctx.omega2, ctx.coeffs, ctx.series_radius,
+                                 ctx.pole_radius)
+        pts = sample_cell_points(50, seed=9) * 7.0
+        for a, b in zip(direct.wp_many(pts), ctx.wp_many(pts)):
+            assert np.array_equal(a, b)
+
     def test_lattice_point_rejected(self):
         ctx = default_context()
         with pytest.raises(PoleHitError):
             ctx.reduce_point(2 * ctx.omega1 + LATTICE_EPS / 10)
 
+
+    def test_nearest_lattice_point_by_brute_force(self):
+        # the reduction looks at three vertices of one Delaunay triangle; the
+        # nearest of a 4x4 block of lattice points around z must be the same
+        ctx = default_context()
+        b1, b2 = ctx.b1, ctx.b2
+        rng = np.random.default_rng(8)
+        s, t = rng.uniform(-12, 12, (2, 3000))
+        e = rng.random(3000)
+        # points on triangle edges: s or t an integer, or s + t an integer
+        s[:500] = np.round(s[:500])
+        t[500:1000] = np.round(t[500:1000])
+        t[1000:1500] = np.round(s[1000:1500] + t[1000:1500]) - s[1000:1500]
+        s[1500:1600] = np.floor(s[1500:1600]) + e[1500:1600]  # the diagonal b1 -> b2, exactly
+        t[1500:1600] = np.floor(t[1500:1600]) + 1.0 - e[1500:1600]
+        z = s * b1 + t * b2
+        zr = ctx._reduce_array(z)
+        lat = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3)), -1).reshape(-1, 2)
+        base_s, base_t = np.floor(s), np.floor(t)
+        cands = z[:, None] - ((base_s[:, None] + lat[:, 0]) * b1 + (base_t[:, None] + lat[:, 1]) * b2)
+        dist = np.abs(cands)
+        best = dist.min(axis=1)
+        second = np.sort(dist, axis=1)[:, 1]
+        clear = second - best > 1e-9  # no Voronoi tie (an edge midpoint, say)
+        assert clear.sum() > 2900
+        nearest = cands[np.arange(len(z)), dist.argmin(axis=1)]
+        assert np.abs(zr - nearest)[clear].max() < 1e-12
+        assert (np.abs(zr) <= best + 1e-12).all()  # ties: either nearest point
 
 class TestPoleGuard:
     def test_near_origin(self):

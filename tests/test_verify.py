@@ -38,6 +38,17 @@ class TestSamplePoints:
         pts = sample_points(p, 3)
         assert np.abs(pts).max() <= 1.7 + 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("radius", [1.1, 1.2, 2.0, 8.0])
+    def test_bit_equal_to_polar_formula(self, n, radius):
+        for seed in (0, 1, 42):
+            rng = np.random.default_rng(seed)
+            u = rng.random((300, n))
+            theta = rng.random((300, n))
+            expect = radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
+            got = sample_points(SamplingPolicy(samples=300, radius=radius, seed=seed), n)
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
     def test_empirical_mean_near_zero(self):
         p = SamplingPolicy(samples=400, radius=2.0, seed=4)
         pts = sample_points(p, 2)
@@ -95,6 +106,13 @@ class TestCheckResidual:
         rep = check_residual(Var(1), [Const(1.0)], SamplingPolicy(), 1)
         assert not rep.passed
 
+    def test_huge_finite_scale_keeps_points(self):
+        # |v| overflows for this finite value, but the point stays:
+        # finiteness is judged on values, not on their moduli
+        big = Const(complex(1.5e308, 1.5e308))
+        rep = check_residual(Var(1) * 1e-3, [big], SamplingPolicy(samples=50), 1)
+        assert rep.points_tested == 50 and rep.points_skipped == 0
+
     def test_report_serialization_deterministic(self):
         p = PDDEProblem(kind="fte", n=5, m1=2,
                         c=(PI * 1j, 0, 2j * PI, 5j * PI, 2j * PI),
@@ -151,6 +169,13 @@ class TestEstimateOrder:
             estimate_order(parse("z1", 1), 1, radii=(4.0, 4.0))
         with pytest.raises(EstimationError):
             estimate_order(parse("z1", 1), 1, radii=(4.0,))
+
+    def test_pole_past_the_overflow_does_not_raise(self):
+        # exp(exp(z1)) overflows from radius 8 on; exp(-z1/10) drops below
+        # the pole threshold only past radius 276, which is never read
+        est = estimate_order(parse("exp(exp(z1))/exp(-z1/10)", 1), 1, seed=3)
+        assert est.ladder_truncated
+        assert est.radii == default_radii()[:2]
 
     def test_reports_usable_prefix(self):
         est = estimate_order(F_EX1, 5)
