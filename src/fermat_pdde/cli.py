@@ -30,11 +30,11 @@ from .construct import (
 )
 from .errors import EstimationError, PDDEError, ParseError
 from .expr import Const, Expr, Wp, to_string
-from .operators import PDDEProblem, residual, scale_terms
+from .operators import PDDEProblem
 from .parser import parse
 from .periodic import make_periodic, make_polynomial_quasi_periodic
 from .problemfile import load_problem, policy_from_dict
-from .verify import SamplingPolicy, check_residual, estimate_order
+from .verify import SamplingPolicy, estimate_order, verify_problem
 
 __all__ = ["main"]
 
@@ -97,12 +97,7 @@ def _report_lines(report) -> list[str]:
 def cmd_verify(args) -> int:
     loaded = load_problem(args.file)
     policy = _policy_with_overrides(loaded.policy, args)
-    rep = check_residual(
-        residual(loaded.problem, loaded.f),
-        scale_terms(loaded.problem, loaded.f),
-        policy,
-        loaded.problem.n,
-    )
+    rep = verify_problem(loaded.problem, loaded.f, policy)
     payload = {"file": loaded.path, "report": rep.to_dict()}
     if loaded.expected_status is not None:
         payload["expected_status"] = loaded.expected_status
@@ -158,7 +153,7 @@ def cmd_construct(args) -> int:
         f, problem = construct_legacy_xw(theorem, g, c)
 
     policy = _policy_with_overrides(SamplingPolicy(), args)
-    rep = check_residual(residual(problem, f), scale_terms(problem, f), policy, problem.n)
+    rep = verify_problem(problem, f, policy)
     payload = {
         "theorem": theorem,
         "n": n,
@@ -209,7 +204,7 @@ def cmd_fermat(args) -> int:
         guards = [(Const(1.0) + h**2, 0.5)]
     elif kind == "cubic":
         guards = [(Wp(h), 0.1)]
-    rep = check_residual(residual(problem, f), scale_terms(problem, f), policy, args.n, guards=guards)
+    rep = verify_problem(problem, f, policy, guards=guards)
     payload = {
         "kind": args.kind,
         "m": m,

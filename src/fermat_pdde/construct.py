@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .backends import eval_batch
-from .elliptic import default_context
 from .errors import ConstructionError
 from .expr import (
+    DEFAULT_POLE_EPS,
     Const,
     Cos,
     Expr,
@@ -35,14 +34,13 @@ from .expr import (
     fold_constants,
     free_variables,
     shift,
-    uses_wp,
 )
 from .operators import PDDEProblem
 from .periodic import omega_expr
-from .tape import compile_expr
-from .verify import SamplingPolicy, sample_points
+from .verify import SamplingPolicy, check_residual
 
 __all__ = [
+    "QuadraticParams",
     "T1Params",
     "T2Params",
     "construct_t1",
@@ -63,27 +61,18 @@ ANNIHILATION_TOL = 1e-10
 FERMAT_PAIR_KINDS = ("cos_sin", "mobius", "cubic")
 
 
-def _check_points(n: int) -> np.ndarray:
-    """The constructors' fixed validation sample: 48 points of the radius-1.2 polydisc."""
-    return sample_points(SamplingPolicy(samples=48, radius=1.2, seed=271828182 + n), n)
-
-
-def _max_violation(delta: Expr, scale: Expr, n: int) -> float:
-    """max over sample points of |delta| / max(1, |scale|)."""
-    pts = _check_points(n)
-    ell = default_context() if (uses_wp(delta) or uses_wp(scale)) else None
-    (dvals, svals), (dok, sok) = eval_batch(compile_expr([delta, scale]), pts, ell=ell)
-    keep = dok & sok & np.isfinite(dvals) & np.isfinite(svals)
-    if keep.sum() < len(pts) // 2:
-        raise ConstructionError("validation sample lost more than half its points to poles")
-    rel = np.abs(dvals[keep]) / np.maximum(1.0, np.abs(svals[keep]))
-    return float(rel.max())
-
-
 def _require(delta: Expr, scale: Expr, n: int, tol: float, what: str) -> None:
-    worst = _max_violation(delta, scale, n)
-    if worst > tol:
-        raise ConstructionError(f"{what}: max violation {worst:.3e} exceeds {tol:.1e}")
+    """Raise unless |delta| <= tol * max(1, |scale|) on the fixed validation sample.
+
+    The sample is 48 points of the radius-1.2 polydisc; at least half of
+    them must evaluate.
+    """
+    policy = SamplingPolicy(samples=48, radius=1.2, seed=271828182 + n, pole_eps=DEFAULT_POLE_EPS)
+    rep = check_residual(delta, [scale], policy, n)
+    if rep.points_tested < policy.samples // 2:
+        raise ConstructionError("validation sample lost more than half its points to poles")
+    if rep.max_rel_residual > tol:
+        raise ConstructionError(f"{what}: max violation {rep.max_rel_residual:.3e} exceeds {tol:.1e}")
 
 
 def _check_quasi_period(g: Expr, c, increment: complex, n: int, what: str) -> None:
@@ -110,8 +99,12 @@ def _neg_c(c) -> tuple[complex, ...]:
 
 
 @dataclass(frozen=True)
-class T1Params:
-    """Parameters for the first-derivative quadratic family (kind fte)."""
+class QuadraticParams:
+    """Parameters of the quadratic families, kinds fte and ftee.
+
+    `construct_t1` and `construct_t2` take them, under the names T1Params
+    and T2Params.
+    """
 
     n: int
     c: tuple[complex, ...]
@@ -127,25 +120,10 @@ class T1Params:
             raise ConstructionError(f"need n >= 2 and len(c) == n, got n={self.n}, c={self.c}")
 
 
-@dataclass(frozen=True)
-class T2Params:
-    """Parameters for the two-direction quadratic family (kind ftee)."""
-
-    n: int
-    c: tuple[complex, ...]
-    form: str
-    g_part: Expr
-    phi: Expr = field(default_factory=lambda: Const(1.0))
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
-        if self.form not in ("I", "II"):
-            raise ConstructionError(f"form must be 'I' or 'II', got {self.form!r}")
-        if self.n < 2 or len(self.c) != self.n:
-            raise ConstructionError(f"need n >= 2 and len(c) == n, got n={self.n}, c={self.c}")
+T1Params = T2Params = QuadraticParams
 
 
-def construct_t1(p: T1Params) -> tuple[Expr, PDDEProblem]:
+def construct_t1(p: QuadraticParams) -> tuple[Expr, PDDEProblem]:
     """Quadratic solution of (df/dz1)^2 + f(z+c) = phi(z2..zn).
 
     Form I:  f = phi(.-c') - (-(z1-c1)/2 + g1(.-c'))^2 with a polynomial
@@ -179,7 +157,7 @@ def construct_t1(p: T1Params) -> tuple[Expr, PDDEProblem]:
     return fold_constants(f), problem
 
 
-def construct_t2(p: T2Params) -> tuple[Expr, PDDEProblem]:
+def construct_t2(p: QuadraticParams) -> tuple[Expr, PDDEProblem]:
     """Quadratic solution of (df/dz1 + df/dz2)^2 + f(z+c) = phi(z3..zn).
 
     The g part lives on the characteristic coordinates (z2-z1, z3..zn),

@@ -19,7 +19,14 @@ One halving covers the whole cell at the default radius 0.95 (the cell
 circumradius is about 1.767); a smaller radius can need a second.
 
 Arguments within `pole_radius` of a lattice point are reported as pole
-hits, never evaluated: their lanes carry NaN and ok=False.
+hits, never evaluated: their lanes carry NaN and ok=False.  So are
+arguments large enough that a lattice coordinate can reach
+`MAX_LATTICE_COORD` = 2^20 (|z| from about 2.8e6 on this lattice).  Such
+a coordinate keeps fewer than 32 of its 52 fraction bits, and the reduced
+argument loses the rest as |z| grows: at |z| = 1e16 it is rounding noise
+and wp a meaningless finite value.  Below the limit the reduced argument
+is off by less than 1e-9 (at most 3.7e-10 over 3000 points with
+coordinates up to the limit, against exact rational arithmetic).
 """
 
 from __future__ import annotations
@@ -57,6 +64,9 @@ def _laurent_coefficients(order: int) -> np.ndarray:
     return c
 
 
+#: wp_many rejects lanes whose lattice coordinates can reach this modulus
+MAX_LATTICE_COORD = 2.0**20
+
 #: most halvings before the series sum (see the module docstring)
 MAX_HALVINGS = 2
 
@@ -71,13 +81,19 @@ class EllipticContext:
     series_radius: float
     pole_radius: float
     _inv: tuple[float, float, float, float] = field(init=False, repr=False)
+    #: |z| below which both lattice coordinates stay under MAX_LATTICE_COORD
+    _max_abs: float = field(init=False, repr=False)
     #: Horner coefficients in u^6 of wp and of wp': c[3j+3] and (6j+4) c[3j+3]
     _horner: tuple[tuple[float, ...], tuple[float, ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
         b1, b2 = 2.0 * complex(self.omega1), 2.0 * complex(self.omega2)
         det = b1.real * b2.imag - b2.real * b1.imag
-        object.__setattr__(self, "_inv", (b2.imag / det, -b2.real / det, -b1.imag / det, b1.real / det))
+        inv = (b2.imag / det, -b2.real / det, -b1.imag / det, b1.real / det)
+        object.__setattr__(self, "_inv", inv)
+        # |s| <= |(m00, m01)| |z| and |t| <= |(m10, m11)| |z|
+        row_norm = max(math.hypot(inv[0], inv[1]), math.hypot(inv[2], inv[3]))
+        object.__setattr__(self, "_max_abs", MAX_LATTICE_COORD / row_norm)
         # c[k] is zero unless 3 divides k, so wp(z) = z^-2 + z^4 sum_j c[3j+3] z^(6j)
         nonzero = [float(c) for c in self.coeffs[3::3]]
         horner = (tuple(nonzero), tuple((6 * j + 4) * c for j, c in enumerate(nonzero)))
@@ -144,15 +160,17 @@ class EllipticContext:
     # -- evaluation --------------------------------------------------------
 
     def wp_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(wp(z), wp'(z), ok) over an array; ok is False near lattice points.
+        """(wp(z), wp'(z), ok) over an array.
 
-        Lanes with ok=False carry NaN in both values.
+        ok is False near lattice points and where z is too large to reduce
+        (see the module docstring); those lanes carry NaN in both values.
         """
         z = np.asarray(z, dtype=np.complex128)
         shape = z.shape
-        zr = self._reduce_array(z.reshape(-1))
+        z = z.reshape(-1)
+        zr = self._reduce_array(z)
         r = np.abs(zr)
-        ok = r >= self.pole_radius
+        ok = (r >= self.pole_radius) & (np.abs(z) < self._max_abs)
         halve = [np.flatnonzero(r > 2.0**k * self.series_radius) for k in range(MAX_HALVINGS)]
         with np.errstate(all="ignore"):  # pole lanes divide by ~0; they are masked below
             u = zr
@@ -188,6 +206,7 @@ class EllipticContext:
         if not ok[0]:
             raise PoleHitError(
                 f"wp argument {z!r} is within {self.pole_radius} of a lattice point"
+                " or too large to reduce"
             )
         return complex(x[0]), complex(y[0])
 

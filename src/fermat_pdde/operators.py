@@ -25,11 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from . import expr as ex
-from .backends import eval_batch
-from .elliptic import default_context
 from .errors import DimensionError, ProblemSpecError
 from .expr import (
     Expr,
@@ -39,10 +35,8 @@ from .expr import (
     max_var_index,
     partial,
     shift,
-    uses_wp,
 )
-from .tape import compile_expr
-from .verify import SamplingPolicy, sample_points
+from .verify import is_identically_zero
 
 __all__ = [
     "KINDS",
@@ -67,59 +61,6 @@ def unit_index(j: int, n: int) -> tuple[int, ...]:
     if not 1 <= j <= n:
         raise DimensionError(f"unit index {j} out of range for dimension {n}")
     return tuple(1 if i == j else 0 for i in range(1, n + 1))
-
-
-def _probe_points(n: int) -> np.ndarray:
-    """The identity test's fixed probe: 12 points of the radius-1.1 polydisc."""
-    return sample_points(SamplingPolicy(samples=12, radius=1.1, seed=987654321 + n), n)
-
-
-def _zero_candidates(e: Expr) -> list[Expr]:
-    """Sums and leaves of a folded expression, one of which vanishes iff e does.
-
-    Holomorphic functions on a polydisc have no zero divisors, so a product
-    vanishes identically iff one of its factors does; a quotient iff its
-    numerator does; a positive power iff its base does.
-    """
-    if isinstance(e, ex.Neg):
-        return _zero_candidates(e.arg)
-    if isinstance(e, ex.Mul):
-        return [c for factor in e.factors for c in _zero_candidates(factor)]
-    if isinstance(e, ex.Div):
-        return _zero_candidates(e.num)
-    if isinstance(e, ex.Pow) and e.exponent > 0:
-        return _zero_candidates(e.base)
-    return [e]
-
-
-def is_identically_zero(e: Expr, n: int, tol: float = 1e-10) -> bool:
-    """Sampling test for e vanishing identically on a polydisc.
-
-    Products, quotients and positive powers are split first: e vanishes
-    iff one of its `_zero_candidates` does.  A sum counts as zero when
-    |sum| <= tol * max |summand| at every probe point, any other leaf only
-    when it is exactly zero.  So a tiny nonzero expression is not mistaken
-    for zero and huge terms that cancel to roundoff are, also inside a
-    product.
-    Holomorphic functions in this expression class that vanish on a dozen
-    generic points of a polydisc are identically zero for our purposes.
-    """
-    e = fold_constants(e)
-    roots = [e]  # evaluated only for its pole mask: denominators are no candidates
-    groups = []
-    for cand in _zero_candidates(e):
-        terms = cand.terms if isinstance(cand, ex.Add) else (cand,)
-        groups.append((len(roots), len(terms)))
-        roots += [cand, *terms]
-    ell = default_context() if uses_wp(e) else None
-    vals, ok = eval_batch(compile_expr(roots), _probe_points(n), ell=ell)
-    keep = ok.all(axis=0) & np.isfinite(vals).all(axis=0)
-    if not keep.any():
-        return False
-    mags = np.abs(vals[:, keep])
-    return any(
-        bool(np.all(mags[i] <= tol * mags[i + 1 : i + 1 + k].max(axis=0))) for i, k in groups
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,47 +200,40 @@ def _derivative_term(p: PDDEProblem, f: Expr) -> Expr:
     return partial(f, unit_index(1, p.n))
 
 
-def residual(p: PDDEProblem, f: Expr) -> Expr:
-    """LHS - RHS of the equation for candidate f, as an expression."""
+def _equation_terms(p: PDDEProblem, f: Expr) -> tuple[tuple[Expr, Expr], Expr | int]:
+    """The equation's two left-side terms and its right side, per kind.
+
+    The right side is the number 1 for the kinds that fix it, else the
+    problem's phi or beta.
+    """
     if max_var_index(f) > p.n:
         raise DimensionError(f"candidate uses z{max_var_index(f)} but dimension is {p.n}")
     kind = p.kind
     if kind == "fermat":
-        return fold_constants(ex.Pow(f, p.m1) + ex.Pow(p.g, p.m1) - 1)
-    if kind in ("xc", "xw"):
-        d = _derivative_term(p, f)
-        return fold_constants(ex.Pow(d, p.m1) + ex.Pow(shift(f, p.c), p.m2) - 1)
-    if kind in ("equ1", "equ2"):
-        d = _derivative_term(p, f)
-        return fold_constants(ex.Pow(d, 2) + shift(f, p.c) - 1)
-    if kind in ("fte", "ftee"):
-        d = _derivative_term(p, f)
-        return fold_constants(ex.Pow(d, p.m1) + shift(f, p.c) - p.phi)
+        return (fold_constants(ex.Pow(f, p.m1)), fold_constants(ex.Pow(p.g, p.m1))), 1
     if kind == "fg":
         gterm = apply_linear_operator(p.operator, f)
-        return fold_constants(
-            ex.Pow(gterm, p.m1) + p.alpha * ex.Pow(difference(f, p.c), p.m2) - p.beta
-        )
-    raise ProblemSpecError(f"unknown kind {kind!r}")
+        return (
+            fold_constants(ex.Pow(gterm, p.m1)),
+            fold_constants(p.alpha * ex.Pow(difference(f, p.c), p.m2)),
+        ), p.beta
+    d = fold_constants(ex.Pow(_derivative_term(p, f), p.m1))
+    if kind in ("xc", "xw"):
+        return (d, fold_constants(ex.Pow(shift(f, p.c), p.m2))), 1
+    # equ1/equ2 fix m1 = 2; these kinds and fte/ftee take f(z+c) unpowered
+    return (d, shift(f, p.c)), (p.phi if kind in ("fte", "ftee") else 1)
+
+
+def residual(p: PDDEProblem, f: Expr) -> Expr:
+    """LHS - RHS of the equation for candidate f, as an expression."""
+    lhs, rhs = _equation_terms(p, f)
+    return fold_constants(lhs[0] + lhs[1] - rhs)
 
 
 def scale_terms(p: PDDEProblem, f: Expr) -> list[Expr]:
-    """The equation's top-level terms, for relative residual scaling."""
-    kind = p.kind
-    if kind == "fermat":
-        return [fold_constants(ex.Pow(f, p.m1)), fold_constants(ex.Pow(p.g, p.m1))]
-    d = _derivative_term(p, f)
-    if kind in ("xc", "xw"):
-        return [fold_constants(ex.Pow(d, p.m1)), fold_constants(ex.Pow(shift(f, p.c), p.m2))]
-    if kind in ("equ1", "equ2"):
-        return [fold_constants(ex.Pow(d, 2)), shift(f, p.c)]
-    if kind in ("fte", "ftee"):
-        return [fold_constants(ex.Pow(d, p.m1)), shift(f, p.c), p.phi]
-    if kind == "fg":
-        gterm = apply_linear_operator(p.operator, f)
-        return [
-            fold_constants(ex.Pow(gterm, p.m1)),
-            fold_constants(p.alpha * ex.Pow(difference(f, p.c), p.m2)),
-            p.beta,
-        ]
-    raise ProblemSpecError(f"unknown kind {kind!r}")
+    """The equation's top-level terms, for relative residual scaling.
+
+    A fixed right side 1 is left out: the verifier's scale is never below 1.
+    """
+    lhs, rhs = _equation_terms(p, f)
+    return [*lhs, rhs] if isinstance(rhs, Expr) else [*lhs]

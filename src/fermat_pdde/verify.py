@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import expr as ex
 from .backends import eval_batch
-from .elliptic import EllipticContext, default_context
+from .elliptic import default_context
 from .errors import EstimationError, ProblemSpecError
-from .expr import Expr, uses_wp
+from .expr import DEFAULT_POLE_EPS, Expr, fold_constants, uses_wp
 from .tape import compile_expr
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "sample_points",
     "check_residual",
     "verify_problem",
+    "is_identically_zero",
     "estimate_order",
     "default_radii",
 ]
@@ -132,12 +134,19 @@ def sample_points(policy: SamplingPolicy, n: int) -> np.ndarray:
     return pts
 
 
-def _needs_ell(exprs, ell):
-    if ell is not None:
-        return ell
-    if any(uses_wp(e) for e in exprs):
-        return default_context()
-    return None
+def _sampled(roots: list[Expr], policy: SamplingPolicy, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the roots as one tape on the policy's sample.
+
+    Returns the values, one row per root, and the mask of the points where
+    every root is pole-free and finite.  A subexpression the roots share
+    is computed once per point.
+    """
+    ell = default_context() if any(uses_wp(e) for e in roots) else None
+    vals, oks = eval_batch(compile_expr(roots), sample_points(policy, n), ell=ell,
+                           pole_eps=policy.pole_eps)
+    # a point needs every row finite; |v| can overflow where v does not,
+    # so finiteness is judged on the values, not on their moduli
+    return vals, np.all(oks & np.isfinite(vals), axis=0)
 
 
 def check_residual(
@@ -145,52 +154,98 @@ def check_residual(
     scale_terms: list[Expr],
     policy: SamplingPolicy,
     n: int,
-    ell: EllipticContext | None = None,
     guards: list[tuple[Expr, float]] | None = None,
 ) -> VerificationReport:
     """Sample the residual and compare against max(1, largest scale term).
 
-    The residual, the scale terms and the guards compile to one tape and
-    are evaluated in one pass, so a subexpression they share is computed
-    once per point.  Points where any expression pole-hits, evaluates
-    non-finite, or where a guard expression has modulus below its floor
-    are skipped (and counted); a verdict needs at least half the sample to
-    survive.
+    The residual, the scale terms and the guards are evaluated in one
+    pass.  Points where any expression pole-hits, evaluates non-finite, or
+    where a guard expression has modulus below its floor are skipped (and
+    counted); a verdict needs at least half the sample to survive.
     """
     guards = guards or []
-    roots = [res, *scale_terms, *(g for g, _ in guards)]
-    ell = _needs_ell(roots, ell)
-    pts = sample_points(policy, n)
-    vals, oks = eval_batch(compile_expr(roots), pts, ell=ell, pole_eps=policy.pole_eps)
-    # a point needs every row finite; |v| can overflow where v does not,
-    # so finiteness is judged on the values, not on their moduli
-    keep = np.all(oks & np.isfinite(vals), axis=0)
+    k = 1 + len(scale_terms)
+    vals, keep = _sampled([res, *scale_terms, *(g for g, _ in guards)], policy, n)
     mags = np.abs(vals)
-    for k, (_, floor) in enumerate(guards, start=1 + len(scale_terms)):
-        keep &= mags[k] >= floor
+    for row, (_, floor) in zip(mags[k:], guards):
+        keep &= row >= floor
 
     tested = int(keep.sum())
-    skipped = int(len(pts) - tested)
+    skipped = policy.samples - tested
     if tested == 0:
         return VerificationReport(n, 0, skipped, float("inf"), float("inf"), False, policy)
-    scale = np.ones(len(pts))
-    for row in mags[1 : 1 + len(scale_terms)]:
+    scale = np.ones(policy.samples)
+    for row in mags[1:k]:
         np.maximum(scale, row, out=scale)
+    rel = mags[0] / scale
+    # a finite value whose modulus overflows gives inf where the ratio is
+    # finite: there the ratio is taken of the values halved, which is exact
+    big = np.flatnonzero(keep & (np.isinf(scale) | np.isinf(mags[0])))
+    if big.size:
+        half = np.abs(0.5 * vals[:k, big])
+        rel[big] = half[0] / np.maximum(0.5, half[1:].max(axis=0, initial=0.0))
     max_abs = float(np.max(mags[0], where=keep, initial=0.0))
-    max_rel = float(np.max(mags[0] / scale, where=keep, initial=0.0))
+    max_rel = float(np.max(rel, where=keep, initial=0.0))
     passed = bool(max_rel <= policy.tol and skipped < policy.samples / 2)
     return VerificationReport(n, tested, skipped, max_abs, max_rel, passed, policy)
 
 
 def verify_problem(problem, f: Expr, policy: SamplingPolicy | None = None,
-                   ell: EllipticContext | None = None,
                    guards: list[tuple[Expr, float]] | None = None) -> VerificationReport:
     """Convenience wrapper: residual + scale terms from an equation instance."""
     from .operators import residual, scale_terms as mk_scale
 
     policy = policy or SamplingPolicy()
     return check_residual(residual(problem, f), mk_scale(problem, f), policy, problem.n,
-                          ell=ell, guards=guards)
+                          guards=guards)
+
+
+def _zero_candidates(e: Expr) -> list[Expr]:
+    """Sums and leaves of a folded expression, one of which vanishes iff e does.
+
+    Holomorphic functions on a polydisc have no zero divisors, so a product
+    vanishes identically iff one of its factors does; a quotient iff its
+    numerator does; a positive power iff its base does.
+    """
+    if isinstance(e, ex.Neg):
+        return _zero_candidates(e.arg)
+    if isinstance(e, ex.Mul):
+        return [c for factor in e.factors for c in _zero_candidates(factor)]
+    if isinstance(e, ex.Div):
+        return _zero_candidates(e.num)
+    if isinstance(e, ex.Pow) and e.exponent > 0:
+        return _zero_candidates(e.base)
+    return [e]
+
+
+def is_identically_zero(e: Expr, n: int, tol: float = 1e-10) -> bool:
+    """Sampling test for e vanishing identically on a polydisc.
+
+    Products, quotients and positive powers are split first: e vanishes
+    iff one of its `_zero_candidates` does.  A sum counts as zero when
+    |sum| <= tol * max |summand| at every probe point, any other leaf only
+    when it is exactly zero.  So a tiny nonzero expression is not mistaken
+    for zero and huge terms that cancel to roundoff are, also inside a
+    product.
+    Holomorphic functions in this expression class that vanish on a dozen
+    generic points of a polydisc (the fixed probe: 12 points of the
+    radius-1.1 polydisc) are identically zero for our purposes.
+    """
+    e = fold_constants(e)
+    roots = [e]  # evaluated only for its pole mask: denominators are no candidates
+    groups = []
+    for cand in _zero_candidates(e):
+        terms = cand.terms if isinstance(cand, ex.Add) else (cand,)
+        groups.append((len(roots), len(terms)))
+        roots += [cand, *terms]
+    probe = SamplingPolicy(samples=12, radius=1.1, seed=987654321 + n, pole_eps=DEFAULT_POLE_EPS)
+    vals, keep = _sampled(roots, probe, n)
+    if not keep.any():
+        return False
+    mags = np.abs(vals[:, keep])
+    return any(
+        bool(np.all(mags[i] <= tol * mags[i + 1 : i + 1 + k].max(axis=0))) for i, k in groups
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +298,6 @@ def estimate_order(
     radii=None,
     directions: int = 200,
     seed: int = 42,
-    ell: EllipticContext | None = None,
-    fit_points: int = 2,
 ) -> GrowthEstimate:
     """Order exponent from the slope of log log M(r) against log r.
 
@@ -259,7 +312,7 @@ def estimate_order(
         raise EstimationError("need at least two strictly increasing radii")
     if directions < 1:
         raise EstimationError("need at least one direction")
-    ell = _needs_ell([f], ell)
+    ell = default_context() if uses_wp(f) else None
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((directions, n)) + 1j * rng.standard_normal((directions, n))
     norms = np.linalg.norm(vecs, axis=1)
@@ -297,7 +350,7 @@ def estimate_order(
         if m > 1.0:
             fit_r.append(r)
             fit_m.append(m)
-        if len(fit_r) == max(2, fit_points):
+        if len(fit_r) == 2:
             break
     if len(fit_r) < 2:
         raise EstimationError("max modulus never exceeded 1; cannot fit a growth order")

@@ -103,6 +103,13 @@ class TestFirstFamilyReproducesExamples:
         with pytest.raises(ConstructionError):
             construct_t1(T1Params(n=3, c=(0, PI * 1j, PI * 1j), form="II", g_part=parse("z2", 3)))
 
+    def test_pole_ridden_part_rejected(self):
+        # the denominator exp(-1000*(z2+1)) is below the pole threshold
+        # wherever Re z2 > -0.97: nearly all of the validation sample
+        g = parse("1/exp(-1000*(z2+1))", 3)
+        with pytest.raises(ConstructionError, match="lost more than half its points"):
+            construct_t1(T1Params(n=3, c=(0, PI * 1j, PI * 1j), form="II", g_part=g))
+
     def test_g_part_must_avoid_z1(self):
         with pytest.raises(ConstructionError):
             construct_t1(T1Params(n=3, c=(0, PI * 1j, PI * 1j), form="II", g_part=parse("z1", 3)))

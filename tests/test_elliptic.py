@@ -242,6 +242,33 @@ class TestPoleGuard:
         with pytest.raises(PoleHitError):
             ctx.wp_pair(2 * ctx.omega2 + 0.003j)
 
+    def test_arguments_too_large_to_reduce_are_rejected(self):
+        # at |z| = 1e16 the lattice coordinates keep no fraction bits, so a
+        # reduced argument would be rounding noise
+        ctx = default_context()
+        z = np.asarray([1e16 + 0.3j, 1e16 + 0.3j + 2 * ctx.omega1])
+        x, y, ok = ctx.wp_many(z)
+        assert not ok.any()
+        assert np.isnan(x.real).all() and np.isnan(y.real).all()
+        with pytest.raises(PoleHitError):
+            ctx.wp_pair(z[0])
+
+    def test_arguments_near_a_million_keep_their_values(self):
+        ctx = default_context()
+        x, y, ok = ctx.wp_many(np.asarray([1e6 + 0.3j, -7e5 + 7e5j, 0.25 - 1e6j]))
+        assert ok.all()
+        # reference values from the same kernel with no size limit
+        x_before = [1.3035957950915522 - 1.6329801298112452j,
+                    0.5348785511456051 - 0.08674808415711666j,
+                    -0.5527771308946647 + 0.32321221732108985j]
+        y_before = [-1.330485868338757 + 5.968539826944024j,
+                    -0.21272656201980045 + 0.6938653658952822j,
+                    0.4772263225821396 + 1.1001904541192706j]
+        # equal to the bit on an x86-64 host; the margin allows another
+        # CPU's fused multiply-adds
+        assert x == pytest.approx(x_before, rel=1e-12)
+        assert y == pytest.approx(y_before, rel=1e-12)
+
     def test_batch_flags_instead_of_raising(self):
         ctx = default_context()
         x, y, ok = ctx.wp_many(np.asarray([0.005 + 0j, 0.5 + 0.2j]))

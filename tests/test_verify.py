@@ -113,6 +113,15 @@ class TestCheckResidual:
         rep = check_residual(Var(1) * 1e-3, [big], SamplingPolicy(samples=50), 1)
         assert rep.points_tested == 50 and rep.points_skipped == 0
 
+    def test_overflowing_scale_does_not_pass_a_residual(self):
+        # the scale's modulus overflows to inf; the ratio is still
+        # 1e308 / |1.5e308 + 1.5e308j| = 0.4714, far above the tolerance
+        big = Const(complex(1.5e308, 1.5e308))
+        rep = check_residual(Const(1e308), [big], SamplingPolicy(samples=50), 1)
+        assert rep.points_tested == 50
+        assert not rep.passed
+        assert rep.max_rel_residual == pytest.approx(1 / (1.5 * math.sqrt(2)), rel=1e-15)
+
     def test_report_serialization_deterministic(self):
         p = PDDEProblem(kind="fte", n=5, m1=2,
                         c=(PI * 1j, 0, 2j * PI, 5j * PI, 2j * PI),
