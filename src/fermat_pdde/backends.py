@@ -1,9 +1,11 @@
 """Tape execution: a vectorized numpy interpreter over fixed-size point blocks.
 
-The interpreter runs a slot tape (see `tape`) over the points in blocks of
-`BLOCK` rows, so the working set is the tape's slot count times `BLOCK`
-values, whatever the number of points.  Every operation is elementwise,
-so a point's value does not depend on the block it falls in.
+The interpreter (`eval_blocks`) runs a slot tape (see `tape`) over a
+stream of point blocks of at most `BLOCK` rows, so the working set is the
+tape's slot count times `BLOCK` values, whatever the number of points.
+`eval_batch` collects that stream for a full point array.  Every
+operation is elementwise, so a point's value does not depend on the block
+it falls in.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "BLOCK",
     "default_backend",
     "eval_batch",
+    "eval_blocks",
 ]
 
 #: points per block: a slot row is BLOCK complex values (64 KiB)
@@ -83,7 +86,7 @@ def _run_block(tape: tp.Tape, cols: np.ndarray, slots: np.ndarray, bad: np.ndarr
             np.cos(rows[src[0]], out=d)
         elif op == tp.OP_DIV:
             den = rows[src[1]]
-            if arg is None:  # not a constant, whose fail row eval_batch fixes once
+            if arg is None:  # not a constant, whose fail row eval_blocks fixes once
                 np.less(np.abs(den), pole_eps, out=bad[fail])
                 den = np.where(bad[fail], 1.0, den)
             np.divide(rows[src[0]], den, out=d)
@@ -106,6 +109,43 @@ def _run_block(tape: tp.Tape, cols: np.ndarray, slots: np.ndarray, bad: np.ndarr
             fold(rows[left], rows[right], out=rows[acc])
 
 
+def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = None,
+                pole_eps: float = DEFAULT_POLE_EPS):
+    """Run a tape over a stream of point blocks, yielding (values, ok) per block.
+
+    `blocks` yields arrays of shape (m, n), m at most `BLOCK`.  Each block
+    gives fresh arrays of shape (roots, m): lanes with ok=False hit a pole
+    (near-zero denominator, negative power of a near-zero base, or a wp
+    lattice neighborhood) and carry NaN values.  The slot rows are sized
+    by the first block and reused, so memory does not grow with the
+    number of blocks.
+    """
+    if n < tape.n_min:
+        raise PDDEError(f"points have {n} coordinates but the expression uses z{tape.n_min}")
+    if tape.has_wp and ell is None:
+        raise MissingEllipticContextError("expression contains wp/wpd: pass an elliptic context")
+    R = len(tape.root_fails)
+    width = 0
+    for pts in blocks:
+        m = pts.shape[0]
+        if m > width:
+            width = m
+            slots = np.empty((tape.n_slots, width), dtype=np.complex128)
+            bad = np.zeros((tape.n_fail, width), dtype=bool)
+            for fail, divisor in tape.fixed_fails:
+                bad[fail] = np.abs(divisor) < pole_eps
+        values = np.empty((R, m), dtype=np.complex128)
+        failed = np.zeros((R, m), dtype=bool)
+        cols = np.ascontiguousarray(pts[:, : tape.n_min].T)
+        with np.errstate(all="ignore"):
+            _run_block(tape, cols, slots[:, :m], bad[:, :m], values, pole_eps, ell)
+        for r, fails in enumerate(tape.root_fails):
+            if fails:
+                np.any(bad[list(fails), :m], axis=0, out=failed[r])
+        values[failed] = np.nan
+        yield values, ~failed
+
+
 def eval_batch(
     e: Expr | tp.Tape,
     points,
@@ -115,43 +155,27 @@ def eval_batch(
 ):
     """Evaluate an expression (or precompiled tape) at many points.
 
-    `points` is an array of shape (P, n) of complex coordinates.  Returns
-    (values, ok): lanes with ok=False hit a pole (near-zero denominator,
-    negative power of a near-zero base, or a wp lattice neighborhood) and
-    carry NaN values.  A tape compiled from a list of roots gives arrays of
-    shape (roots, P), one row per root; otherwise both are of shape (P,).
+    `points` is an array of shape (P, n) of complex coordinates, run
+    through `eval_blocks` in blocks of `BLOCK` rows and collected.
+    Returns (values, ok) as `eval_blocks` gives them: a tape compiled from
+    a list of roots gives arrays of shape (roots, P), one row per root;
+    otherwise both are of shape (P,).
     """
     tape = e if isinstance(e, tp.Tape) else tp.compile_expr(e)
     points = np.asarray(points, dtype=np.complex128)
     if points.ndim == 1:
         points = points.reshape(1, -1)
-    if points.shape[1] < tape.n_min:
-        raise PDDEError(
-            f"points have {points.shape[1]} coordinates but the expression uses z{tape.n_min}"
-        )
-    if tape.has_wp and ell is None:
-        raise MissingEllipticContextError("expression contains wp/wpd: pass an elliptic context")
-
-    P = points.shape[0]
+    P, n = points.shape
     R = len(tape.root_fails)
     values = np.empty((R, P), dtype=np.complex128)
-    bad_all = np.zeros((R, P), dtype=bool)
-    width = min(P, BLOCK)
-    slots = np.empty((tape.n_slots, width), dtype=np.complex128)
-    bad = np.zeros((tape.n_fail, width), dtype=bool)
-    for fail, divisor in tape.fixed_fails:
-        bad[fail] = np.abs(divisor) < pole_eps
-    with np.errstate(all="ignore"):
-        for lo in range(0, P, BLOCK):
-            hi = min(lo + BLOCK, P)
-            m = hi - lo
-            cols = np.ascontiguousarray(points[lo:hi, : tape.n_min].T)
-            _run_block(tape, cols, slots[:, :m], bad[:, :m], values[:, lo:hi], pole_eps, ell)
-            for r, fails in enumerate(tape.root_fails):
-                if fails:
-                    np.any(bad[list(fails), :m], axis=0, out=bad_all[r, lo:hi])
-    values[bad_all] = np.nan
-    ok = ~bad_all
+    ok = np.empty((R, P), dtype=bool)
+    blocks = (points[lo : lo + BLOCK] for lo in range(0, P, BLOCK))
+    lo = 0
+    for v, k in eval_blocks(tape, n, blocks, ell=ell, pole_eps=pole_eps):
+        hi = lo + v.shape[1]
+        values[:, lo:hi] = v
+        ok[:, lo:hi] = k
+        lo = hi
     if tape.single:
         return values[0], ok[0]
     return values, ok

@@ -14,7 +14,6 @@ impossible), 2 malformed input.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -34,7 +33,7 @@ from .operators import PDDEProblem
 from .parser import parse
 from .periodic import make_periodic, make_polynomial_quasi_periodic
 from .problemfile import load_problem, policy_from_dict
-from .verify import SamplingPolicy, estimate_order, verify_problem
+from .verify import SamplingPolicy, estimate_order, strict_json, verify_problem
 
 __all__ = ["main"]
 
@@ -84,7 +83,7 @@ def _parse_c(text: str) -> tuple[complex, ...]:
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "machine":
-        print(json.dumps(payload, sort_keys=True))
+        print(strict_json(payload))
     else:
         for line in text_lines:
             print(line)

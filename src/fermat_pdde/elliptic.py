@@ -151,7 +151,14 @@ class EllipticContext:
         return zr
 
     def reduce_point(self, z: complex) -> complex:
-        """Representative of z in the Voronoi cell of the lattice around 0."""
+        """Representative of z in the Voronoi cell of the lattice around 0.
+
+        Raises PoleHitError near a lattice point, and for |z| too large to
+        reduce (the limit `wp_many` rejects), where the representative
+        would be rounding noise.
+        """
+        if not abs(z) < self._max_abs:
+            raise PoleHitError(f"point {z!r} is too large to reduce (|z| >= {self._max_abs:.3g})")
         zr = complex(self._reduce_array(np.asarray([complex(z)], dtype=np.complex128))[0])
         if abs(zr) < LATTICE_EPS:
             raise PoleHitError(f"point {z!r} is within {LATTICE_EPS} of a lattice point")

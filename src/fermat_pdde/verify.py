@@ -16,12 +16,13 @@ evaluate without overflow.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
-from .backends import eval_batch
+from .backends import BLOCK, eval_batch, eval_blocks
 from .elliptic import default_context
 from .errors import EstimationError, ProblemSpecError
 from .expr import DEFAULT_POLE_EPS, Expr, fold_constants, uses_wp
@@ -37,7 +38,27 @@ __all__ = [
     "is_identically_zero",
     "estimate_order",
     "default_radii",
+    "strict_json",
 ]
+
+
+def _finite_or_none(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    return obj
+
+
+def strict_json(payload) -> str:
+    """`payload` as JSON with sorted keys; a non-finite float is written as null.
+
+    JSON has no inf or NaN, so a report whose residual could not be
+    measured (no surviving point) still parses as standard JSON.
+    """
+    return json.dumps(_finite_or_none(payload), sort_keys=True, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -51,12 +72,26 @@ class SamplingPolicy:
     tol: float = 1e-8
 
     def __post_init__(self):
+        # policies come from problem files and flags: reject what would
+        # crash the sampler or make every verdict pass
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ProblemSpecError(f"{name} must be an integer, got {value!r}")
+        for name in ("radius", "tol", "pole_eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ProblemSpecError(f"{name} must be a finite number, got {value!r}")
         if self.samples < 1:
             raise ProblemSpecError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            raise ProblemSpecError(f"seed must be >= 0, got {self.seed}")
         if not (self.radius > 0):
             raise ProblemSpecError(f"radius must be positive, got {self.radius}")
         if not (self.tol > 0):
             raise ProblemSpecError(f"tol must be positive, got {self.tol}")
+        if self.pole_eps < 0:
+            raise ProblemSpecError(f"pole_eps must be >= 0, got {self.pole_eps}")
 
     def to_dict(self) -> dict:
         return {
@@ -108,7 +143,37 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return strict_json(self.to_dict())
+
+
+def _point_blocks(policy: SamplingPolicy, n: int):
+    """The polydisc sample of `sample_points`, yielded in blocks of at most BLOCK rows.
+
+    u is drawn from `default_rng(seed)`; theta, when there is more than
+    one block, from a second generator of the same seed advanced past the
+    samples*n draws of u.  So block k is rows k*BLOCK.. of the (samples, n)
+    array that one generator gives by drawing all of u and then all of
+    theta, bit for bit.
+    """
+    if n < 1:
+        raise ProblemSpecError(f"dimension must be >= 1, got {n}")
+    u_rng = theta_rng = np.random.default_rng(policy.seed)
+    if policy.samples > BLOCK:  # one block draws theta right after u, with no second generator
+        theta_rng = np.random.default_rng(policy.seed)
+        theta_rng.bit_generator.advance(policy.samples * n)
+    for lo in range(0, policy.samples, BLOCK):
+        m = min(BLOCK, policy.samples - lo)
+        u = u_rng.random((m, n))
+        theta = theta_rng.random((m, n))
+        theta *= 2.0 * np.pi
+        pts = np.empty((m, n), dtype=np.complex128)
+        np.cos(theta, out=pts.real)
+        np.sin(theta, out=pts.imag)
+        np.sqrt(u, out=u)
+        u *= policy.radius
+        pts.real *= u
+        pts.imag *= u
+        yield pts
 
 
 def sample_points(policy: SamplingPolicy, n: int) -> np.ndarray:
@@ -116,37 +181,26 @@ def sample_points(policy: SamplingPolicy, n: int) -> np.ndarray:
 
     The value is radius * sqrt(u) * exp(2j*pi*theta) for uniform u and
     theta, computed in place: cos and sin of 2*pi*theta go straight into
-    the real and imaginary parts, which are then scaled.
+    the real and imaginary parts, which are then scaled.  The checks draw
+    the same points block by block and never hold the whole array.
     """
-    if n < 1:
-        raise ProblemSpecError(f"dimension must be >= 1, got {n}")
-    rng = np.random.default_rng(policy.seed)
-    u = rng.random((policy.samples, n))
-    theta = rng.random((policy.samples, n))
-    theta *= 2.0 * np.pi
-    pts = np.empty((policy.samples, n), dtype=np.complex128)
-    np.cos(theta, out=pts.real)
-    np.sin(theta, out=pts.imag)
-    np.sqrt(u, out=u)
-    u *= policy.radius
-    pts.real *= u
-    pts.imag *= u
-    return pts
+    return np.concatenate(list(_point_blocks(policy, n)))
 
 
-def _sampled(roots: list[Expr], policy: SamplingPolicy, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the roots as one tape on the policy's sample.
+def _sampled(roots: list[Expr], policy: SamplingPolicy, n: int):
+    """Evaluate the roots as one tape on the policy's sample, one block at a time.
 
-    Returns the values, one row per root, and the mask of the points where
-    every root is pole-free and finite.  A subexpression the roots share
-    is computed once per point.
+    Yields, per block of at most BLOCK points, the values, one row per
+    root, and the mask of the points where every root is pole-free and
+    finite.  A subexpression the roots share is computed once per point.
     """
     ell = default_context() if any(uses_wp(e) for e in roots) else None
-    vals, oks = eval_batch(compile_expr(roots), sample_points(policy, n), ell=ell,
-                           pole_eps=policy.pole_eps)
-    # a point needs every row finite; |v| can overflow where v does not,
-    # so finiteness is judged on the values, not on their moduli
-    return vals, np.all(oks & np.isfinite(vals), axis=0)
+    blocks = eval_blocks(compile_expr(roots), n, _point_blocks(policy, n), ell=ell,
+                         pole_eps=policy.pole_eps)
+    for vals, oks in blocks:
+        # a point needs every row finite; |v| can overflow where v does not,
+        # so finiteness is judged on the values, not on their moduli
+        yield vals, np.all(oks & np.isfinite(vals), axis=0)
 
 
 def check_residual(
@@ -158,34 +212,44 @@ def check_residual(
 ) -> VerificationReport:
     """Sample the residual and compare against max(1, largest scale term).
 
-    The residual, the scale terms and the guards are evaluated in one
-    pass.  Points where any expression pole-hits, evaluates non-finite, or
-    where a guard expression has modulus below its floor are skipped (and
-    counted); a verdict needs at least half the sample to survive.
+    The residual, the scale terms and the guards are evaluated as one tape
+    on a stream of point blocks; each block is reduced to its tested count
+    and its largest absolute and relative residual before the next is
+    drawn, so memory stays bounded by the block size, not the sample
+    count.  A maximum is exact, so the report does not depend on the
+    blocking.  Points where any expression pole-hits, evaluates
+    non-finite, or where a guard expression has modulus below its floor
+    are skipped (and counted); a verdict needs at least half the sample to
+    survive.
     """
     guards = guards or []
     k = 1 + len(scale_terms)
-    vals, keep = _sampled([res, *scale_terms, *(g for g, _ in guards)], policy, n)
-    mags = np.abs(vals)
-    for row, (_, floor) in zip(mags[k:], guards):
-        keep &= row >= floor
+    tested = 0
+    max_abs = max_rel = 0.0
+    for vals, keep in _sampled([res, *scale_terms, *(g for g, _ in guards)], policy, n):
+        mags = np.abs(vals)
+        for row, (_, floor) in zip(mags[k:], guards):
+            keep &= row >= floor
+        kept = int(keep.sum())
+        if not kept:
+            continue
+        tested += kept
+        scale = np.ones(keep.shape)
+        for row in mags[1:k]:
+            np.maximum(scale, row, out=scale)
+        rel = mags[0] / scale
+        # a finite value whose modulus overflows gives inf where the ratio is
+        # finite: there the ratio is taken of the values halved, which is exact
+        big = np.flatnonzero(keep & (np.isinf(scale) | np.isinf(mags[0])))
+        if big.size:
+            half = np.abs(0.5 * vals[:k, big])
+            rel[big] = half[0] / np.maximum(0.5, half[1:].max(axis=0, initial=0.0))
+        max_abs = max(max_abs, float(np.max(mags[0], where=keep, initial=0.0)))
+        max_rel = max(max_rel, float(np.max(rel, where=keep, initial=0.0)))
 
-    tested = int(keep.sum())
     skipped = policy.samples - tested
     if tested == 0:
         return VerificationReport(n, 0, skipped, float("inf"), float("inf"), False, policy)
-    scale = np.ones(policy.samples)
-    for row in mags[1:k]:
-        np.maximum(scale, row, out=scale)
-    rel = mags[0] / scale
-    # a finite value whose modulus overflows gives inf where the ratio is
-    # finite: there the ratio is taken of the values halved, which is exact
-    big = np.flatnonzero(keep & (np.isinf(scale) | np.isinf(mags[0])))
-    if big.size:
-        half = np.abs(0.5 * vals[:k, big])
-        rel[big] = half[0] / np.maximum(0.5, half[1:].max(axis=0, initial=0.0))
-    max_abs = float(np.max(mags[0], where=keep, initial=0.0))
-    max_rel = float(np.max(rel, where=keep, initial=0.0))
     passed = bool(max_rel <= policy.tol and skipped < policy.samples / 2)
     return VerificationReport(n, tested, skipped, max_abs, max_rel, passed, policy)
 
@@ -239,13 +303,16 @@ def is_identically_zero(e: Expr, n: int, tol: float = 1e-10) -> bool:
         groups.append((len(roots), len(terms)))
         roots += [cand, *terms]
     probe = SamplingPolicy(samples=12, radius=1.1, seed=987654321 + n, pole_eps=DEFAULT_POLE_EPS)
-    vals, keep = _sampled(roots, probe, n)
-    if not keep.any():
-        return False
-    mags = np.abs(vals[:, keep])
-    return any(
-        bool(np.all(mags[i] <= tol * mags[i + 1 : i + 1 + k].max(axis=0))) for i, k in groups
-    )
+    kept = False
+    zero = [True] * len(groups)  # per group: every kept point so far passes
+    for vals, keep in _sampled(roots, probe, n):
+        if not keep.any():
+            continue
+        kept = True
+        mags = np.abs(vals[:, keep])
+        for g, (i, k) in enumerate(groups):
+            zero[g] = zero[g] and bool(np.all(mags[i] <= tol * mags[i + 1 : i + 1 + k].max(axis=0)))
+    return kept and any(zero)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +356,7 @@ class GrowthEstimate:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return strict_json(self.to_dict())
 
 
 def estimate_order(

@@ -86,6 +86,41 @@ class TestVerifyCommand:
         assert doc["report"]["policy"]["samples"] == 50
         assert doc["report"]["policy"]["seed"] == 7
 
+    @pytest.mark.parametrize("policy", [
+        {"samples": 1.5}, {"samples": "200"}, {"samples": True},
+        {"seed": -1}, {"seed": 1.5},
+        {"tol": float("inf")}, {"radius": float("inf")},
+        {"pole_eps": -1.0}, {"pole_eps": float("inf")},
+    ])
+    def test_malformed_policy_is_malformed_input(self, fixtures_dir, tmp_path, capsys, policy):
+        data = json.loads((fixtures_dir / "example4.json").read_text())
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({**data, "policy": policy}))  # inf is written as Infinity
+        assert run_cli("verify", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "policy" in err and next(iter(policy)) in err
+
+    def test_negative_seed_flag_is_malformed_input(self, fixtures_dir, capsys):
+        assert run_cli("verify", str(fixtures_dir / "example4.json"), "--seed", "-1") == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_machine_output_is_strict_json(self, fixtures_dir, tmp_path, capsys):
+        # no point survives 1/(z1-z1): the residual maxima are not numbers
+        data = json.loads((fixtures_dir / "example4.json").read_text())
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({**data, "f": "1/(z1-z1)"}))
+        assert run_cli("--format", "machine", "verify", str(path)) == 1
+
+        def reject(token):
+            raise ValueError(f"not standard JSON: {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["report"]["points_tested"] == 0
+        assert doc["report"]["max_abs_residual"] is None
+        assert doc["report"]["max_rel_residual"] is None
+        assert run_cli("verify", str(path)) == 1
+        assert "max_rel_residual: inf" in capsys.readouterr().out
+
 
 class TestConstructCommand:
     @pytest.mark.parametrize("theorem,c", [

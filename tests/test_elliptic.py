@@ -202,6 +202,15 @@ class TestReduction:
         with pytest.raises(PoleHitError):
             ctx.reduce_point(2 * ctx.omega1 + LATTICE_EPS / 10)
 
+    def test_arguments_too_large_to_reduce_are_rejected(self):
+        # unchecked, 1e16+0.3j reduced to 0.3j and its lattice translate by
+        # 2*omega1 to 2+0.3j: rounding noise, not a representative
+        ctx = default_context()
+        for z in (1e16 + 0.3j, 1e16 + 0.3j + 2 * ctx.omega1, -3e6j):
+            with pytest.raises(PoleHitError, match="too large"):
+                ctx.reduce_point(z)
+        z = 1e6 + 0.3j  # below the limit, as in wp_many
+        assert abs(ctx.reduce_point(z + 2 * ctx.omega1) - ctx.reduce_point(z)) < 1e-9
 
     def test_nearest_lattice_point_by_brute_force(self):
         # the reduction looks at three vertices of one Delaunay triangle; the

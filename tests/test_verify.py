@@ -1,26 +1,66 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from fermat_pdde.backends import BLOCK, eval_batch
 from fermat_pdde.errors import EstimationError, ProblemSpecError
 from fermat_pdde.expr import Const, Div, Neg, Var, Add
 from fermat_pdde.operators import PDDEProblem, residual, scale_terms
 from fermat_pdde.parser import parse
+from fermat_pdde.tape import compile_expr
 from fermat_pdde.verify import (
     GrowthEstimate,
     SamplingPolicy,
+    _point_blocks,
     check_residual,
     default_radii,
     estimate_order,
     sample_points,
+    strict_json,
     verify_problem,
 )
 
 from test_expr import F_EX1
 
 PI = math.pi
+
+#: sample counts around the block boundaries of the streamed checks
+BLOCK_COUNTS = (1, 12, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
+def _reject_constant(token):
+    raise ValueError(f"not standard JSON: {token}")
+
+
+def example1_problem():
+    return PDDEProblem(kind="fte", n=5, m1=2,
+                       c=(PI * 1j, 0, 2j * PI, 5j * PI, 2j * PI),
+                       phi=parse("exp(z2+z3-2*z4) + z3 - z4 + z5", 5))
+
+
+def full_array_report(res, scales, policy, n, guards):
+    """(tested, max_abs, max_rel) by evaluating and reducing the whole sample at once."""
+    k = 1 + len(scales)
+    roots = [res, *scales, *(g for g, _ in guards)]
+    vals, oks = eval_batch(compile_expr(roots), sample_points(policy, n), pole_eps=policy.pole_eps)
+    keep = np.all(oks & np.isfinite(vals), axis=0)
+    mags = np.abs(vals)
+    for row, (_, floor) in zip(mags[k:], guards):
+        keep &= row >= floor
+    scale = np.ones(policy.samples)
+    for row in mags[1:k]:
+        np.maximum(scale, row, out=scale)
+    rel = mags[0] / scale
+    big = np.flatnonzero(keep & (np.isinf(scale) | np.isinf(mags[0])))
+    if big.size:
+        half = np.abs(0.5 * vals[:k, big])
+        rel[big] = half[0] / np.maximum(0.5, half[1:].max(axis=0, initial=0.0))
+    return (int(keep.sum()), float(np.max(mags[0], where=keep, initial=0.0)),
+            float(np.max(rel, where=keep, initial=0.0)))
 
 
 class TestSamplePoints:
@@ -49,6 +89,28 @@ class TestSamplePoints:
             got = sample_points(SamplingPolicy(samples=300, radius=radius, seed=seed), n)
             assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("samples", [BLOCK + 1, 3 * BLOCK + 5])
+    def test_bit_equal_to_one_generator_across_blocks(self, n, samples):
+        # the blocks draw theta from a second generator advanced past u;
+        # the points must be those of one generator drawing u, then theta
+        rng = np.random.default_rng(7)
+        u = rng.random((samples, n))
+        theta = rng.random((samples, n))
+        expect = 2.0 * np.sqrt(u) * np.exp(2j * np.pi * theta)
+        got = sample_points(SamplingPolicy(samples=samples, seed=7), n)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("samples", BLOCK_COUNTS)
+    def test_blocks_concatenate_to_the_sample(self, n, samples):
+        policy = SamplingPolicy(samples=samples, seed=11)
+        blocks = list(_point_blocks(policy, n))
+        assert [len(b) for b in blocks[:-1]] == [BLOCK] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1]) <= BLOCK
+        got = np.concatenate(blocks)
+        assert np.array_equal(got.view(np.uint64), sample_points(policy, n).view(np.uint64))
+
     def test_empirical_mean_near_zero(self):
         p = SamplingPolicy(samples=400, radius=2.0, seed=4)
         pts = sample_points(p, 2)
@@ -61,6 +123,21 @@ class TestSamplePoints:
             SamplingPolicy(radius=-1.0)
         with pytest.raises(ProblemSpecError):
             SamplingPolicy(tol=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("samples", 1.5), ("samples", "200"), ("samples", True), ("samples", np.int64(200)),
+        ("seed", -1), ("seed", 1.5), ("seed", False),
+        ("radius", math.inf), ("radius", math.nan), ("radius", "2"),
+        ("tol", math.inf), ("tol", None),
+        ("pole_eps", -1e-8), ("pole_eps", math.inf), ("pole_eps", math.nan),
+    ])
+    def test_policy_rejects_malformed_values(self, field, value):
+        with pytest.raises(ProblemSpecError, match=field):
+            SamplingPolicy(**{field: value})
+
+    def test_policy_accepts_boundary_values(self):
+        p = SamplingPolicy(samples=1, seed=0, radius=1, tol=1, pole_eps=0.0)
+        assert p.samples == 1 and p.pole_eps == 0.0
 
 
 class TestCheckResidual:
@@ -123,15 +200,69 @@ class TestCheckResidual:
         assert rep.max_rel_residual == pytest.approx(1 / (1.5 * math.sqrt(2)), rel=1e-15)
 
     def test_report_serialization_deterministic(self):
-        p = PDDEProblem(kind="fte", n=5, m1=2,
-                        c=(PI * 1j, 0, 2j * PI, 5j * PI, 2j * PI),
-                        phi=parse("exp(z2+z3-2*z4) + z3 - z4 + z5", 5))
+        p = example1_problem()
         reps = [verify_problem(p, F_EX1) for _ in range(2)]
         assert reps[0].to_json() == reps[1].to_json()
         assert reps[0].to_text() == reps[1].to_text()
         decoded = json.loads(reps[0].to_json())
         assert decoded["verdict"] == "pass"
         assert decoded["policy"]["samples"] == 200
+
+    def test_report_without_points_is_strict_json(self):
+        rep = check_residual(Div(Const(1.0), Add((Var(1), Neg(Var(1))))), [], SamplingPolicy(), 1)
+        assert rep.max_abs_residual == math.inf
+        decoded = json.loads(rep.to_json(), parse_constant=_reject_constant)
+        assert decoded["max_abs_residual"] is None and decoded["max_rel_residual"] is None
+        assert "max_abs_residual: inf" in rep.to_text()
+
+    def test_block_without_points_is_not_reduced(self):
+        # inf / inf at skipped points must not reach the ratio (a
+        # RuntimeWarning on the CLI's stderr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_residual(Const(math.inf), [Const(math.inf)], SamplingPolicy(), 1)
+        assert rep.points_tested == 0 and not rep.passed
+
+    def test_strict_json_writes_non_finite_as_null(self):
+        payload = {"b": (1.5, -math.inf), "a": {"x": math.nan, "y": [math.inf, 2]}}
+        assert strict_json(payload) == '{"a": {"x": null, "y": [null, 2]}, "b": [1.5, null]}'
+
+
+class TestStreamedCheck:
+    """check_residual reduces block by block; the report must not depend on it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("samples", BLOCK_COUNTS)
+    def test_bit_equal_to_full_array_reduction(self, n, samples):
+        zn = Var(n)
+        pole = Var(1) / (Var(1) - 0.5)  # a pole inside the disc: pole_eps skips a ring
+        scales = [pole, zn * parse("exp(z1)", 1)]
+        res = scales[0] - scales[1] + 1e-9 * Var(1) ** 2
+        guards = [(zn, 0.5)]
+        policy = SamplingPolicy(samples=samples, seed=5, pole_eps=0.3)
+        rep = check_residual(res, scales, policy, n, guards=guards)
+        tested, max_abs, max_rel = full_array_report(res, scales, policy, n, guards)
+        assert rep.points_tested == tested
+        assert rep.points_skipped == samples - tested
+        if tested:
+            assert (rep.max_abs_residual, rep.max_rel_residual) == (max_abs, max_rel)
+            assert rep.passed == (max_rel <= policy.tol and 2 * (samples - tested) < samples)
+        if samples > BLOCK:
+            assert 0 < samples - tested < samples / 2  # the pole ring and the guard skip points
+
+    def test_memory_does_not_grow_with_the_sample(self):
+        p = example1_problem()
+        res, scales = residual(p, F_EX1), scale_terms(p, F_EX1)
+        check_residual(res, scales, SamplingPolicy(), 5)  # warm the interned nodes
+        tracemalloc.start()
+        try:
+            rep = check_residual(res, scales, SamplingPolicy(samples=100_000), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.points_tested == 100_000
+        # the whole-sample arrays alone came to 15.6 MiB
+        assert peak < 4 * 2**20, peak / 2**20
 
 
 class TestEstimateOrder:
