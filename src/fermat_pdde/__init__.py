@@ -32,8 +32,6 @@ from .expr import (
     Const,
     Var,
     directional_derivative,
-    evaluate,
-    fd_partial,
     fold_constants,
     partial,
     shift,

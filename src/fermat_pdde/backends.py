@@ -72,18 +72,12 @@ def _run_block(tape: tp.Tape, cols: np.ndarray, slots: np.ndarray, bad: np.ndarr
                 for s, fold in zip(src[1:], arg):
                     fold(acc, rows[s], out=d)
                     acc = d
+        elif op == tp.OP_MAP:
+            arg(rows[src[0]], out=d)
         elif op == tp.OP_CONST:  # d is the immediate; `outs` broadcast it
             pass
         elif op == tp.OP_VAR:
             d[...] = cols[arg]
-        elif op == tp.OP_NEG:
-            np.negative(rows[src[0]], out=d)
-        elif op == tp.OP_EXP:
-            np.exp(rows[src[0]], out=d)
-        elif op == tp.OP_SIN:
-            np.sin(rows[src[0]], out=d)
-        elif op == tp.OP_COS:
-            np.cos(rows[src[0]], out=d)
         elif op == tp.OP_DIV:
             den = rows[src[1]]
             if arg is None:  # not a constant, whose fail row eval_blocks fixes once

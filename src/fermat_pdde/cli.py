@@ -14,6 +14,7 @@ impossible), 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import os
 import sys
 
@@ -32,7 +33,7 @@ from .expr import Const, Expr, Wp, to_string
 from .operators import PDDEProblem
 from .parser import parse
 from .periodic import make_periodic, make_polynomial_quasi_periodic
-from .problemfile import load_problem, policy_from_dict
+from .problemfile import load_problem
 from .verify import SamplingPolicy, estimate_order, strict_json, verify_problem
 
 __all__ = ["main"]
@@ -71,14 +72,13 @@ def _parse_constant(text: str, what: str) -> complex:
     e = parse(text, 1)
     if not isinstance(e, Const):
         raise ParseError(f"{what} must be a constant expression, got {text!r}", 0)
+    if not cmath.isfinite(e.value):
+        raise ParseError(f"{what} must be finite, got {text!r} = {e.value}", 0)
     return e.value
 
 
 def _parse_c(text: str) -> tuple[complex, ...]:
-    parts = [p for p in text.split(",")]
-    if not parts:
-        raise ParseError("empty shift vector", 0)
-    return tuple(_parse_constant(p.strip(), "shift component") for p in parts)
+    return tuple(_parse_constant(p.strip(), "shift component") for p in text.split(","))
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:

@@ -1,23 +1,28 @@
 """Hash-consed complex expressions over variables z1..zn.
 
 The node set is deliberately small: constants, variables, sums, products,
-negation, quotients, integer powers, exp/sin/cos, and the Weierstrass pair
-wp/wpd.  Nodes are interned: constructing a node whose children and data
-equal those of a live node returns that node, so structurally equal
-subtrees are one object and an expression is a DAG, also when threads
-build expressions at the same time.  Equality and hashing are by
-identity, which is structural equality under interning.  A `Const` is
-keyed on the bit pattern of its value, so 0.0 and -0.0 stay distinct and
-folding is bit-exact.  The intern table holds nodes weakly; a node lives
-as long as something else refers to it.
+quotients, integer powers, and the one-operand nodes: negation,
+exp/sin/cos, and the Weierstrass pair wp/wpd.  Each one-operand class
+carries its grammar name and the numpy ufunc that evaluates it
+elementwise (none for wp/wpd, which need the elliptic context), and
+`FUNCTIONS` maps each name to its class: the parser, the printer,
+constant folding and the tape all read this one table.  Nodes are
+interned: constructing a node whose children and data equal those of a
+live node returns that node, so structurally equal subtrees are one
+object and an expression is a DAG, also when threads build expressions
+at the same time.  Equality and hashing are by identity, which is
+structural equality under interning.  A `Const` is keyed on the bit
+pattern of its value, so 0.0 and -0.0 stay distinct and folding is
+bit-exact.  The intern table holds nodes weakly; a node lives as long as
+something else refers to it.
 
 The tree walks (`free_variables`, `uses_wp`, `fold_constants`) and each
 directional derivative are memoized on the node they start from, so a
 shared subtree is walked or differentiated once.  Exact symbolic
 differentiation (`partial`), argument shifting (`shift`), light constant
-folding (`fold_constants`), scalar evaluation (`evaluate`), and a
-central-difference oracle (`fd_partial`) live here.  Batched evaluation
-over many sample points is in `tape`/`backends`.
+folding (`fold_constants`) and printing (`to_string`) live here.
+Expressions are evaluated only by compiling them to a tape (`tape`) and
+running it over blocks of sample points (`backends`).
 """
 
 from __future__ import annotations
@@ -31,12 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    EvalError,
-    MissingEllipticContextError,
-    PoleHitError,
-)
+from .errors import DimensionError, EvalError
 
 __all__ = [
     "Expr",
@@ -52,9 +52,8 @@ __all__ = [
     "Cos",
     "Wp",
     "WpPrime",
+    "FUNCTIONS",
     "as_expr",
-    "const",
-    "var",
     "variables",
     "free_variables",
     "max_var_index",
@@ -63,13 +62,14 @@ __all__ = [
     "partial",
     "directional_derivative",
     "shift",
-    "evaluate",
-    "fd_partial",
     "to_string",
     "DEFAULT_POLE_EPS",
 ]
 
-#: |denominator| below this is treated as a pole hit in scalar evaluation.
+#: pole threshold of tape evaluation where no sampling policy sets one (the
+#: identity probe, the constructors' self-checks, `eval_batch` by default):
+#: a denominator, or the base of a negative power, of modulus below it is a
+#: pole hit
 DEFAULT_POLE_EPS = 1e-12
 
 # ---------------------------------------------------------------------------
@@ -191,14 +191,6 @@ class Mul(Expr):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Neg(Expr):
-    arg: Expr
-
-    def __new__(cls, arg):
-        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
-
-
-@dataclass(frozen=True, eq=False, init=False)
 class Div(Expr):
     num: Expr
     den: Expr
@@ -219,44 +211,54 @@ class Pow(Expr):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Exp(Expr):
+class _Unary(Expr):
+    """A node with one operand, applied elementwise.
+
+    `name` is the node's function name in the grammar (None for negation)
+    and `ufunc` the numpy ufunc that computes it (None for wp and wpd,
+    which need the elliptic context).
+    """
+
     arg: Expr
+    name = None  # class attributes, not dataclass fields
+    ufunc = None
 
     def __new__(cls, arg):
         return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Sin(Expr):
-    arg: Expr
-
-    def __new__(cls, arg):
-        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
+class Neg(_Unary):
+    ufunc = np.negative
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Cos(Expr):
-    arg: Expr
-
-    def __new__(cls, arg):
-        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
+class Exp(_Unary):
+    name, ufunc = "exp", np.exp
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Wp(Expr):
-    arg: Expr
-
-    def __new__(cls, arg):
-        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
+class Sin(_Unary):
+    name, ufunc = "sin", np.sin
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class WpPrime(Expr):
-    arg: Expr
+class Cos(_Unary):
+    name, ufunc = "cos", np.cos
 
-    def __new__(cls, arg):
-        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
 
+@dataclass(frozen=True, eq=False, init=False)
+class Wp(_Unary):
+    name = "wp"
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class WpPrime(_Unary):
+    name = "wpd"
+
+
+#: grammar function name -> node class
+FUNCTIONS: dict[str, type[_Unary]] = {cls.name: cls for cls in (Exp, Sin, Cos, Wp, WpPrime)}
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
@@ -269,14 +271,6 @@ def as_expr(x) -> Expr:
     if isinstance(x, (int, float, complex)):
         return Const(complex(x))
     raise TypeError(f"cannot interpret {x!r} as an expression")
-
-
-def const(value) -> Const:
-    return Const(complex(value))
-
-
-def var(index: int) -> Var:
-    return Var(index)
 
 
 def variables(n: int) -> tuple[Var, ...]:
@@ -367,16 +361,13 @@ def _fold(e: Expr) -> Expr:
         return _fold_div(fold_constants(e.num), fold_constants(e.den))
     if isinstance(e, Pow):
         return _fold_pow(fold_constants(e.base), e.exponent)
-    if isinstance(e, (Exp, Sin, Cos)):
+    if isinstance(e, _Unary):
         arg = fold_constants(e.arg)
-        if isinstance(arg, Const):
-            fn = {Exp: np.exp, Sin: np.sin, Cos: np.cos}[type(e)]
+        # wp of a constant needs the elliptic context, so is never folded
+        if isinstance(arg, Const) and e.ufunc is not None:
             with np.errstate(all="ignore"):
-                return Const(complex(fn(arg.value)))
+                return Const(complex(e.ufunc(arg.value)))
         return type(e)(arg)
-    if isinstance(e, (Wp, WpPrime)):
-        # wp of a constant needs the elliptic context, so never folded
-        return type(e)(fold_constants(e.arg))
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -588,115 +579,15 @@ def shift(e: Expr, c: Sequence[complex]) -> Expr:
             return Add(tuple(sub(t) for t in node.terms))
         if isinstance(node, Mul):
             return Mul(tuple(sub(f) for f in node.factors))
-        if isinstance(node, Neg):
-            return Neg(sub(node.arg))
+        if isinstance(node, _Unary):
+            return type(node)(sub(node.arg))
         if isinstance(node, Div):
             return Div(sub(node.num), sub(node.den))
         if isinstance(node, Pow):
             return Pow(sub(node.base), node.exponent)
-        if isinstance(node, (Exp, Sin, Cos, Wp, WpPrime)):
-            return type(node)(sub(node.arg))
         raise TypeError(f"unknown node {node!r}")
 
     return fold_constants(sub(e))
-
-
-# ---------------------------------------------------------------------------
-# scalar evaluation
-
-def _ipow(base: complex, k: int, pole_eps: float) -> complex:
-    if k < 0:
-        v = _ipow(base, -k, pole_eps)
-        if abs(v) < pole_eps:
-            raise PoleHitError(f"near-zero base raised to negative power {k}")
-        return 1.0 / v
-    out = 1 + 0j
-    b = base
-    while k:
-        if k & 1:
-            out *= b
-        b *= b
-        k >>= 1
-    return out
-
-
-def evaluate(e: Expr, point: Sequence[complex], ell=None, pole_eps: float = DEFAULT_POLE_EPS) -> complex:
-    """Value of the expression at one point of C^n.
-
-    `ell` is an EllipticContext and is required exactly when the tree
-    contains wp/wpd nodes.  Near-zero denominators (|den| < pole_eps) and
-    lattice-point arguments of wp raise PoleHitError.
-    """
-    pt = tuple(complex(x) for x in point)
-    if max_var_index(e) > len(pt):
-        raise DimensionError(
-            f"point has {len(pt)} coordinates but the expression uses z{max_var_index(e)}"
-        )
-    if ell is None and uses_wp(e):
-        raise MissingEllipticContextError("expression contains wp/wpd: pass an elliptic context")
-
-    seen: dict[Expr, complex] = {}
-
-    def ev(node: Expr) -> complex:
-        # a shared subtree is evaluated once
-        out = seen.get(node)
-        if out is None:
-            out = seen[node] = ev_node(node)
-        return out
-
-    def ev_node(node: Expr) -> complex:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            return pt[node.index - 1]
-        if isinstance(node, Add):
-            return sum((ev(t) for t in node.terms), 0j)
-        if isinstance(node, Mul):
-            out = 1 + 0j
-            for f in node.factors:
-                out *= ev(f)
-            return out
-        if isinstance(node, Neg):
-            return -ev(node.arg)
-        if isinstance(node, Div):
-            den = ev(node.den)
-            if abs(den) < pole_eps:
-                raise PoleHitError(f"denominator {den!r} below pole threshold {pole_eps}")
-            return ev(node.num) / den
-        if isinstance(node, Pow):
-            return _ipow(ev(node.base), node.exponent, pole_eps)
-        if isinstance(node, Exp):
-            return complex(np.exp(np.complex128(ev(node.arg))))
-        if isinstance(node, Sin):
-            return complex(np.sin(np.complex128(ev(node.arg))))
-        if isinstance(node, Cos):
-            return complex(np.cos(np.complex128(ev(node.arg))))
-        if isinstance(node, Wp):
-            return ell.wp_pair(ev(node.arg))[0]
-        if isinstance(node, WpPrime):
-            return ell.wp_pair(ev(node.arg))[1]
-        raise TypeError(f"unknown node {node!r}")
-
-    with np.errstate(all="ignore"):
-        return complex(ev(e))
-
-
-def fd_partial(e: Expr, j: int, point: Sequence[complex], step: float = 1e-5, ell=None) -> complex:
-    """Central-difference estimate of d e / d z_j at a point.
-
-    Independent numeric oracle for `partial`; the step is taken along the
-    real axis of the complex coordinate z_j.
-    """
-    if step <= 0:
-        raise EvalError("fd_partial step must be positive")
-    pt = list(complex(x) for x in point)
-    if j < 1 or j > len(pt):
-        raise DimensionError(f"variable index {j} out of range for point of length {len(pt)}")
-    up = list(pt)
-    dn = list(pt)
-    up[j - 1] += step
-    dn[j - 1] -= step
-    return (evaluate(e, up, ell=ell) - evaluate(e, dn, ell=ell)) / (2.0 * step)
 
 
 # ---------------------------------------------------------------------------
@@ -778,10 +669,9 @@ def to_string(e: Expr) -> str:
             if bp != _PREC_ATOM:
                 bs = f"({bs})"
             return f"{bs}^{node.exponent}", _PREC_POW
-        if isinstance(node, (Exp, Sin, Cos, Wp, WpPrime)):
-            name = {Exp: "exp", Sin: "sin", Cos: "cos", Wp: "wp", WpPrime: "wpd"}[type(node)]
+        if isinstance(node, _Unary):
             s, _ = render(node.arg)
-            return f"{name}({s})", _PREC_ATOM
+            return f"{node.name}({s})", _PREC_ATOM
         raise TypeError(f"unknown node {node!r}")
 
     return render(e)[0]

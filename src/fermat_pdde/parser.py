@@ -8,7 +8,7 @@ Grammar (whitespace insensitive)::
     unary  := '-' unary | atom
     atom   := number | 'i' | 'pi' | 'e' | var | func '(' expr ')' | '(' expr ')'
     var    := 'z' digits
-    func   := 'exp' | 'sin' | 'cos' | 'sqrt' | 'wp' | 'wpd'
+    func   := 'sqrt' | a name in expr.FUNCTIONS: exp, sin, cos, wp, wpd
 
 Numbers accept decimals and scientific notation.  Complex constants are
 written as ``a+b*i``.  ``sqrt`` is folded at parse time and only accepts a
@@ -23,7 +23,7 @@ import re
 from typing import NamedTuple
 
 from .errors import ParseError
-from .expr import Add, Cos, Const, Div, Exp, Expr, Mul, Neg, Pow, Sin, Var, Wp, WpPrime, fold_constants
+from .expr import FUNCTIONS, Add, Const, Div, Expr, Mul, Neg, Pow, Var, fold_constants
 
 __all__ = ["parse"]
 
@@ -32,8 +32,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<name>[A-Za-z][A-Za-z0-9]*)"
     r"|(?P<op>[-+*/^()]))"
 )
-
-_FUNCS = {"exp", "sin", "cos", "sqrt", "wp", "wpd"}
 
 
 class _Token(NamedTuple):
@@ -135,7 +133,10 @@ class _Parser:
     def parse_atom(self) -> Expr:
         tok = self.advance()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.text!r} overflows a double", tok.pos)
+            return Const(value)
         if tok.kind == "op" and tok.text == "(":
             inner = self.parse_expr()
             self.expect_op(")")
@@ -148,7 +149,7 @@ class _Parser:
                 return Const(math.pi)
             if name == "e":
                 return Const(math.e)
-            if name in _FUNCS:
+            if name in FUNCTIONS or name == "sqrt":
                 self.expect_op("(")
                 inner = self.parse_expr()
                 self.expect_op(")")
@@ -169,8 +170,7 @@ class _Parser:
             if not isinstance(folded, Const) or folded.value.imag != 0 or folded.value.real < 0:
                 raise ParseError("sqrt expects a non-negative real constant argument", pos)
             return Const(math.sqrt(folded.value.real))
-        cls = {"exp": Exp, "sin": Sin, "cos": Cos, "wp": Wp, "wpd": WpPrime}[name]
-        return cls(inner)
+        return FUNCTIONS[name](inner)
 
 
 def parse(text: str, n: int) -> Expr:

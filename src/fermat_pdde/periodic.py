@@ -45,6 +45,13 @@ _BASES = ("t1", "t2")
 
 #: |<a, c'> - nearest integer| must stay below this for a valid spec
 INTEGRALITY_TOL = 1e-12
+#: `PeriodicSpec.random`: frequency draw scale, largest |<a, c'>|, l1 retry bound
+FREQ_SCALE = 0.2
+MAX_INT = 2
+MAX_L1 = 3.0
+#: `make_polynomial_quasi_periodic`: shift-invariant terms and their largest power
+INVARIANT_TERMS = 2
+MAX_DEGREE = 2
 
 
 def _check_basis(basis: str) -> None:
@@ -100,19 +107,12 @@ class PeriodicSpec:
                 )
 
     @staticmethod
-    def random(
-        cprime,
-        k: int,
-        seed: int | None = None,
-        freq_scale: float = 0.2,
-        max_int: int = 2,
-        max_l1: float = 3.0,
-    ) -> "PeriodicSpec":
+    def random(cprime, k: int, seed: int | None = None) -> "PeriodicSpec":
         """Draw k terms; frequencies are projected onto the integrality constraint.
 
         Projection: a = a0 + ((m - <a0,c'>) / <u,c'>) * u with u = conj(c'),
         so <u,c'> = ||c'||^2 > 0.  Draws are rejected while the l1 norm of a
-        exceeds max_l1 (keeps exponentials representable on test polydiscs).
+        exceeds MAX_L1 (keeps exponentials representable on test polydiscs).
         """
         cp = np.asarray(cprime, dtype=np.complex128)
         if cp.size == 0 or not np.any(cp):
@@ -127,13 +127,13 @@ class PeriodicSpec:
         for _ in range(k):
             best = None
             for _attempt in range(64):
-                a0 = freq_scale * (rng.standard_normal(cp.size) + 1j * rng.standard_normal(cp.size))
-                m = int(rng.integers(1, max_int + 1)) * (1 if rng.random() < 0.5 else -1)
+                a0 = FREQ_SCALE * (rng.standard_normal(cp.size) + 1j * rng.standard_normal(cp.size))
+                m = int(rng.integers(1, MAX_INT + 1)) * (1 if rng.random() < 0.5 else -1)
                 a = a0 + ((m - _bilinear(a0, cp)) / denom) * u
                 l1 = float(np.sum(np.abs(a)))
                 if best is None or l1 < best[1]:
                     best = (a, l1)
-                if l1 <= max_l1:
+                if l1 <= MAX_L1:
                     break
             a = best[0]
             freqs.append(tuple(a))
@@ -174,14 +174,7 @@ def make_quasi_periodic(cprime, c1, k: int, seed: int | None = None, basis: str 
     return fold_constants(g + ex.Const(c1 / (2.0 * tau)) * omega_expr(n, basis))
 
 
-def make_polynomial_quasi_periodic(
-    cprime,
-    c1,
-    seed: int | None = None,
-    degree: int = 2,
-    invariant_terms: int = 2,
-    basis: str = "t1",
-) -> Expr:
+def make_polynomial_quasi_periodic(cprime, c1, seed: int | None = None, basis: str = "t1") -> Expr:
     """Polynomial p with p(w + c') = p(w) + c1/2.
 
     Built as <b, w> with <b, c'> = c1/2 (always solvable for c' != 0) plus a
@@ -205,12 +198,12 @@ def make_polynomial_quasi_periodic(
 
     b = (c1 / 2.0 / denom) * u
     parts = [linear_form(b)] if c1 != 0 else []
-    for _ in range(invariant_terms):
+    for _ in range(INVARIANT_TERMS):
         v0 = rng.standard_normal(cp.size) + 1j * rng.standard_normal(cp.size)
         v = v0 - (_bilinear(v0, cp) / denom) * u
         if np.all(np.abs(v) < 1e-14):
             continue  # n = 2: no nonzero invariant directions exist
-        d = int(rng.integers(1, degree + 1))
+        d = int(rng.integers(1, MAX_DEGREE + 1))
         lam = complex(0.3 + rng.random()) * np.exp(2j * np.pi * rng.random())
         parts.append(ex.Mul((ex.Const(lam), ex.Pow(linear_form(v), d))))
     parts.append(ex.Const(complex(rng.standard_normal() + 1j * rng.standard_normal())))

@@ -24,6 +24,7 @@ strings parsed under the file's dimension)::
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,8 +54,10 @@ def _complex_pair(value, where: str) -> complex:
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+        # false for NaN, Infinity and integers too large for a double
+        or not all(abs(x) <= sys.float_info.max for x in value)
     ):
-        raise ProblemFileError(f"{where}: complex numbers are [re, im] pairs, got {value!r}")
+        raise ProblemFileError(f"{where}: complex numbers are [re, im] pairs of finite numbers, got {value!r}")
     return complex(value[0], value[1])
 
 

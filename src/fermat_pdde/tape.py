@@ -1,16 +1,18 @@
-"""Multi-output slot tapes for batched expression evaluation.
+"""Multi-output slot tapes: the package's one way to evaluate expressions.
 
 `compile_expr` takes one expression or a list of them and walks the DAG
 their interned nodes form.  It emits one instruction per distinct node,
 in postfix order, and gives each instruction a value slot; a slot is
-reused once the last instruction reading it has run.  Two kinds of node
-get no instruction of their own:
+reused once the last instruction reading it has run.  A negation, exp,
+sin or cos is one `OP_MAP` instruction that applies the node class's
+ufunc (`expr.FUNCTIONS`).  Two kinds of node get no instruction of their
+own:
 
 - a constant (the empty sum and product too) is an immediate operand,
   a scalar the reading instruction broadcasts; a root constant gets an
   `OP_CONST` instruction, which only fills its output row;
 - a negation read as a summand other than the first is folded into that
-  sum as a subtraction, a - b for a + (-b) (it gets an `OP_NEG`
+  sum as a subtraction, a - b for a + (-b) (it gets an `OP_MAP`
   instruction only when something else reads it).
 
 Sums and products are one n-ary instruction each and are folded left to
@@ -42,7 +44,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import expr as ex
-from .errors import DimensionError
 
 __all__ = ["Instr", "Tape", "compile_expr"]
 
@@ -50,19 +51,16 @@ OP_CONST = 0
 OP_VAR = 1
 OP_ADD = 2
 OP_MUL = 3
-OP_NEG = 4
+OP_MAP = 4  # a one-operand node's ufunc, applied elementwise; `arg` is the ufunc
 OP_DIV = 5
 OP_POWI = 6
-OP_EXP = 7
-OP_SIN = 8
-OP_COS = 9
-OP_WP = 10  # wp_many of the argument; `arg` is the (wp slot, wp' slot) pair, -1 if unused
-OP_WP_SHARED = 11  # the partner of an OP_WP: its slot is already written
+OP_WP = 7  # wp_many of the argument; `arg` is the (wp slot, wp' slot) pair, -1 if unused
+OP_WP_SHARED = 8  # the partner of an OP_WP: its slot is already written
 
 _OPCODE = {
-    ex.Const: OP_CONST, ex.Var: OP_VAR, ex.Add: OP_ADD, ex.Mul: OP_MUL, ex.Neg: OP_NEG,
-    ex.Div: OP_DIV, ex.Pow: OP_POWI, ex.Exp: OP_EXP, ex.Sin: OP_SIN, ex.Cos: OP_COS,
-    ex.Wp: OP_WP, ex.WpPrime: OP_WP,
+    ex.Const: OP_CONST, ex.Var: OP_VAR, ex.Add: OP_ADD, ex.Mul: OP_MUL, ex.Div: OP_DIV,
+    ex.Pow: OP_POWI, ex.Wp: OP_WP, ex.WpPrime: OP_WP,
+    **{cls: OP_MAP for cls in (ex.Neg, *ex.FUNCTIONS.values()) if cls.ufunc is not None},
 }
 
 
@@ -70,10 +68,10 @@ class Instr(NamedTuple):
     op: int
     dst: int  # operand index written: a slot (an OP_CONST root's own immediate)
     src: tuple[int, ...]  # operand indices read: immediates, then slots (module docstring)
-    #: OP_CONST: the value; OP_VAR: the 0-based variable index; OP_POWI: the
-    #: exponent; OP_ADD/OP_MUL: the ufunc folding in each operand after the
-    #: first (np.subtract for a folded negation); OP_DIV: the divisor when it
-    #: is a constant, else None; OP_WP: the (wp slot, wp' slot) pair
+    #: OP_CONST: the value; OP_VAR: the 0-based variable index; OP_MAP: the
+    #: ufunc; OP_POWI: the exponent; OP_ADD/OP_MUL: the ufunc folding in each
+    #: operand after the first (np.subtract for a folded negation); OP_DIV: the
+    #: divisor when it is a constant, else None; OP_WP: the (wp, wp') slot pair
     arg: object
     fail: int  # fail index of an instruction that can reject points, else -1
     outs: tuple[int, ...]  # output rows that take this slot's value
@@ -126,11 +124,8 @@ def _postfix(roots: Sequence[ex.Expr]) -> tuple[list[ex.Expr], list[int]]:
     return order, start
 
 
-def compile_expr(e: ex.Expr | Sequence[ex.Expr], n: int | None = None) -> Tape:
-    """Compile one expression, or a list of roots, to a slot tape.
-
-    `n`, when given, validates variable indices.
-    """
+def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
+    """Compile one expression, or a list of roots, to a slot tape."""
     single = isinstance(e, ex.Expr)
     roots = [e] if single else list(e)
     order, start = _postfix(roots)
@@ -139,6 +134,7 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr], n: int | None = None) -> Tape:
     if -1 in code:
         raise TypeError(f"unknown node {order[code.index(-1)]!r}")
     kids = [[pos[c] for c in node._kids] for node in order]
+    is_neg = [type(node) is ex.Neg for node in order]
     is_root = [False] * len(order)
     for root in roots:
         is_root[pos[root]] = True
@@ -165,12 +161,12 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr], n: int | None = None) -> Tape:
             consts.append(np.complex128(node.value if c == OP_CONST else (0j if c == OP_ADD else 1 + 0j)))
             emit[i] = is_root[i]
             continue
-        if c == OP_NEG:
+        if is_neg[i]:
             emit[i] = is_root[i]
         elif c == OP_ADD:
             fs = folds[i] = [np.add] * len(ks)
             for k in range(1, len(ks)):
-                if code[ks[k]] == OP_NEG:
+                if is_neg[ks[k]]:
                     if reads[i] is ks:
                         reads[i] = list(ks)
                     reads[i][k] = kids[ks[k]][0]
@@ -179,7 +175,7 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr], n: int | None = None) -> Tape:
         elif c == OP_MUL:
             folds[i] = [np.multiply] * len(ks)
         for x in ks:
-            if code[x] == OP_NEG:
+            if is_neg[x]:
                 emit[x] = True
     base = len(consts)
 
@@ -277,6 +273,8 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr], n: int | None = None) -> Tape:
         elif op == OP_VAR:
             arg = node.index - 1
             n_min = max(n_min, node.index)
+        elif op == OP_MAP:
+            arg = node.ufunc
         elif op == OP_ADD or op == OP_MUL:  # how each operand after the first is folded in
             arg = tuple(folds[i][len(reads[i]) - len(src) + 1:])
         elif op == OP_DIV:
@@ -309,8 +307,6 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr], n: int | None = None) -> Tape:
         for x in dies_at.get(i, ()):
             free.append(ref[x])
 
-    if n is not None and n_min > n:
-        raise DimensionError(f"expression uses z{n_min} but dimension is {n}")
     root_fails = tuple(
         tuple(f for f in range(n_fail) if fails[pos[root]] >> f & 1) for root in roots
     )

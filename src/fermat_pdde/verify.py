@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -94,13 +94,7 @@ class SamplingPolicy:
             raise ProblemSpecError(f"pole_eps must be >= 0, got {self.pole_eps}")
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "radius": self.radius,
-            "seed": self.seed,
-            "pole_eps": self.pole_eps,
-            "tol": self.tol,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

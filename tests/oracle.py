@@ -1,0 +1,135 @@
+"""Scalar reference evaluator for expressions, independent of the tape.
+
+`evaluate` walks the expression tree in Python complex arithmetic, one
+point at a time, and `fd_partial` takes central differences of it.  The
+package evaluates only through the compiled tape (`fermat_pdde.backends`);
+the tests hold its values and derivatives against these.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from fermat_pdde.errors import (
+    DimensionError,
+    EvalError,
+    MissingEllipticContextError,
+    PoleHitError,
+)
+from fermat_pdde.expr import (
+    DEFAULT_POLE_EPS,
+    Add,
+    Const,
+    Cos,
+    Div,
+    Exp,
+    Expr,
+    Mul,
+    Neg,
+    Pow,
+    Sin,
+    Var,
+    Wp,
+    WpPrime,
+    max_var_index,
+    uses_wp,
+)
+
+__all__ = ["evaluate", "fd_partial"]
+
+
+def _ipow(base: complex, k: int, pole_eps: float) -> complex:
+    if k < 0:
+        v = _ipow(base, -k, pole_eps)
+        if abs(v) < pole_eps:
+            raise PoleHitError(f"near-zero base raised to negative power {k}")
+        return 1.0 / v
+    out = 1 + 0j
+    b = base
+    while k:
+        if k & 1:
+            out *= b
+        b *= b
+        k >>= 1
+    return out
+
+
+def evaluate(e: Expr, point: Sequence[complex], ell=None, pole_eps: float = DEFAULT_POLE_EPS) -> complex:
+    """Value of the expression at one point of C^n.
+
+    `ell` is an EllipticContext and is required exactly when the tree
+    contains wp/wpd nodes.  Near-zero denominators (|den| < pole_eps) and
+    lattice-point arguments of wp raise PoleHitError.
+    """
+    pt = tuple(complex(x) for x in point)
+    if max_var_index(e) > len(pt):
+        raise DimensionError(
+            f"point has {len(pt)} coordinates but the expression uses z{max_var_index(e)}"
+        )
+    if ell is None and uses_wp(e):
+        raise MissingEllipticContextError("expression contains wp/wpd: pass an elliptic context")
+
+    seen: dict[Expr, complex] = {}
+
+    def ev(node: Expr) -> complex:
+        # a shared subtree is evaluated once
+        out = seen.get(node)
+        if out is None:
+            out = seen[node] = ev_node(node)
+        return out
+
+    def ev_node(node: Expr) -> complex:
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Var):
+            return pt[node.index - 1]
+        if isinstance(node, Add):
+            return sum((ev(t) for t in node.terms), 0j)
+        if isinstance(node, Mul):
+            out = 1 + 0j
+            for f in node.factors:
+                out *= ev(f)
+            return out
+        if isinstance(node, Neg):
+            return -ev(node.arg)
+        if isinstance(node, Div):
+            den = ev(node.den)
+            if abs(den) < pole_eps:
+                raise PoleHitError(f"denominator {den!r} below pole threshold {pole_eps}")
+            return ev(node.num) / den
+        if isinstance(node, Pow):
+            return _ipow(ev(node.base), node.exponent, pole_eps)
+        if isinstance(node, Exp):
+            return complex(np.exp(np.complex128(ev(node.arg))))
+        if isinstance(node, Sin):
+            return complex(np.sin(np.complex128(ev(node.arg))))
+        if isinstance(node, Cos):
+            return complex(np.cos(np.complex128(ev(node.arg))))
+        if isinstance(node, Wp):
+            return ell.wp_pair(ev(node.arg))[0]
+        if isinstance(node, WpPrime):
+            return ell.wp_pair(ev(node.arg))[1]
+        raise TypeError(f"unknown node {node!r}")
+
+    with np.errstate(all="ignore"):
+        return complex(ev(e))
+
+
+def fd_partial(e: Expr, j: int, point: Sequence[complex], step: float = 1e-5, ell=None) -> complex:
+    """Central-difference estimate of d e / d z_j at a point.
+
+    Independent numeric oracle for `partial`; the step is taken along the
+    real axis of the complex coordinate z_j.
+    """
+    if step <= 0:
+        raise EvalError("fd_partial step must be positive")
+    pt = list(complex(x) for x in point)
+    if j < 1 or j > len(pt):
+        raise DimensionError(f"variable index {j} out of range for point of length {len(pt)}")
+    up = list(pt)
+    dn = list(pt)
+    up[j - 1] += step
+    dn[j - 1] -= step
+    return (evaluate(e, up, ell=ell) - evaluate(e, dn, ell=ell)) / (2.0 * step)

@@ -19,7 +19,7 @@ from fermat_pdde.construct import (
 )
 from fermat_pdde.elliptic import E1, OMEGA1, default_context
 from fermat_pdde.errors import EvalError
-from fermat_pdde.expr import Const, Wp, evaluate, fd_partial, free_variables, partial, uses_wp
+from fermat_pdde.expr import Const, Wp, free_variables, partial, uses_wp
 from fermat_pdde.operators import (
     LinearPDOperator,
     PDDEProblem,
@@ -33,6 +33,7 @@ from fermat_pdde.problemfile import load_problem
 from fermat_pdde.verify import SamplingPolicy, check_residual, estimate_order, verify_problem
 
 from conftest import disc_points
+from oracle import evaluate, fd_partial
 from test_construct import ALL_FORMS, random_family_draw
 from test_elliptic import sample_cell_points
 from test_periodic import ambient_shift

@@ -5,11 +5,12 @@ from hypothesis import given, settings
 from fermat_pdde.backends import default_backend, eval_batch
 from fermat_pdde.elliptic import default_context
 from fermat_pdde.errors import EvalError, MissingEllipticContextError, PDDEError, PoleHitError
-from fermat_pdde.expr import Div, Pow, Var, evaluate
+from fermat_pdde.expr import Div, Pow, Var
 from fermat_pdde.parser import parse
 from fermat_pdde.tape import compile_expr
 
 from conftest import disc_points
+from oracle import evaluate
 from test_expr import F_EX1, F_EX4, exprs
 
 

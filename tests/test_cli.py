@@ -100,6 +100,15 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "policy" in err and next(iter(policy)) in err
 
+    @pytest.mark.parametrize("component", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_non_finite_shift_is_malformed_input(self, fixtures_dir, tmp_path, capsys, component):
+        data = json.loads((fixtures_dir / "example4.json").read_text())
+        data["c"][1] = [component, 0]  # written as NaN, Infinity or a 401-digit integer
+        path = tmp_path / "shift.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("verify", str(path)) == 2
+        assert "c[1]" in capsys.readouterr().err
+
     def test_negative_seed_flag_is_malformed_input(self, fixtures_dir, capsys):
         assert run_cli("verify", str(fixtures_dir / "example4.json"), "--seed", "-1") == 2
         assert "seed" in capsys.readouterr().err
@@ -168,6 +177,14 @@ class TestConstructCommand:
 
     def test_dimension_mismatch(self, capsys):
         assert run_cli("construct", "--theorem", "t1-ii", "--c", "0,1", "--n", "3") == 2
+
+    @pytest.mark.parametrize("c,message", [
+        ("0,1e400*i,pi*i", "overflows"),
+        ("0,1e300*1e300*i,pi*i", "must be finite"),
+    ])
+    def test_non_finite_shift_is_malformed_input(self, capsys, c, message):
+        assert run_cli("construct", "--theorem", "t1-ii", "--c", c) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestOrderCommand:

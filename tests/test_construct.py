@@ -17,7 +17,7 @@ from fermat_pdde.construct import (
     construct_t2,
 )
 from fermat_pdde.errors import ConstructionError
-from fermat_pdde.expr import Const, Wp, evaluate
+from fermat_pdde.expr import Const, Wp
 from fermat_pdde.operators import PDDEProblem, residual, scale_terms
 from fermat_pdde.parser import parse
 from fermat_pdde.periodic import make_periodic, make_polynomial_quasi_periodic, make_quasi_periodic

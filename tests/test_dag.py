@@ -27,14 +27,13 @@ from fermat_pdde.expr import (
     Var,
     Wp,
     WpPrime,
-    evaluate,
-    fd_partial,
     partial,
 )
 from fermat_pdde.parser import parse
 from fermat_pdde.tape import OP_WP, compile_expr
 
 from conftest import disc_points
+from oracle import evaluate, fd_partial
 
 N = 3
 ELL = default_context()

@@ -11,7 +11,6 @@ from fermat_pdde.expr import (
     Pow,
     Var,
     directional_derivative,
-    evaluate,
     fold_constants,
     partial,
     shift,
@@ -31,6 +30,7 @@ from fermat_pdde.parser import parse
 from fermat_pdde.verify import SamplingPolicy, check_residual
 
 from conftest import disc_points, rel_err
+from oracle import evaluate
 from test_expr import F_EX4
 
 PI = math.pi

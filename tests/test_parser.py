@@ -16,12 +16,12 @@ from fermat_pdde.expr import (
     Var,
     Wp,
     WpPrime,
-    evaluate,
     to_string,
 )
 from fermat_pdde.parser import parse
 
 from conftest import disc_points, rel_err
+from oracle import evaluate
 from test_expr import eval_ok, exprs
 
 
@@ -131,6 +131,12 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ParseError):
             parse("", 1)
+
+    @pytest.mark.parametrize("text", ["1e400", "z1 + 2e308*z1", "1e999999"])
+    def test_overflowing_literal(self, text):
+        with pytest.raises(ParseError) as exc:
+            parse(text, 1)
+        assert "overflows" in str(exc.value)
 
     def test_bad_dimension(self):
         with pytest.raises(ParseError):

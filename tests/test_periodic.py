@@ -5,7 +5,7 @@ import pytest
 
 from fermat_pdde.backends import eval_batch
 from fermat_pdde.errors import ConstructionError
-from fermat_pdde.expr import Const, Exp, evaluate, shift, uses_wp
+from fermat_pdde.expr import Const, Exp, shift, uses_wp
 from fermat_pdde.operators import LinearPDOperator, apply_linear_operator
 from fermat_pdde.periodic import (
     PeriodicSpec,
@@ -16,6 +16,7 @@ from fermat_pdde.periodic import (
 )
 
 from conftest import disc_points, rel_err
+from oracle import evaluate
 
 PI = math.pi
 

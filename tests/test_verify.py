@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -198,6 +199,16 @@ class TestCheckResidual:
         assert rep.points_tested == 50
         assert not rep.passed
         assert rep.max_rel_residual == pytest.approx(1 / (1.5 * math.sqrt(2)), rel=1e-15)
+
+    def test_overflowing_residual_modulus_reads_inf(self):
+        # |1e308 + 1e308*z1| exceeds the largest double at surviving points:
+        # inf is the correctly rounded max_abs, while the ratio stays finite
+        res = Const(1e308) + Const(1e308) * Var(1)
+        rep = check_residual(res, [Const(1e308)], SamplingPolicy(samples=50), 1)
+        assert rep.points_tested > 0
+        assert rep.max_abs_residual == math.inf
+        assert math.isfinite(rep.max_rel_residual)
+        assert rep.max_rel_residual > sys.float_info.max / 1e308
 
     def test_report_serialization_deterministic(self):
         p = example1_problem()
