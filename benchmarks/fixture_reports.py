@@ -8,7 +8,11 @@ digest of their own: the fixtures use no wp, so their digest shows
 whether a change moved a non-wp report by a single bit, while the pair
 digest shows whether the wp-heavy cubic reports moved.  Running it on two
 commits and comparing the outputs (or just the digests) tells which
-reports changed:
+reports changed.
+
+It also checks the verdicts: one count line per fixture and pair goes to
+stderr, and the script exits 1 when a fixture's verdict differs from its
+`expected_status` (`inconsistent` expects fail) or a Fermat pair fails:
 
     PYTHONPATH=src python benchmarks/fixture_reports.py > reports.jsonl
     PYTHONPATH=src python benchmarks/fixture_reports.py --samples 20000 --seeds 0-4
@@ -21,6 +25,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,6 +43,19 @@ FERMAT_PAIRS = (
 )
 
 
+#: the verdict each `expected_status` of a problem file calls for
+EXPECTED_VERDICT = {"pass": "pass", "fail": "fail", "inconsistent": "fail"}
+
+
+def _tally(label: str, verdicts: list[str], expected: str | None) -> int:
+    """Print one count line to stderr; return how many verdicts are not `expected`."""
+    passed = verdicts.count("pass")
+    wrong = 0 if expected is None else sum(v != expected for v in verdicts)
+    print(f"{label}: {passed} pass, {len(verdicts) - passed} fail "
+          f"(expected {expected or 'either'}: {wrong} unexpected)", file=sys.stderr)
+    return wrong
+
+
 def _line(digest, record: dict) -> None:
     line = json.dumps(record)
     digest.update(line.encode() + b"\n")
@@ -50,7 +68,7 @@ def _fermat_report(kind: str, h: str, n: int, seed: int, radius: float, samples:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli_main(argv)
-    if code != 0:
+    if code not in (0, 1):  # 1 is a failed verdict, which the caller counts
         raise SystemExit(f"fermat {' '.join(argv)} exited {code}")
     return json.loads(out.getvalue())["report"]
 
@@ -64,35 +82,44 @@ def main() -> None:
     lo, hi = (int(x) for x in args.seeds.split("-"))
     radii = [float(r) for r in args.radii.split(",")]
 
+    wrong = 0
     digest = hashlib.sha256()
     for path in sorted(FIXTURES.glob("*.json")):
         lp = load_problem(path)
         res = residual(lp.problem, lp.f)
         scales = scale_terms(lp.problem, lp.f)
+        verdicts = []
         for seed in range(lo, hi + 1):
             for radius in radii:
                 policy = replace(lp.policy, seed=seed, radius=radius, samples=args.samples)
                 rep = check_residual(res, scales, policy, lp.problem.n)
+                verdicts.append(rep.verdict)
                 _line(digest, {
                     "fixture": path.stem, "seed": seed, "radius": radius,
                     "verdict": rep.verdict, "tested": rep.points_tested,
                     "skipped": rep.points_skipped, "max_abs": repr(rep.max_abs_residual),
                     "max_rel": repr(rep.max_rel_residual),
                 })
+        wrong += _tally(path.stem, verdicts, EXPECTED_VERDICT.get(lp.expected_status))
     print(json.dumps({"sha256": digest.hexdigest()}))
 
     digest = hashlib.sha256()
     for kind, h, n in FERMAT_PAIRS:
+        verdicts = []
         for seed in range(lo, hi + 1):
             for radius in radii:
                 rep = _fermat_report(kind, h, n, seed, radius, args.samples)
+                verdicts.append(rep["verdict"])
                 _line(digest, {
                     "pair": kind, "h": h, "seed": seed, "radius": radius,
                     "verdict": rep["verdict"], "tested": rep["points_tested"],
                     "skipped": rep["points_skipped"], "max_abs": repr(rep["max_abs_residual"]),
                     "max_rel": repr(rep["max_rel_residual"]),
                 })
+        wrong += _tally(f"{kind} {h}", verdicts, "pass")
     print(json.dumps({"fermat_sha256": digest.hexdigest()}))
+    if wrong:
+        raise SystemExit(f"{wrong} verdicts differ from the expected ones")
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import math
 import os
 import sys
 
@@ -28,7 +29,7 @@ from .construct import (
     T1Params,
     T2Params,
 )
-from .errors import EstimationError, PDDEError, ParseError
+from .errors import EstimationError, PDDEError, ParseError, ProblemSpecError
 from .expr import Const, Expr, Wp, to_string
 from .operators import PDDEProblem
 from .parser import parse
@@ -79,6 +80,16 @@ def _parse_constant(text: str, what: str) -> complex:
 
 def _parse_c(text: str) -> tuple[complex, ...]:
     return tuple(_parse_constant(p.strip(), "shift component") for p in text.split(","))
+
+
+def _parse_radii(text: str) -> tuple[float, ...]:
+    try:
+        radii = tuple(float(r) for r in text.split(","))
+    except ValueError:
+        radii = ()
+    if not radii or not all(math.isfinite(r) and r > 0 for r in radii):
+        raise ProblemSpecError(f"--radii must be comma-separated positive finite numbers, got {text!r}")
+    return radii
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -180,9 +191,7 @@ def cmd_order(args) -> int:
             raise ParseError("--n is required when the target is an expression", 0)
         f, n = parse(target, args.n), args.n
         label = target
-    radii = None
-    if args.radii:
-        radii = tuple(float(r) for r in args.radii.split(","))
+    radii = _parse_radii(args.radii) if args.radii else None
     est = estimate_order(f, n, radii=radii, directions=args.directions, seed=args.seed)
     payload = {"target": label, "estimate": est.to_dict()}
     _emit(args, payload, [f"target: {label}"] + est.to_text().splitlines())

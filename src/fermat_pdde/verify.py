@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -80,7 +81,9 @@ class SamplingPolicy:
                 raise ProblemSpecError(f"{name} must be an integer, got {value!r}")
         for name in ("radius", "tol", "pole_eps"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            # compared, not converted: an int too large for a double is rejected, not raised on
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not abs(value) <= sys.float_info.max):
                 raise ProblemSpecError(f"{name} must be a finite number, got {value!r}")
         if self.samples < 1:
             raise ProblemSpecError(f"samples must be >= 1, got {self.samples}")
@@ -140,43 +143,78 @@ class VerificationReport:
         return strict_json(self.to_dict())
 
 
+#: most candidate pairs one draw takes: its two work buffers are 128 KiB each
+_MAX_DRAW = 2 * BLOCK
+
+
+def _draw_size(need: int) -> int:
+    """Candidate pairs to draw for `need` accepted ones: 4/3 of it, at most _MAX_DRAW.
+
+    A pair of the square lands in the unit disc with probability pi/4, so
+    4/3 is about 5% more than the expected need.
+    """
+    return min((4 * need + 2) // 3, _MAX_DRAW)
+
+
+def _inside_disc(rng: np.random.Generator, draws: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Draw len(draws) // 2 candidate pairs; return those inside the unit disc.
+
+    `draws` and `squares` are work buffers of the same length.  Candidate
+    k is x + iy with x = 2*d[2k] - 1 and y = 2*d[2k+1] - 1 for the next
+    uniform doubles d of `rng`; it is kept when x*x + y*y < 1.0.
+    """
+    rng.random(out=draws)
+    draws *= 2.0
+    draws -= 1.0
+    np.multiply(draws, draws, out=squares)
+    rad2 = squares[0::2]
+    np.add(rad2, squares[1::2], out=rad2)
+    return draws.view(np.complex128)[rad2 < 1.0]
+
+
 def _point_blocks(policy: SamplingPolicy, n: int):
     """The polydisc sample of `sample_points`, yielded in blocks of at most BLOCK rows.
 
-    u is drawn from `default_rng(seed)`; theta, when there is more than
-    one block, from a second generator of the same seed advanced past the
-    samples*n draws of u.  So block k is rows k*BLOCK.. of the (samples, n)
-    array that one generator gives by drawing all of u and then all of
-    theta, bit for bit.
+    Each block draws about 4/3 of the candidate pairs it still needs (see
+    `_inside_disc`), at most _MAX_DRAW at a time, into two buffers reused
+    for the whole sample; it keeps the first accepted pairs it needs and
+    carries the rest into the next block.  The doubles a generator yields
+    do not depend on how its calls are chunked, so block k is rows
+    k*BLOCK.. of `sample_points`, bit for bit, whatever BLOCK and the draw
+    sizes are.
     """
     if n < 1:
         raise ProblemSpecError(f"dimension must be >= 1, got {n}")
-    u_rng = theta_rng = np.random.default_rng(policy.seed)
-    if policy.samples > BLOCK:  # one block draws theta right after u, with no second generator
-        theta_rng = np.random.default_rng(policy.seed)
-        theta_rng.bit_generator.advance(policy.samples * n)
+    rng = np.random.default_rng(policy.seed)
+    most = _draw_size(min(policy.samples, BLOCK) * n)
+    draws, squares = np.empty(2 * most), np.empty(2 * most)
+    carry = np.empty(0, dtype=np.complex128)
     for lo in range(0, policy.samples, BLOCK):
-        m = min(BLOCK, policy.samples - lo)
-        u = u_rng.random((m, n))
-        theta = theta_rng.random((m, n))
-        theta *= 2.0 * np.pi
-        pts = np.empty((m, n), dtype=np.complex128)
-        np.cos(theta, out=pts.real)
-        np.sin(theta, out=pts.imag)
-        np.sqrt(u, out=u)
-        u *= policy.radius
-        pts.real *= u
-        pts.imag *= u
-        yield pts
+        pts = np.empty(min(BLOCK, policy.samples - lo) * n, dtype=np.complex128)
+        have = min(carry.size, pts.size)
+        pts[:have] = carry[:have]
+        carry = carry[have:]
+        while have < pts.size:
+            k = _draw_size(pts.size - have)
+            fresh = _inside_disc(rng, draws[: 2 * k], squares[: 2 * k])
+            take = min(fresh.size, pts.size - have)
+            pts[have : have + take] = fresh[:take]
+            carry = fresh[take:].copy()  # copied: between blocks only the surplus is held
+            have += take
+        pts.view(np.float64)[...] *= policy.radius  # radius * x and radius * y
+        yield pts.reshape(-1, n)
 
 
 def sample_points(policy: SamplingPolicy, n: int) -> np.ndarray:
     """(samples, n) array; every coordinate uniform on the disc of the policy radius.
 
-    The value is radius * sqrt(u) * exp(2j*pi*theta) for uniform u and
-    theta, computed in place: cos and sin of 2*pi*theta go straight into
-    the real and imaginary parts, which are then scaled.  The checks draw
-    the same points block by block and never hold the whole array.
+    One generator, `default_rng(seed)`, yields doubles d0, d1, ...; pair
+    k is the candidate x + iy with x = 2*d(2k) - 1 and y = 2*d(2k+1) - 1,
+    accepted when x*x + y*y < 1.0 (rejection from the square, with no
+    cos, sin or sqrt).  Coordinate j of point i is radius * (x + iy) of
+    accepted pair i*n + j.  So a sample of S points is the first S rows of
+    every larger sample of the same seed and radius.  The checks draw the
+    same points block by block and never hold the whole array.
     """
     return np.concatenate(list(_point_blocks(policy, n)))
 
@@ -369,8 +407,8 @@ def estimate_order(
     is only meaningful for candidates that are entire on the sample.
     """
     radii = tuple(float(r) for r in (radii if radii is not None else default_radii()))
-    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
-        raise EstimationError("need at least two strictly increasing radii")
+    if len(radii) < 2 or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise EstimationError("need at least two strictly increasing positive radii")
     if directions < 1:
         raise EstimationError("need at least one direction")
     ell = default_context() if uses_wp(f) else None

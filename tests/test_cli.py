@@ -91,11 +91,13 @@ class TestVerifyCommand:
         {"seed": -1}, {"seed": 1.5},
         {"tol": float("inf")}, {"radius": float("inf")},
         {"pole_eps": -1.0}, {"pole_eps": float("inf")},
+        {"radius": 10**400}, {"tol": 10**400}, {"pole_eps": 10**400},
     ])
     def test_malformed_policy_is_malformed_input(self, fixtures_dir, tmp_path, capsys, policy):
         data = json.loads((fixtures_dir / "example4.json").read_text())
         path = tmp_path / "policy.json"
-        path.write_text(json.dumps({**data, "policy": policy}))  # inf is written as Infinity
+        # inf is written as Infinity, 10**400 as a 401-digit integer
+        path.write_text(json.dumps({**data, "policy": policy}))
         assert run_cli("verify", str(path)) == 2
         err = capsys.readouterr().err
         assert "policy" in err and next(iter(policy)) in err
@@ -209,6 +211,11 @@ class TestOrderCommand:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["estimate"]["rho_hat"] <= 0.2
+
+    @pytest.mark.parametrize("radii", ["a,b", "4,x", "4,,8", "4,inf", "nan,8", "4,1e400", "-8,-4", "0,4"])
+    def test_malformed_radii_are_malformed_input(self, capsys, radii):
+        assert run_cli("order", "z1", "--n", "1", f"--radii={radii}") == 2
+        assert "--radii" in capsys.readouterr().err
 
     def test_estimation_failure_exits_one(self, capsys):
         # circles inside the wp pole guard: estimation must abort, not lie

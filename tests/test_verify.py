@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fermat_pdde import verify
 from fermat_pdde.backends import BLOCK, eval_batch
 from fermat_pdde.errors import EstimationError, ProblemSpecError
 from fermat_pdde.expr import Const, Div, Neg, Var, Add
@@ -31,6 +32,16 @@ PI = math.pi
 
 #: sample counts around the block boundaries of the streamed checks
 BLOCK_COUNTS = (1, 12, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)
+
+
+def disc_reference(samples, n, radius, seed):
+    """The sample by its definition: rejection from the square on one large draw."""
+    d = 2.0 * np.random.default_rng(seed).random(4 * samples * n + 64) - 1.0
+    x, y = d[0::2], d[1::2]
+    inside = x * x + y * y < 1.0
+    z = radius * (x[inside] + 1j * y[inside])
+    assert z.size >= samples * n
+    return z[: samples * n].reshape(samples, n)
 
 
 def _reject_constant(token):
@@ -81,26 +92,45 @@ class TestSamplePoints:
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     @pytest.mark.parametrize("radius", [1.1, 1.2, 2.0, 8.0])
-    def test_bit_equal_to_polar_formula(self, n, radius):
+    def test_bit_equal_to_rejection_from_the_square(self, n, radius):
         for seed in (0, 1, 42):
-            rng = np.random.default_rng(seed)
-            u = rng.random((300, n))
-            theta = rng.random((300, n))
-            expect = radius * np.sqrt(u) * np.exp(2j * np.pi * theta)
+            expect = disc_reference(300, n, radius, seed)
             got = sample_points(SamplingPolicy(samples=300, radius=radius, seed=seed), n)
             assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
     @pytest.mark.parametrize("n", [1, 2, 7])
-    @pytest.mark.parametrize("samples", [BLOCK + 1, 3 * BLOCK + 5])
-    def test_bit_equal_to_one_generator_across_blocks(self, n, samples):
-        # the blocks draw theta from a second generator advanced past u;
-        # the points must be those of one generator drawing u, then theta
-        rng = np.random.default_rng(7)
-        u = rng.random((samples, n))
-        theta = rng.random((samples, n))
-        expect = 2.0 * np.sqrt(u) * np.exp(2j * np.pi * theta)
+    @pytest.mark.parametrize("samples", BLOCK_COUNTS)
+    def test_bit_equal_to_one_draw_across_blocks(self, n, samples):
+        # the blocks draw candidates in pieces and carry the surplus; the
+        # points must be those that one large draw gives
+        expect = disc_reference(samples, n, 2.0, 7)
         got = sample_points(SamplingPolicy(samples=samples, seed=7), n)
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("samples", BLOCK_COUNTS)
+    def test_sample_is_a_prefix_of_a_larger_sample(self, n, samples):
+        big = sample_points(SamplingPolicy(samples=3 * BLOCK + 5, radius=3.0, seed=13), n)
+        got = sample_points(SamplingPolicy(samples=samples, radius=3.0, seed=13), n)
+        assert np.array_equal(got.view(np.uint64), big[:samples].view(np.uint64))
+
+    @pytest.mark.parametrize("block, max_draw", [(5, 1), (5, 3), (BLOCK, 1), (BLOCK, 1000)])
+    def test_block_and_draw_sizes_do_not_change_the_sample(self, monkeypatch, block, max_draw):
+        policy = SamplingPolicy(samples=BLOCK + 1, seed=19)
+        expect = sample_points(policy, 2)
+        monkeypatch.setattr(verify, "BLOCK", block)
+        monkeypatch.setattr(verify, "_MAX_DRAW", max_draw)
+        got = sample_points(policy, 2)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("radius", [1.1, 8.0])
+    def test_uniform_on_each_coordinate_disc(self, radius):
+        z = sample_points(SamplingPolicy(samples=20_000, radius=radius, seed=23), 3).ravel()
+        # |z|^2 / r^2 is uniform on [0, 1]: mean 1/2, variance 1/12
+        assert abs(np.mean(np.abs(z) ** 2) / radius**2 - 0.5) <= 4 * math.sqrt(1 / 12 / z.size)
+        # each quadrant holds a quarter: binomial with p = 1/4
+        counts = np.bincount(2 * (z.real < 0) + (z.imag < 0), minlength=4)
+        assert np.all(np.abs(counts - z.size / 4) <= 4 * math.sqrt(z.size * 3 / 16)), counts
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     @pytest.mark.parametrize("samples", BLOCK_COUNTS)
@@ -131,6 +161,7 @@ class TestSamplePoints:
         ("radius", math.inf), ("radius", math.nan), ("radius", "2"),
         ("tol", math.inf), ("tol", None),
         ("pole_eps", -1e-8), ("pole_eps", math.inf), ("pole_eps", math.nan),
+        ("radius", 10**400), ("tol", 10**400), ("pole_eps", -10**400),
     ])
     def test_policy_rejects_malformed_values(self, field, value):
         with pytest.raises(ProblemSpecError, match=field):
@@ -320,6 +351,11 @@ class TestEstimateOrder:
             estimate_order(parse("z1", 1), 1, radii=(4.0, 4.0))
         with pytest.raises(EstimationError):
             estimate_order(parse("z1", 1), 1, radii=(4.0,))
+
+    @pytest.mark.parametrize("radii", [(-8.0, -4.0), (-4.0, 4.0), (0.0, 4.0)])
+    def test_needs_positive_radii(self, radii):
+        with pytest.raises(EstimationError, match="positive"):
+            estimate_order(parse("exp(z1) + 2", 1), 1, radii=radii)
 
     def test_pole_past_the_overflow_does_not_raise(self):
         # exp(exp(z1)) overflows from radius 8 on; exp(-z1/10) drops below
