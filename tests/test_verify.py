@@ -100,9 +100,10 @@ class TestSamplePoints:
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     @pytest.mark.parametrize("samples", BLOCK_COUNTS)
-    def test_bit_equal_to_one_draw_across_blocks(self, n, samples):
-        # the blocks draw candidates in pieces and carry the surplus; the
-        # points must be those that one large draw gives
+    def test_bit_equal_to_one_generator_across_blocks(self, n, samples):
+        # the blocks draw candidates in pieces from the sample's one generator
+        # and carry the surplus; the points must be those that one large
+        # draw gives
         expect = disc_reference(samples, n, 2.0, 7)
         got = sample_points(SamplingPolicy(samples=samples, seed=7), n)
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
