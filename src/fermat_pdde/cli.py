@@ -192,6 +192,8 @@ def cmd_order(args) -> int:
         f, n = parse(target, args.n), args.n
         label = target
     radii = _parse_radii(args.radii) if args.radii else None
+    if args.directions < 1:
+        raise ProblemSpecError(f"--directions must be a positive integer, got {args.directions}")
     est = estimate_order(f, n, radii=radii, directions=args.directions, seed=args.seed)
     payload = {"target": label, "estimate": est.to_dict()}
     _emit(args, payload, [f"target: {label}"] + est.to_text().splitlines())

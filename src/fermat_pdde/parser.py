@@ -27,10 +27,16 @@ from .expr import FUNCTIONS, Add, Const, Div, Expr, Mul, Neg, Pow, Var, fold_con
 
 __all__ = ["parse"]
 
+#: one alternative per token kind, tried in this order at each position;
+#: `ws` and `bad` (any other single character) make every character part of
+#: some match, so one scan of the text finds every token and the first bad
+#: character
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z][A-Za-z0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<ws>\s+)"
+    r"|(?P<bad>.)"
 )
 
 
@@ -40,23 +46,18 @@ class _Token(NamedTuple):
     pos: int
 
 
+_new_token = tuple.__new__  # builds a _Token without its Python-level __new__
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad_at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
-        pos = m.end()
-        for kind in ("num", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append(_Token(kind, val, m.start(kind)))
-                break
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[0]!r}", m.start())
+        tokens.append(_new_token(_Token, (kind, m[0], m.start())))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 

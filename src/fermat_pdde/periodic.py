@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import ConstructionError
+from .errors import ConstructionError, ProblemSpecError
 from .expr import Expr, fold_constants
 
 __all__ = [
@@ -52,6 +52,13 @@ MAX_L1 = 3.0
 #: `make_polynomial_quasi_periodic`: shift-invariant terms and their largest power
 INVARIANT_TERMS = 2
 MAX_DEGREE = 2
+
+
+def _generator(seed: int | None) -> np.random.Generator:
+    """`np.random.default_rng(seed)`; a negative seed is malformed input."""
+    if seed is not None and seed < 0:
+        raise ProblemSpecError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _check_basis(basis: str) -> None:
@@ -119,7 +126,7 @@ class PeriodicSpec:
             raise ConstructionError("period vector must be nonzero")
         if k < 1:
             raise ConstructionError(f"term count must be >= 1, got {k}")
-        rng = np.random.default_rng(seed)
+        rng = _generator(seed)
         u = np.conj(cp)
         denom = _bilinear(u, cp)  # = ||c'||^2, real and positive
         freqs = []
@@ -185,7 +192,7 @@ def make_polynomial_quasi_periodic(cprime, c1, seed: int | None = None, basis: s
     if cp.size == 0 or not np.any(cp):
         raise ConstructionError("period vector must be nonzero")
     c1 = complex(c1)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     n = cp.size + 1
     ws = basis_exprs(n, basis)
     u = np.conj(cp)

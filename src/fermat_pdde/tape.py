@@ -39,6 +39,7 @@ fixed once per evaluation from `Tape.fixed_fails`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -56,6 +57,8 @@ OP_DIV = 5
 OP_POWI = 6
 OP_WP = 7  # wp_many of the argument; `arg` is the (wp slot, wp' slot) pair, -1 if unused
 OP_WP_SHARED = 8  # the partner of an OP_WP: its slot is already written
+
+_new = tuple.__new__  # builds an Instr without the Python-level Instr.__new__
 
 _OPCODE = {
     ex.Const: OP_CONST, ex.Var: OP_VAR, ex.Add: OP_ADD, ex.Mul: OP_MUL, ex.Div: OP_DIV,
@@ -97,219 +100,276 @@ class Tape:
     single: bool
 
 
-def _postfix(roots: Sequence[ex.Expr]) -> tuple[list[ex.Expr], list[int]]:
-    """Distinct nodes below the roots, children before parents, first visit first.
+def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
+    """Compile one expression, or a list of roots, to a slot tape.
 
-    Also returns, per node, the position of the first node emitted while
-    visiting it: the nodes a visit emits are contiguous and end with it.
+    One depth-first walk visits each distinct node once, children before
+    parents, and settles everything a node decides on its own: its
+    postfix position, opcode, immediate and instruction argument, the
+    operands its instruction reads (a negation summand past the first is
+    read through its argument and subtracted), its fail index, and the
+    last position that reads each operand.  A negation is emitted when it
+    is a root or when something reads it other than as a folded summand;
+    its readers come after it, so that is known once the walk ends.  Then
+    the sums and products whose operands can fold in early get their fold
+    steps, and one loop over the emitted positions writes the
+    instructions: it takes a slot when an instruction or fold step first
+    writes a node and frees it after the node's last read.
     """
-    order: list[ex.Expr] = []
-    start: list[int] = []
-    seen: set[ex.Expr] = set()
+    single = isinstance(e, ex.Expr)
+    roots = [e] if single else list(e)
+    is_root = set(roots)
+
+    # Per postfix position: (opcode, instruction arg, operand positions
+    # read, fail index) and the last position that reads it (its own if
+    # none does).  The arg of a sum or product is the ufunc folding in
+    # each operand, that of the first of a wp pair whether it is wp'.
+    pos: dict[ex.Expr, int] = {}
+    get = pos.get
+    info: list[tuple] = []
+    last: list[int] = []
+    consts: list = []
+    const_at: list[int] = []  # position of each immediate
+    idle: list[int] = []  # positions of the constants that are no root
+    folded_negs = set()  # negations no reader has emitted so far
+    fixed_fails = []
+    n_fail = 0
+    wide = []  # (position, position when its visit began) of the sums and products to schedule
+    wp_first = {}  # (class, argument position) -> position of a wp node with no partner yet
+    partner = {}  # position of the first node of a wp pair -> that of the second
+    n_min = 0
+
     for root in roots:
         stack = [(root, -1)]
         while stack:
             node, first = stack.pop()
-            if node in seen:
+            if first < 0:
+                if node in pos:
+                    continue
+                first = len(info)
+            kids = node._kids
+            rd = []  # the children's positions, if they are all visited
+            x = 0  # None once a child turns out unvisited
+            for c in kids:
+                x = get(c)
+                if x is None:
+                    break
+                rd.append(x)
+            if x is None:  # visit the unvisited children first, then come back
+                stack.append((node, first))
+                for c in reversed(kids):
+                    if c not in pos:
+                        stack.append((c, -1))
                 continue
-            if first >= 0:
-                seen.add(node)
-                order.append(node)
-                start.append(first)
+
+            i = len(info)
+            try:
+                op = _OPCODE[type(node)]
+            except KeyError:
+                raise TypeError(f"unknown node {node!r}") from None
+            pos[node] = i
+            last.append(i)
+            if not rd:
+                if op == OP_VAR:
+                    info.append((OP_VAR, node.index - 1, rd, -1))
+                    n_min = max(n_min, node.index)
+                else:  # a constant, the empty sum and product included
+                    value = np.complex128(node.value if op == OP_CONST else (0j if op == OP_ADD else 1 + 0j))
+                    info.append((OP_CONST, value, rd, -1))
+                    const_at.append(i)
+                    consts.append(value)
+                    if node not in is_root:
+                        idle.append(i)
                 continue
-            stack.append((node, len(order)))
-            for child in reversed(node._kids):
-                if child not in seen:
-                    stack.append((child, -1))
-    return order, start
+            marks = rd  # operands that are emitted if they are negations
+            placed = True  # its reads happen at its own position
+            fail = -1
+            if op == OP_MUL or op == OP_ADD:
+                if op == OP_MUL:
+                    arg = (np.multiply,) * len(rd)
+                else:
+                    arg = (np.add,) * len(rd)
+                    marks = rd[:1]
+                    for k in range(1, len(rd)):
+                        if type(kids[k]) is ex.Neg:
+                            rd[k] = info[rd[k]][2][0]
+                            arg = (*arg[:k], np.subtract, *arg[k + 1:])
+                if first < i and len(rd) >= 3:  # operands computed in its visit can fold in early
+                    wide.append((i, first))
+                    placed = False  # the schedule places its reads
+                else:
+                    arg = arg[1:]
+            elif op == OP_MAP:
+                arg = node.ufunc
+                if type(node) is ex.Neg and node not in is_root:
+                    folded_negs.add(i)
+                    placed = False
+            elif op == OP_POWI:
+                arg = node.exponent
+                if arg < 0:
+                    fail = n_fail
+            elif op == OP_DIV:
+                fail = n_fail
+                arg = None
+                if info[rd[1]][0] == OP_CONST:  # a quotient by a constant
+                    arg = info[rd[1]][1]
+                    fixed_fails.append((fail, arg))
+            else:  # OP_WP
+                cls = type(node)
+                other = wp_first.pop((ex.WpPrime if cls is ex.Wp else ex.Wp, rd[0]), None)
+                if other is None:
+                    wp_first[cls, rd[0]] = i
+                    arg = cls is ex.WpPrime
+                    fail = n_fail
+                else:  # written by its partner, which reads the argument
+                    partner[other] = i
+                    op = OP_WP_SHARED
+                    arg = None
+                    rd = []
+            if fail >= 0:
+                n_fail += 1
+            if folded_negs and not folded_negs.isdisjoint(marks):
+                for x in marks:
+                    if x in folded_negs:  # a negation read as itself
+                        folded_negs.discard(x)
+                        a = info[x][2][0]
+                        if last[a] < x:
+                            last[a] = x
+            if placed:
+                for x in rd:
+                    last[x] = i
+            info.append((op, arg, rd, fail))
 
+    n = len(info)
+    # the fail indices at or below each node, from the reads before the
+    # schedule rewrites them: a read operand carries those below it, and a
+    # folded negation's argument those of the negation
+    root_fails = ((),) * len(roots)
+    if n_fail:
+        second = {j: i for i, j in partner.items()}
+        fails = []
+        for i, (op, arg, rd, fail) in enumerate(info):
+            below = fails[second[i]] if i in second else 0
+            for x in rd:
+                below |= fails[x]
+            if fail >= 0:
+                below |= 1 << fail
+            fails.append(below)
+        root_fails = tuple(
+            tuple(f for f in range(n_fail) if fails[pos[root]] >> f & 1) for root in roots
+        )
 
-def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
-    """Compile one expression, or a list of roots, to a slot tape."""
-    single = isinstance(e, ex.Expr)
-    roots = [e] if single else list(e)
-    order, start = _postfix(roots)
-    pos = {node: i for i, node in enumerate(order)}
-    code = [_OPCODE.get(type(node), -1) for node in order]
-    if -1 in code:
-        raise TypeError(f"unknown node {order[code.index(-1)]!r}")
-    kids = [[pos[c] for c in node._kids] for node in order]
-    is_neg = [type(node) is ex.Neg for node in order]
-    is_root = [False] * len(order)
-    for root in roots:
-        is_root[pos[root]] = True
-
-    # ref[x] is the operand index of node x.  Constants, the empty sum and
-    # the empty product included, are numbered first, as immediates;
-    # alloc numbers slots after them.  A constant is emitted only as a
-    # root.  reads[i] lists the nodes node i's instruction reads and
-    # folds[i], for sums and products, the ufunc folding in each of them
-    # after the first.  A negation summand past the first is read through
-    # its argument and subtracted; the negation is emitted only if it is a
-    # root or something else reads it (its readers come after it).
-    consts = []
-    ref = [-1] * len(order)
-    emit = [True] * len(order)
-    reads = list(kids)
-    folds: dict[int, list] = {}
-    for i, node in enumerate(order):
-        c = code[i]
-        ks = kids[i]
-        if c == OP_CONST or (not ks and c in (OP_ADD, OP_MUL)):
-            code[i] = OP_CONST
-            ref[i] = len(consts)
-            consts.append(np.complex128(node.value if c == OP_CONST else (0j if c == OP_ADD else 1 + 0j)))
-            emit[i] = is_root[i]
-            continue
-        if is_neg[i]:
-            emit[i] = is_root[i]
-        elif c == OP_ADD:
-            fs = folds[i] = [np.add] * len(ks)
-            for k in range(1, len(ks)):
-                if is_neg[ks[k]]:
-                    if reads[i] is ks:
-                        reads[i] = list(ks)
-                    reads[i][k] = kids[ks[k]][0]
-                    fs[k] = np.subtract
-            ks = ks[:1]
-        elif c == OP_MUL:
-            folds[i] = [np.multiply] * len(ks)
-        for x in ks:
-            if is_neg[x]:
-                emit[x] = True
-    base = len(consts)
-
-    # the wp partner of each Wp/WpPrime node that has one in this DAG
-    wp_nodes = {(type(node), node.arg): i for i, node in enumerate(order) if code[i] == OP_WP}
-    partner = {}
-    for (kind, arg), i in wp_nodes.items():
-        other = wp_nodes.get((ex.WpPrime if kind is ex.Wp else ex.Wp, arg))
-        if other is not None:
-            partner[i] = other
+    emit = [True] * n
+    for x in idle:
+        emit[x] = False
+    for x in folded_negs:
+        emit[x] = False
+    ref = [-1] * n  # operand index: an immediate's now, a slot once written
+    for k, x in enumerate(const_at):
+        ref[x] = k
+        last[x] = n  # an immediate is never freed
 
     # Schedule. A sum or product of K >= 3 operands folds its operands
     # left to right into its own slot as soon as both sides are ready, but
     # not before its visit starts (operands computed earlier are old and
-    # live anyway).  Steps that fall before the node's own instruction are
-    # attached to the first instruction after both sides are ready; the
-    # node's own instruction folds the rest.  A wide sum of fresh terms
-    # then holds one term at a time instead of all of them.  Immediates
-    # are ready from the start.
-    early: dict[int, list[tuple[int, int]]] = {}  # position -> (node, k)
-    own = list(reads)  # operands the node's own instruction reads
-    for i, j in partner.items():
-        if j < i:  # the second of a wp pair reads nothing
-            own[i] = []
-    for i in folds:
-        ks = reads[i]
-        if len(ks) < 3:
-            continue
-        t = max(start[i], -1 if code[ks[0]] == OP_CONST else ks[0])
+    # live anyway; one whose visit emitted nothing before it has only old
+    # operands and is left to its own instruction by the walk).  Steps
+    # that fall before the node's own instruction are attached to the
+    # first instruction after both sides are ready; the node's own
+    # instruction then reads its own slot and folds in the rest.  A wide
+    # sum of fresh terms holds one term at a time instead of all of them.
+    # Immediates are ready from the start, and every other operand is
+    # emitted.
+    early: list = [None] * n  # position -> its steps: (ufunc, node, left, right operand positions)
+    for i, t in wide:
+        op, folds, ks, fail = info[i]
+        x = ks[0]
+        if x > t and ref[x] < 0:
+            t = x
         done = 0
         for k in range(1, len(ks) - 1):
-            if code[ks[k]] != OP_CONST:
-                t = max(t, ks[k])
-            while not emit[t]:
+            x = ks[k]
+            if x > t and ref[x] < 0:
+                t = x
+            elif not emit[t]:  # a fresh operand is emitted, so only t = the visit's start gets here
                 t += 1
-            if t >= i:
-                break
-            early.setdefault(t, []).append((i, k))
+                while not emit[t]:
+                    t += 1
+                if t >= i:
+                    break
+            step = (folds[k], i, ks[0] if k == 1 else i, x)
+            if early[t] is None:
+                early[t] = [step]
+            else:
+                early[t].append(step)
+            if last[x] < t:
+                last[x] = t
+            if k == 1 and last[ks[0]] < t:
+                last[ks[0]] = t
             done = k
+        for x in ks[done + 1 if done else 0:]:
+            if last[x] < i:
+                last[x] = i
         if done:
-            own[i] = [i] + ks[done + 1:]
+            info[i] = (op, folds[done + 1:], [i, *ks[done + 1:]], fail)
+        else:
+            info[i] = (op, folds[1:], ks, fail)
 
-    # position of the last read of each emitted node.  Reads of a
-    # constant are immediates and do not count.
-    last = list(range(len(order)))
-    for i, ks in enumerate(own):
-        if emit[i]:
-            for k in ks:
-                last[k] = i
-    for t, steps in early.items():
-        for a, k in steps:
-            for x in (reads[a][0], reads[a][k]) if k == 1 else (reads[a][k],):
-                last[x] = max(last[x], t)
-    dies_at: dict[int, list[int]] = {}
-    for x, t in enumerate(last):
-        if emit[x] and code[x] != OP_CONST:
-            dies_at.setdefault(t, []).append(x)
-    outs: dict[int, list[int]] = {}
+    outs: list = [()] * n
     for r, root in enumerate(roots):
-        outs.setdefault(pos[root], []).append(r)
+        outs[pos[root]] += (r,)
 
+    # Emit.  A slot is taken from the free list (last freed first) or is
+    # new, and is freed after the last read of its node: the slots of
+    # nodes whose last read comes later wait in `dies` under its position.
+    base = len(consts)
     free: list[int] = []
+    dies: list = [None] * (n + 1)
     n_slots = 0
 
-    def alloc(x: int) -> int:
+    def take() -> int:
         nonlocal n_slots
-        if ref[x] < 0:
-            if free:
-                ref[x] = free.pop()
-            else:
-                ref[x] = base + n_slots
-                n_slots += 1
-        return ref[x]
+        if free:
+            return free.pop()
+        n_slots += 1
+        return base + n_slots - 1
 
     ops: list[Instr] = []
-    fails = [0] * len(order)  # bitset of fail indices below each node
-    fixed_fails = []
-    n_fail = 0
-    n_min = 0
-    for i, node in enumerate(order):
-        below = 0
-        for k in kids[i]:
-            below |= fails[k]
-        if not emit[i]:
-            fails[i] = below
-            continue
-        dst = alloc(i)
-        src = tuple([ref[k] for k in own[i]])
-        op, arg, fail = code[i], None, -1
-        if partner.get(i, i) < i:  # written by its partner
-            op = OP_WP_SHARED
-            below = fails[partner[i]]
-        elif op == OP_CONST:  # a root: its immediate fills the output row
-            arg = consts[dst]
-        elif op == OP_VAR:
-            arg = node.index - 1
-            n_min = max(n_min, node.index)
-        elif op == OP_MAP:
-            arg = node.ufunc
-        elif op == OP_ADD or op == OP_MUL:  # how each operand after the first is folded in
-            arg = tuple(folds[i][len(reads[i]) - len(src) + 1:])
-        elif op == OP_DIV:
-            fail = n_fail
-            if code[kids[i][1]] == OP_CONST:
-                arg = consts[ref[kids[i][1]]]
-                fixed_fails.append((fail, arg))
-        elif op == OP_POWI:
-            arg = node.exponent
-            if arg < 0:
-                fail = n_fail
-        elif op == OP_WP:
-            fail = n_fail
+    for i in compress(range(n), emit):
+        op, arg, rd, fail = info[i]
+        dst = ref[i]
+        if dst < 0:
+            dst = ref[i] = take()
+        src = []
+        for x in rd:
+            src.append(ref[x])
+        if op == OP_WP:  # the (wp slot, wp' slot) pair; the partner's slot is taken now
             pair = [-1, -1]
-            pair[isinstance(node, ex.WpPrime)] = dst
-            if i in partner:
-                pair[isinstance(order[partner[i]], ex.WpPrime)] = alloc(partner[i])
+            pair[arg] = dst
+            j = partner.get(i)
+            if j is not None:
+                pair[not arg] = ref[j] = take()
             arg = tuple(pair)
-        if fail >= 0:
-            n_fail += 1
-            below |= 1 << fail
-        fails[i] = below
         steps = ()
-        if i in early:
-            steps = tuple(
-                (folds[a][k], alloc(a), ref[reads[a][0]] if k == 1 else ref[a], ref[reads[a][k]])
-                for a, k in early[i]
-            )
-        ops.append(Instr(op, dst, src, arg, fail, tuple(outs.get(i, ())), steps))
-        for x in dies_at.get(i, ()):
-            free.append(ref[x])
+        if early[i] is not None:
+            steps = []
+            for fold, a, left, right in early[i]:
+                acc = ref[a]
+                if acc < 0:
+                    acc = ref[a] = take()
+                steps.append((fold, acc, ref[left], ref[right]))
+            steps = tuple(steps)
+        ops.append(_new(Instr, (op, dst, tuple(src), arg, fail, outs[i], steps)))
+        if dies[i] is not None:
+            free.extend(dies[i])
+        t = last[i]
+        if t == i:
+            free.append(dst)
+        elif dies[t] is None:
+            dies[t] = [dst]
+        else:
+            dies[t].append(dst)
 
-    root_fails = tuple(
-        tuple(f for f in range(n_fail) if fails[pos[root]] >> f & 1) for root in roots
-    )
     return Tape(
         ops=tuple(ops),
         n_slots=max(n_slots, 1),
@@ -318,6 +378,6 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
         fixed_fails=tuple(fixed_fails),
         root_fails=root_fails,
         n_min=n_min,
-        has_wp=bool(wp_nodes),
+        has_wp=bool(wp_first or partner),
         single=single,
     )

@@ -317,17 +317,21 @@ def _zero_candidates(e: Expr) -> list[Expr]:
 def is_identically_zero(e: Expr, n: int, tol: float = 1e-10) -> bool:
     """Sampling test for e vanishing identically on a polydisc.
 
-    Products, quotients and positive powers are split first: e vanishes
-    iff one of its `_zero_candidates` does.  A sum counts as zero when
-    |sum| <= tol * max |summand| at every probe point, any other leaf only
-    when it is exactly zero.  So a tiny nonzero expression is not mistaken
-    for zero and huge terms that cancel to roundoff are, also inside a
-    product.
+    An expression that folds to a constant is decided without a probe: it
+    is zero iff its value == 0, so 0 and -0.0 are and a subnormal, NaN or
+    inf is not (the answers the probe gives them).  Products, quotients
+    and positive powers are split first: e vanishes iff one of its
+    `_zero_candidates` does.  A sum counts as zero when |sum| <= tol *
+    max |summand| at every probe point, any other leaf only when it is
+    exactly zero.  So a tiny nonzero expression is not mistaken for zero
+    and huge terms that cancel to roundoff are, also inside a product.
     Holomorphic functions in this expression class that vanish on a dozen
     generic points of a polydisc (the fixed probe: 12 points of the
     radius-1.1 polydisc) are identically zero for our purposes.
     """
     e = fold_constants(e)
+    if isinstance(e, ex.Const):  # nothing to sample: the probe would answer value == 0
+        return e.value == 0
     roots = [e]  # evaluated only for its pole mask: denominators are no candidates
     groups = []
     for cand in _zero_candidates(e):
@@ -411,6 +415,8 @@ def estimate_order(
         raise EstimationError("need at least two strictly increasing positive radii")
     if directions < 1:
         raise EstimationError("need at least one direction")
+    if seed is not None and seed < 0:
+        raise ProblemSpecError(f"seed must be >= 0, got {seed}")
     ell = default_context() if uses_wp(f) else None
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((directions, n)) + 1j * rng.standard_normal((directions, n))

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BENCHMARKS = FIXTURES.parent / "benchmarks"
 
 
 @pytest.fixture(scope="session")
@@ -25,3 +27,11 @@ def rel_err(actual, expected) -> float:
     actual = complex(actual)
     expected = complex(expected)
     return abs(actual - expected) / max(1.0, abs(expected))
+
+
+def load_script(name: str):
+    """The module of `benchmarks/<name>.py`, imported without running its main()."""
+    spec = importlib.util.spec_from_file_location(f"benchmarks_{name}", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

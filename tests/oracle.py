@@ -1,13 +1,16 @@
-"""Scalar reference evaluator for expressions, independent of the tape.
+"""Reference implementations the tests hold the package against.
 
 `evaluate` walks the expression tree in Python complex arithmetic, one
 point at a time, and `fd_partial` takes central differences of it.  The
 package evaluates only through the compiled tape (`fermat_pdde.backends`);
-the tests hold its values and derivatives against these.
+the tests hold its values and derivatives against these.  `tokenize`
+splits text into tokens by matching one token at a time, as the parser
+did before it scanned the whole text with one pattern.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 import numpy as np
@@ -16,6 +19,7 @@ from fermat_pdde.errors import (
     DimensionError,
     EvalError,
     MissingEllipticContextError,
+    ParseError,
     PoleHitError,
 )
 from fermat_pdde.expr import (
@@ -37,7 +41,7 @@ from fermat_pdde.expr import (
     uses_wp,
 )
 
-__all__ = ["evaluate", "fd_partial"]
+__all__ = ["evaluate", "fd_partial", "tokenize"]
 
 
 def _ipow(base: complex, k: int, pole_eps: float) -> complex:
@@ -133,3 +137,32 @@ def fd_partial(e: Expr, j: int, point: Sequence[complex], step: float = 1e-5, el
     up[j - 1] += step
     dn[j - 1] -= step
     return (evaluate(e, up, ell=ell) - evaluate(e, dn, ell=ell)) / (2.0 * step)
+
+
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then ("end", "", len(text)).
+
+    Raises ParseError at the first character that starts no token.
+    """
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            stripped = text[pos:].lstrip()
+            if not stripped:
+                break
+            bad_at = len(text) - len(stripped)
+            raise ParseError(f"unexpected character {text[bad_at]!r}", bad_at)
+        pos = m.end()
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    tokens.append(("end", "", len(text)))
+    return tokens

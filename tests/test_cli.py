@@ -177,6 +177,11 @@ class TestConstructCommand:
         assert code == 2
         assert "tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theorem,c", [("t1-ii", "0,pi*i,pi*i"), ("t1-i", "14,1,3,5")])
+    def test_negative_generator_seed_is_malformed_input(self, capsys, theorem, c):
+        assert run_cli("construct", "--theorem", theorem, "--c", c, "--gen-seed", "-1") == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
     def test_dimension_mismatch(self, capsys):
         assert run_cli("construct", "--theorem", "t1-ii", "--c", "0,1", "--n", "3") == 2
 
@@ -216,6 +221,15 @@ class TestOrderCommand:
     def test_malformed_radii_are_malformed_input(self, capsys, radii):
         assert run_cli("order", "z1", "--n", "1", f"--radii={radii}") == 2
         assert "--radii" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("directions", ["0", "-5"])
+    def test_non_positive_directions_are_malformed_input(self, capsys, directions):
+        assert run_cli("order", "z1", "--n", "1", f"--directions={directions}") == 2
+        assert f"--directions must be a positive integer, got {directions}" in capsys.readouterr().err
+
+    def test_negative_seed_is_malformed_input(self, capsys):
+        assert run_cli("order", "z1", "--n", "1", "--seed", "-3") == 2
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
 
     def test_estimation_failure_exits_one(self, capsys):
         # circles inside the wp pole guard: estimation must abort, not lie

@@ -1,17 +1,23 @@
 """Hash-consed expressions and the multi-output slot tape."""
 
 import copy
+import dataclasses
 import gc
+import hashlib
+import json
 import pickle
+import struct
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fermat_pdde import expr as ex
+from fermat_pdde import verify
 from fermat_pdde.backends import BLOCK, eval_batch
+from fermat_pdde.cli import main as cli_main
 from fermat_pdde.elliptic import default_context
 from fermat_pdde.errors import EvalError, PoleHitError
 from fermat_pdde.expr import (
@@ -30,9 +36,10 @@ from fermat_pdde.expr import (
     partial,
 )
 from fermat_pdde.parser import parse
-from fermat_pdde.tape import OP_WP, compile_expr
+from fermat_pdde import tape as tp
+from fermat_pdde.tape import OP_WP, Tape, compile_expr
 
-from conftest import disc_points
+from conftest import FIXTURES, disc_points, load_script
 from oracle import evaluate, fd_partial
 
 N = 3
@@ -121,6 +128,85 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+class _Partial(tuple):
+    """A sum or product part-way through its fold: (class, operands so far)."""
+
+
+_MAPPED = {cls.ufunc: cls for cls in (Neg, Exp, Sin, Cos)}
+_FOLDED = {np.add: Add, np.subtract: Add, np.multiply: Mul}
+
+
+def run_symbolic(tape: Tape, n_roots: int):
+    """Run the tape on expressions instead of values.
+
+    Each slot holds the node whose value it holds (a folded negation
+    summand comes back as its Neg), so reading a slot that holds another
+    node's value, or one never written, shows in the rows.  Returns the
+    node written to each output row and, per fail index, the node of the
+    instruction that carries it.
+    """
+    base = len(tape.consts)
+    rows = {k: Const(c) for k, c in enumerate(tape.consts)}
+    out = [None] * n_roots
+    fail_node = {}
+
+    def operand(fold, node):
+        return Neg(node) if fold is np.subtract else node
+
+    for op, dst, src, arg, fail, outs, steps in tape.ops:
+        assert dst < base + tape.n_slots
+        vals = [rows[s] for s in src]
+        if op == tp.OP_CONST:
+            assert dst < base and src == ()
+            value = rows[dst]
+        elif op == tp.OP_VAR:
+            value = Var(arg + 1)
+        elif op in (tp.OP_ADD, tp.OP_MUL):
+            cls = Add if op == tp.OP_ADD else Mul
+            assert len(arg) == len(vals) - 1
+            head = vals[0]
+            terms = list(head[1]) if isinstance(head, _Partial) else [head]
+            assert not isinstance(head, _Partial) or (src[0] == dst and head[0] is cls)
+            terms += [operand(f, v) for f, v in zip(arg, vals[1:])]
+            value = cls(tuple(terms))
+        elif op == tp.OP_MAP:
+            value = _MAPPED[arg](vals[0])
+        elif op == tp.OP_DIV:
+            value = Div(vals[0], vals[1])
+            if arg is not None:
+                assert src[1] < base and arg == tape.consts[src[1]]
+                assert (fail, arg) in tape.fixed_fails
+        elif op == tp.OP_POWI:
+            value = Pow(vals[0], arg)
+        elif op == tp.OP_WP:
+            assert dst in arg
+            for slot, cls in zip(arg, (Wp, WpPrime)):
+                if slot >= 0:
+                    rows[slot] = cls(vals[0])
+            value = rows[dst]
+        else:
+            assert op == tp.OP_WP_SHARED and src == ()
+            value = rows[dst]
+        can_fail = op in (tp.OP_DIV, tp.OP_WP) or (op == tp.OP_POWI and arg < 0)
+        assert (fail >= 0) == can_fail
+        if fail >= 0:
+            fail_node[fail] = value
+        if op != tp.OP_CONST:
+            rows[dst] = value
+        for r in outs:
+            assert out[r] is None
+            out[r] = value
+        for fold, acc, left, right in steps:
+            head = rows[left]
+            if left == acc:
+                assert isinstance(head, _Partial) and head[0] is _FOLDED[fold]
+                terms = head[1]
+            else:
+                terms = (head,)
+            rows[acc] = _Partial((_FOLDED[fold], (*terms, operand(fold, rows[right]))))
+    return out, fail_node
+
+
 class TestInterning:
     def test_equal_subtrees_are_one_object(self):
         a = parse("exp(z1+z2)*(z1+1) + sin(z1*z2)", 2)
@@ -182,6 +268,37 @@ class TestSlotTape:
     @given(dags())
     def test_one_instruction_per_distinct_node(self, roots):
         assert len(compile_expr(roots).ops) == instruction_count(roots)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dags(max_nodes=20))
+    # the fresh z1 + z1 is folded in by an early step after z2 is computed:
+    # its slot must live until that step
+    @example([Add((Add((Var(1), Var(1))), Neg(Var(2)), Var(1), Var(2)))])
+    def test_symbolic_run_rebuilds_every_root(self, roots):
+        """Instructions, slots, immediates, fold steps, outputs and fail indices, by property."""
+        tape = compile_expr(roots)
+        out, fail_node = run_symbolic(tape, len(roots))
+        assert all(o is r for o, r in zip(out, roots))
+        # fail indices are numbered in instruction order, and a root's row
+        # is masked by exactly the fail indices of the nodes below it
+        assert [ins.fail for ins in tape.ops if ins.fail >= 0] == list(range(tape.n_fail))
+        assert len(fail_node) == tape.n_fail
+        for root, fails in zip(roots, tape.root_fails):
+            below = distinct_nodes([root])
+            expect = [f for f, node in fail_node.items()
+                      if node in below or (isinstance(node, (Wp, WpPrime))
+                                           and {Wp(node.arg), WpPrime(node.arg)} & below)]
+            assert list(fails) == sorted(expect)
+        assert [f for f, _ in tape.fixed_fails] == sorted(f for f, _ in tape.fixed_fails)
+        # slots are numbered densely after the immediates
+        written = {ins.dst for ins in tape.ops if ins.op != tp.OP_CONST}
+        written |= {s for ins in tape.ops if ins.op == OP_WP for s in ins.arg if s >= 0}
+        written |= {acc for ins in tape.ops for _, acc, _, _ in ins.steps}
+        base = len(tape.consts)
+        assert written == set(range(base, base + len(written)))
+        assert tape.n_slots == max(len(written), 1)
+        assert tape.has_wp == any(ins.op == OP_WP for ins in tape.ops)
+        assert tape.n_min == max((ins.arg + 1 for ins in tape.ops if ins.op == tp.OP_VAR), default=0)
 
     @settings(max_examples=80, deadline=None)
     @given(dags())
@@ -311,3 +428,88 @@ def test_masks_match_single_expression_semantics(text, n):
     vals, ok = eval_batch(e, pts, ell=ELL, pole_eps=POLE_EPS)
     assert not ok[0] and np.isnan(vals[0])
     assert ok[1:].all()
+
+
+def canonical(x):
+    """A tape field as JSON data: a ufunc by name, a complex by its bit pattern.
+
+    A tuple, an Instr too, becomes a list of its items in field order.
+    """
+    if isinstance(x, np.ufunc):
+        return x.__name__
+    if isinstance(x, complex):  # np.complex128 too
+        return struct.pack("<2d", x.real, x.imag).hex()
+    if isinstance(x, tuple):
+        return [canonical(v) for v in x]
+    assert x is None or type(x) in (int, bool), type(x)
+    return x
+
+
+def tape_digest(tape: Tape) -> str:
+    """sha256 of every field of the tape, instructions included, in canonical form."""
+    fields = {f.name: canonical(getattr(tape, f.name)) for f in dataclasses.fields(Tape)}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
+class _Roots(Exception):
+    """Carries the roots a check would compile out of the call that builds them."""
+
+
+def check_roots(monkeypatch, run) -> list:
+    """The roots `check_residual` gets from `run()`: residual, scale terms, guards."""
+    def capture(res, scales, policy, n, guards=None):
+        raise _Roots([res, *scales, *(g for g, _ in guards or ())])
+
+    monkeypatch.setattr(verify, "check_residual", capture)
+    with pytest.raises(_Roots) as caught:
+        run()
+    return caught.value.args[0]
+
+
+FG_RUNG = load_script("fg_rung")
+FERMAT_PAIRS = load_script("fixture_reports").FERMAT_PAIRS
+
+
+def fg_run(n):
+    f_text, beta_text = FG_RUNG.fg_texts(n)
+    f = parse(f_text, n)
+    return lambda: verify.verify_problem(FG_RUNG.fg_problem(parse(beta_text, n), n), f)
+
+
+CHECKS = {
+    **{f"fixture {p.stem}": (lambda p=p: cli_main(["verify", str(p)]))
+       for p in sorted(FIXTURES.glob("*.json"))},
+    **{f"fermat {kind} {h}": (lambda kind=kind, h=h, n=n: cli_main(
+        ["fermat", "--kind", kind, "--h", h, "--n", str(n)])) for kind, h, n in FERMAT_PAIRS},
+    **{f"fg n={n}": fg_run(n) for n in range(2, 8)},
+}
+
+#: digests of the check tapes, recorded from the nine-pass compiler that
+#: the one-walk compiler replaced: a compiler change that moves one
+#: instruction, slot, immediate or fail index of these tapes changes one
+TAPE_DIGESTS = {
+    "fermat cos-sin z1+z2^2": "e7114425dcbfc5b85af55ed871fd8f8e6c961dbc39bd5272a27457ad9e6b9591",
+    "fermat cubic z1": "314d342be23644a2e8d420d2a2f36cf49b4580c6a1f01e4ab21e267c63bf4baf",
+    "fermat cubic z1 + z2/2": "88bd917e0ca228ac05aac4cd41646c3a5c816ca8267eb7a6b23a8796fab60267",
+    "fermat mobius z1*z2": "632bc5ab470a5118570205240b6b3f7d89e6441540356711e5dff066aee4b8b3",
+    "fg n=2": "fcc9582a635cdd680883477f38771892de9afc51f7a14a813b18c45ff3e3e929",
+    "fg n=3": "604043548e271e7931f02cd4441c8cbf47183b1db4bc88c780fb0481727d0103",
+    "fg n=4": "a0abd79e3238ac01238f8289166e16855573828c0ce342df0472f7c4e4d96464",
+    "fg n=5": "b3d761646d40b893b1ddb261eb00f4c0820bbf3b061e78da0e9c76117ac0ba7f",
+    "fg n=6": "55ab8b1ffee5cd7517c7d1a116cd6666966b319524fdd117e8687b188c0d07a4",
+    "fg n=7": "a517ff9d3d1b8acdff256f6dc3acb96c3a095628c0e3b100e7ab85d94dff5fca",
+    "fixture bad_poly": "13f5104847fe368d51f07d6a9bc46ccb7b4687b66d8f40d576b944d835632bd5",
+    "fixture example1": "d5664e42a68026c733b66cf208619b0db299108240b5357d8ad854413b7a5022",
+    "fixture example2": "fabc131df4e46fe9d762544f6036822883e770926c9a16d1b61fa8d83ac05950",
+    "fixture example3": "6d07761d0469187caecab8f20a22f844bf3be104b951fa41f7391a3e908f9324",
+    "fixture example4": "f5296962d736561bbcfb297a40ec8af7647a27c5b1ac80c1a11d09c9e946456c",
+    "fixture example5": "c581057c4e7eba0fd5033b55a1c0802c8923bb236f60109b975a040c4ee6af78",
+    "fixture example6": "692c7e64ab7f334d783a4218590f70fb9f84baf1cd4421cd1f91a46c0854cc38",
+    "fixture example7": "e552a2e18de532c7ae792267b6320d5d418947f50440bc5c7c95176e208997a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKS))
+def test_check_tapes_are_unchanged(monkeypatch, name):
+    roots = check_roots(monkeypatch, CHECKS[name])
+    assert tape_digest(compile_expr(roots)) == TAPE_DIGESTS[name]

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 
 import pytest
@@ -18,10 +21,11 @@ from fermat_pdde.expr import (
     WpPrime,
     to_string,
 )
-from fermat_pdde.parser import parse
+from fermat_pdde.cli import main as cli_main
+from fermat_pdde.parser import _tokenize, parse
 
-from conftest import disc_points, rel_err
-from oracle import evaluate
+from conftest import FIXTURES, disc_points, load_script, rel_err
+from oracle import evaluate, tokenize
 from test_expr import eval_ok, exprs
 
 
@@ -141,6 +145,84 @@ class TestErrors:
     def test_bad_dimension(self):
         with pytest.raises(ParseError):
             parse("z1", 0)
+
+
+def scan(tokenizer, text):
+    """The tokens of text as plain tuples, or the ParseError's message and position."""
+    try:
+        return [tuple(tok) for tok in tokenizer(text)]
+    except ParseError as err:
+        return ("ParseError", str(err), err.position)
+
+
+def fixture_texts():
+    """Every string in the problem files: expressions, and notes with characters no token starts."""
+    texts = []
+
+    def collect(value):
+        if isinstance(value, str):
+            texts.append(value)
+        elif isinstance(value, dict):
+            for v in value.values():
+                collect(v)
+        elif isinstance(value, list):
+            for v in value:
+                collect(v)
+
+    for path in sorted(FIXTURES.glob("*.json")):
+        collect(json.loads(path.read_text()))
+    return texts
+
+
+def constructor_texts():
+    """f and the generated g part of one family member per theorem, as the CLI prints them."""
+    texts = []
+    for theorem, c in (("t1-i", "14,1,3,5"), ("t1-ii", "0,pi*i,pi*i"), ("t2-i", "2,3,2,4"),
+                       ("t2-ii", "pi*i,2*pi*i,-pi*i,2*pi*i"), ("cor1", "0.6,1.1,0.9"),
+                       ("cor2", "0.5,1.4,0.8"), ("equ1", "1,1"), ("equ2", "1,3")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_main(["--format", "machine", "construct", "--theorem", theorem, "--c", c,
+                             "--gen-seed", "11", "--samples", "20"]) in (0, 1)
+        doc = json.loads(out.getvalue())
+        texts += [doc["f"], doc["g_part"]]
+    return texts
+
+
+class TestTokenizer:
+    """The one-pattern scan splits text as the token-at-a-time matcher of `oracle` does."""
+
+    @pytest.mark.parametrize("source", ["fixtures", "fg", "constructors"])
+    def test_same_tokens_as_the_reference(self, source):
+        fg_texts = load_script("fg_rung").fg_texts
+        texts = {
+            "fixtures": fixture_texts,
+            "fg": lambda: [t for n in range(2, 8) for t in fg_texts(n)],
+            "constructors": constructor_texts,
+        }[source]()
+        assert len(texts) >= 12
+        for text in texts:
+            assert scan(_tokenize, text) == scan(tokenize, text), text
+
+    @pytest.mark.parametrize("text, position, char", [
+        ("z1 $ 2", 3, "$"),
+        ("z1 +\n  # z2", 7, "#"),
+        ("z1 +\n\t\r\x0b\x0c z2 ; 3", 13, ";"),
+        ("z1 \u00b7 z2", 3, "\u00b7"),
+        ("exp(z\u00e9)", 5, "\u00e9"),
+        ("z1\u00a0+ \u2003z2 \u2212 1", 9, "\u2212"),
+    ])
+    def test_bad_character_position(self, text, position, char):
+        with pytest.raises(ParseError) as exc:
+            parse(text, 2)
+        assert exc.value.position == position
+        assert str(exc.value) == f"unexpected character {char!r} (at position {position})"
+        assert scan(_tokenize, text) == scan(tokenize, text)
+
+    @pytest.mark.parametrize("text", ["", "   ", " z1 ", "\n1.5e-3*z2\t", "1e", "1.e5e", ".5.5",
+                                      "z12ab3(", "2e+"])
+    def test_edge_texts(self, text):
+        assert scan(_tokenize, text) == scan(tokenize, text)
 
 
 class TestPrintParseRoundTrip:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fermat_pdde.backends import eval_batch
-from fermat_pdde.errors import ConstructionError
+from fermat_pdde.errors import ConstructionError, ProblemSpecError
 from fermat_pdde.expr import Const, Exp, shift, uses_wp
 from fermat_pdde.operators import LinearPDOperator, apply_linear_operator
 from fermat_pdde.periodic import (
@@ -159,3 +159,15 @@ class TestOmegaExpr:
     def test_t2_sum(self):
         om = omega_expr(4, "t2")
         assert evaluate(om, (1.0, 4.0, 2.0, 3.0)) == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: PeriodicSpec.random((1.0, 2.0), 2, seed=seed),
+    lambda seed: make_periodic((1.0, 2.0), 2, seed=seed),
+    lambda seed: make_polynomial_quasi_periodic((1.0, 2.0, 0.5), 1.0, seed=seed),
+])
+def test_negative_seed_is_malformed_input(make):
+    with pytest.raises(ProblemSpecError, match="seed must be >= 0, got -1"):
+        make(-1)
+    make(0)
+    make(None)

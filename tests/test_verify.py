@@ -21,6 +21,7 @@ from fermat_pdde.verify import (
     check_residual,
     default_radii,
     estimate_order,
+    is_identically_zero,
     sample_points,
     strict_json,
     verify_problem,
@@ -372,7 +373,42 @@ class TestEstimateOrder:
         assert len(est.radii) >= 2
         assert est.fit_radii == tuple(sorted(est.radii[-2:]))
 
+    def test_negative_seed_is_malformed_input(self):
+        with pytest.raises(ProblemSpecError, match="seed must be >= 0, got -3"):
+            estimate_order(parse("z1", 1), 1, seed=-3)
+
+    @pytest.mark.parametrize("directions", [0, -5])
+    def test_needs_a_direction(self, directions):
+        # the library keeps its estimation error; the CLI reports a malformed flag
+        with pytest.raises(EstimationError, match="direction"):
+            estimate_order(parse("z1", 1), 1, directions=directions)
+
     def test_to_text_mentions_rho(self):
         est = estimate_order(parse("z1^3*z2", 2), 2)
         assert "rho_hat" in est.to_text()
         assert isinstance(est, GrowthEstimate)
+
+
+class TestIdenticallyZeroConstant:
+    """A folded constant is decided as value == 0, without a tape or a generator."""
+
+    #: the answers the sampled probe gives each constant (tol 1e-10, n 1..3)
+    @pytest.mark.parametrize("value, zero", [
+        (0j, True), (-0.0, True), (complex(-0.0, -0.0), True), (1.0, False), (1e-320, False),
+        (1e-300j, False), (math.nan, False), (math.inf, False), (-math.inf, False),
+        (complex(0.0, math.nan), False),
+    ])
+    def test_answers_without_sampling(self, monkeypatch, value, zero):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a constant needs no sample")
+
+        monkeypatch.setattr(verify, "compile_expr", refuse)
+        monkeypatch.setattr(verify.np.random, "default_rng", refuse)
+        for n in (1, 2, 3):
+            assert is_identically_zero(Const(value), n) is zero
+        # a constant subtree folds first
+        assert is_identically_zero(Const(value) * Const(1.0) + Const(0.0), 2) is zero
+
+    def test_non_constant_is_still_probed(self):
+        assert is_identically_zero(parse("z1 - z1", 1), 1)
+        assert not is_identically_zero(parse("1e-300*z1", 1), 1)
