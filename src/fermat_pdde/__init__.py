@@ -32,7 +32,6 @@ from .expr import (
     Const,
     Var,
     directional_derivative,
-    fold_constants,
     partial,
     shift,
     to_string,

@@ -34,7 +34,7 @@ def default_backend() -> str:
 
 
 def _power_into(d: np.ndarray, base, k: int) -> None:
-    """d = base**k for k >= 0 by binary powering, the lower power the left factor.
+    """d = base**k for k >= 1 by binary powering, the lower power the left factor.
 
     base**2 is base*base and base**3 is base*(base*base): complex multiply
     is not commutative to the last bit where it uses FMA.
@@ -44,8 +44,6 @@ def _power_into(d: np.ndarray, base, k: int) -> None:
     elif k == 3:
         np.multiply(base, base, out=d)
         np.multiply(base, d, out=d)
-    elif k == 0:
-        d.fill(1.0)
     else:
         acc = None
         while True:
@@ -65,13 +63,10 @@ def _run_block(tape: tp.Tape, cols: np.ndarray, slots: np.ndarray, bad: np.ndarr
     for op, dst, src, arg, fail, outs, steps in tape.ops:
         d = rows[dst]
         if op == tp.OP_ADD or op == tp.OP_MUL:
-            if len(src) == 1:
-                d[...] = rows[src[0]]
-            else:
-                acc = rows[src[0]]
-                for s, fold in zip(src[1:], arg):
-                    fold(acc, rows[s], out=d)
-                    acc = d
+            acc = rows[src[0]]  # a folded sum or product has two operands or more
+            for s, fold in zip(src[1:], arg):
+                fold(acc, rows[s], out=d)
+                acc = d
         elif op == tp.OP_MAP:
             arg(rows[src[0]], out=d)
         elif op == tp.OP_CONST:  # d is the immediate; `outs` broadcast it

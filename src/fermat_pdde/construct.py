@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
 from .errors import ConstructionError
 from .expr import (
     DEFAULT_POLE_EPS,
@@ -31,7 +30,6 @@ from .expr import (
     Wp,
     WpPrime,
     directional_derivative,
-    fold_constants,
     free_variables,
     shift,
 )
@@ -76,7 +74,7 @@ def _require(delta: Expr, scale: Expr, n: int, tol: float, what: str) -> None:
 
 
 def _check_quasi_period(g: Expr, c, increment: complex, n: int, what: str) -> None:
-    delta = fold_constants(shift(g, c) - g - Const(increment))
+    delta = shift(g, c) - g - Const(increment)
     _require(delta, g, n, CHECK_TOL, what)
 
 
@@ -146,7 +144,7 @@ def construct_t1(p: QuadraticParams) -> tuple[Expr, PDDEProblem]:
         tau = complex(sum(p.c[1:]))
         a = _tilt_coefficient(c1, tau, "II")
         omega = omega_expr(p.n, "t1")
-        g1 = fold_constants(p.g_part + Const(a) * omega)
+        g1 = p.g_part + Const(a) * omega
         f = (
             (z1 - Const(c1)) * g1
             - (p.g_part + Const(a) * (omega - Const(tau))) ** 2
@@ -154,7 +152,7 @@ def construct_t1(p: QuadraticParams) -> tuple[Expr, PDDEProblem]:
             + shift(p.phi, _neg_c(p.c))
         )
     problem = PDDEProblem(kind="fte", n=p.n, m1=2, c=p.c, phi=p.phi)
-    return fold_constants(f), problem
+    return f, problem
 
 
 def construct_t2(p: QuadraticParams) -> tuple[Expr, PDDEProblem]:
@@ -185,7 +183,7 @@ def construct_t2(p: QuadraticParams) -> tuple[Expr, PDDEProblem]:
             + shift(p.phi, _neg_c(p.c))
         )
     problem = PDDEProblem(kind="ftee", n=p.n, m1=2, c=p.c, phi=p.phi)
-    return fold_constants(f), problem
+    return f, problem
 
 
 def construct_cor1(n: int, c, g2: Expr, m1: int = 2) -> tuple[Expr, PDDEProblem]:
@@ -217,7 +215,7 @@ def construct_cor1(n: int, c, g2: Expr, m1: int = 2) -> tuple[Expr, PDDEProblem]
         - Const(c1) * (g2 + Const(a) * omega)
     )
     problem = PDDEProblem(kind="fte", n=n, m1=m1, c=c, phi=Const(1.0))
-    return fold_constants(f), problem
+    return f, problem
 
 
 def construct_cor2(n: int, c, g4: Expr) -> tuple[Expr, PDDEProblem]:
@@ -246,7 +244,7 @@ def construct_cor2(n: int, c, g4: Expr) -> tuple[Expr, PDDEProblem]:
         - Const(0.25) * (Const(c1**2) + z1**2)
     )
     problem = PDDEProblem(kind="ftee", n=n, m1=2, c=c, phi=Const(1.0))
-    return fold_constants(f), problem
+    return f, problem
 
 
 def construct_cor1_m3_control(n: int, c, g2: Expr) -> tuple[Expr, PDDEProblem]:
@@ -306,7 +304,7 @@ def construct_legacy_xw(which: str, g: Expr, c) -> tuple[Expr, PDDEProblem]:
             - (g + Const(a3) * wc) ** 2
         )
         problem = PDDEProblem(kind="equ2", n=2, m1=2, m2=1, c=c)
-    return fold_constants(f), problem
+    return f, problem
 
 
 def construct_fermat_pair(kind: str, h: Expr) -> tuple[Expr, Expr]:
@@ -323,9 +321,9 @@ def construct_fermat_pair(kind: str, h: Expr) -> tuple[Expr, Expr]:
         return Cos(h), Sin(h)
     if kind == "mobius":
         den = Const(1.0) + h**2
-        return fold_constants(Const(2.0) * h / den), fold_constants((Const(1.0) - h**2) / den)
+        return Const(2.0) * h / den, (Const(1.0) - h**2) / den
     sqrt3 = Const(np.sqrt(3.0))
-    half = ex.Div(Const(1.0), Const(2.0) * Wp(h))
-    f = fold_constants(half * (Const(1.0) + ex.Div(WpPrime(h), sqrt3)))
-    g = fold_constants(half * (Const(1.0) - ex.Div(WpPrime(h), sqrt3)))
+    half = Const(1.0) / (Const(2.0) * Wp(h))
+    f = half * (Const(1.0) + WpPrime(h) / sqrt3)
+    g = half * (Const(1.0) - WpPrime(h) / sqrt3)
     return f, g

@@ -1,4 +1,4 @@
-"""Hash-consed complex expressions over variables z1..zn.
+"""Hash-consed, constant-folded complex expressions over variables z1..zn.
 
 The node set is deliberately small: constants, variables, sums, products,
 quotients, integer powers, and the one-operand nodes: negation,
@@ -6,27 +6,37 @@ exp/sin/cos, and the Weierstrass pair wp/wpd.  Each one-operand class
 carries its grammar name and the numpy ufunc that evaluates it
 elementwise (none for wp/wpd, which need the elliptic context), and
 `FUNCTIONS` maps each name to its class: the parser, the printer,
-constant folding and the tape all read this one table.  Nodes are
-interned: constructing a node whose children and data equal those of a
-live node returns that node, so structurally equal subtrees are one
-object and an expression is a DAG, also when threads build expressions
-at the same time.  Equality and hashing are by identity, which is
-structural equality under interning.  A `Const` is keyed on the bit
-pattern of its value, so 0.0 and -0.0 stay distinct and folding is
-bit-exact.  The intern table holds nodes weakly; a node lives as long as
-something else refers to it.
+constant folding and the tape all read this one table.
 
-The tree walks (`free_variables`, `uses_wp`, `fold_constants`) and each
-directional derivative are memoized on the node they start from, so a
-shared subtree is walked or differentiated once.  Exact symbolic
-differentiation (`partial`), argument shifting (`shift`), light constant
-folding (`fold_constants`) and printing (`to_string`) live here.
-Expressions are evaluated only by compiling them to a tape (`tape`) and
-running it over blocks of sample points (`backends`).
+Every node is folded when it is built: each constructor collapses
+constant operands, flattens nested sums and products, drops zero terms
+and unit factors, and returns what is left, which may be a node of
+another class (``Add((z1, Const(0)))`` is ``z1``).  This is deliberately
+*not* a canonical form: no expansion, no term collection beyond
+constants.  A fold of finite constants whose value is not finite is not
+made: the grammar has no inf or NaN, so such a node stays unfolded and
+prints as text that parses back to it.
+
+Then the node is interned: constructing a node whose children and data
+equal those of a live node returns that node, so structurally equal
+subtrees are one object and an expression is a DAG, also when threads
+build expressions at the same time.  Equality and hashing are by
+identity, which is structural equality under interning.  A `Const` is
+keyed on the bit pattern of its value, so 0.0 and -0.0 stay distinct and
+folding is bit-exact.  The intern table holds nodes weakly; a node lives
+as long as something else refers to it.
+
+The tree walks (`free_variables`, `uses_wp`) and each directional
+derivative are memoized on the node they start from, so a shared subtree
+is walked or differentiated once.  Exact symbolic differentiation
+(`partial`), argument shifting (`shift`) and printing (`to_string`) live
+here.  Expressions are evaluated only by compiling them to a tape
+(`tape`) and running it over blocks of sample points (`backends`).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 import threading
@@ -58,7 +68,6 @@ __all__ = [
     "free_variables",
     "max_var_index",
     "uses_wp",
-    "fold_constants",
     "partial",
     "directional_derivative",
     "shift",
@@ -92,7 +101,7 @@ def _forget(ref: weakref.KeyedRef) -> None:
             del _TABLE[ref.key]
 
 
-def _intern(cls, key: tuple, kids: tuple, **fields):
+def _intern(cls, key: tuple, kids: tuple, fields: tuple):
     ref = _TABLE.get(key)
     node = ref() if ref is not None else None
     if node is None:
@@ -101,38 +110,62 @@ def _intern(cls, key: tuple, kids: tuple, **fields):
             node = ref() if ref is not None else None
             if node is None:
                 node = object.__new__(cls)
-                node.__dict__.update(fields)
+                node.__dict__.update(zip(cls.__dataclass_fields__, fields))
                 node.__dict__["_kids"] = kids
                 _TABLE[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
 
+def _make(cls, *fields):
+    """The interned node of class `cls` with these field values, as given.
+
+    Every constructor ends here once it has folded, and so does unpickling,
+    which must not fold again: refolding a folded node can give another
+    node (1 times a leading constant 6-0j is 6+0j).
+    """
+    if cls is Add or cls is Mul:
+        kids = fields[0]
+        key = (cls, *map(id, kids))
+    elif cls is Pow:
+        kids = fields[:1]
+        key = (cls, id(fields[0]), fields[1])
+    elif cls is Const:
+        v = fields[0]
+        kids, key = (), (cls, struct.pack("<2d", v.real, v.imag))
+    elif cls is Var:
+        kids, key = (), (cls, fields[0])
+    else:  # a quotient or a one-operand node
+        kids = fields
+        key = (cls, *map(id, kids))
+    return _intern(cls, key, kids, fields)
+
+
 # Nodes are dataclasses for their field list and repr only: construction
-# goes through each class's __new__, which interns, and equality and
-# hashing stay those of object (identity).  Memos are written straight
-# into a node's __dict__, past the frozen __setattr__.
+# goes through each class's __new__, which folds and then interns, and
+# equality and hashing stay those of object (identity).  Memos are written
+# straight into a node's __dict__, past the frozen __setattr__.
 
 @dataclass(frozen=True, eq=False, init=False)
 class Expr:
     """Base node."""
 
     def __add__(self, other) -> Expr:
-        return _add(self, as_expr(other))
+        return Add((self, as_expr(other)))
 
     def __radd__(self, other) -> Expr:
-        return _add(as_expr(other), self)
+        return Add((as_expr(other), self))
 
     def __sub__(self, other) -> Expr:
-        return _add(self, Neg(as_expr(other)))
+        return Add((self, Neg(as_expr(other))))
 
     def __rsub__(self, other) -> Expr:
-        return _add(as_expr(other), Neg(self))
+        return Add((as_expr(other), Neg(self)))
 
     def __mul__(self, other) -> Expr:
-        return _mul(self, as_expr(other))
+        return Mul((self, as_expr(other)))
 
     def __rmul__(self, other) -> Expr:
-        return _mul(as_expr(other), self)
+        return Mul((as_expr(other), self))
 
     def __truediv__(self, other) -> Expr:
         return Div(self, as_expr(other))
@@ -150,7 +183,7 @@ class Expr:
         return to_string(self)
 
     def __reduce__(self):
-        return type(self), tuple(self.__dict__[f] for f in self.__dataclass_fields__)
+        return _make, (type(self), *(self.__dict__[f] for f in self.__dataclass_fields__))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -158,8 +191,7 @@ class Const(Expr):
     value: complex
 
     def __new__(cls, value):
-        v = complex(value)
-        return _intern(cls, (cls, struct.pack("<2d", v.real, v.imag)), (), value=v)
+        return _make(cls, complex(value))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -169,45 +201,119 @@ class Var(Expr):
     def __new__(cls, index):
         if not isinstance(index, int) or index < 1:
             raise DimensionError(f"variable index must be a positive integer, got {index!r}")
-        return _intern(cls, (cls, index), (), index=index)
+        return _make(cls, index)
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Add(Expr):
+    """A sum: nested sums are flattened into it, its constant terms summed
+    into one leading term (dropped if zero), and one remaining term is the
+    result itself."""
+
     terms: tuple[Expr, ...]
 
     def __new__(cls, terms):
-        terms = tuple(terms)
-        return _intern(cls, (cls, *map(id, terms)), terms, terms=terms)
+        terms = tuple(terms)  # read twice where a fold overflows
+        rest: list[Expr] = []
+        csum = 0j
+        for t in terms:
+            for x in t.terms if type(t) is Add else (t,):
+                if type(x) is Const:
+                    csum += x.value
+                else:
+                    rest.append(x)
+        if not cmath.isfinite(csum):
+            flat = tuple(x for t in terms for x in (t.terms if isinstance(t, Add) else (t,)))
+            if not _foldable(csum, flat):
+                return _make(cls, flat)
+        if csum != 0:
+            rest.insert(0, Const(csum))
+        if not rest:
+            return ZERO
+        if len(rest) == 1:
+            return rest[0]
+        return _make(cls, tuple(rest))
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Mul(Expr):
+    """A product: nested products are flattened into it, its constant
+    factors multiplied into one leading factor (dropped if one; a zero
+    product is the constant 0), and one remaining factor is the result
+    itself."""
+
     factors: tuple[Expr, ...]
 
     def __new__(cls, factors):
-        factors = tuple(factors)
-        return _intern(cls, (cls, *map(id, factors)), factors, factors=factors)
+        factors = tuple(factors)  # read twice where a fold overflows
+        rest: list[Expr] = []
+        cprod = 1 + 0j
+        for f in factors:
+            for x in f.factors if type(f) is Mul else (f,):
+                if type(x) is Const:
+                    cprod *= x.value
+                else:
+                    rest.append(x)
+        if not cmath.isfinite(cprod):
+            flat = tuple(x for f in factors for x in (f.factors if isinstance(f, Mul) else (f,)))
+            if not _foldable(cprod, flat):
+                return _make(cls, flat)
+        if cprod == 0:
+            return ZERO
+        if cprod != 1:
+            rest.insert(0, Const(cprod))
+        if not rest:
+            return ONE
+        if len(rest) == 1:
+            return rest[0]
+        return _make(cls, tuple(rest))
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Div(Expr):
+    """A quotient; one by a nonzero constant of a constant is folded, and
+    one by the constant 1 is its numerator."""
+
     num: Expr
     den: Expr
 
     def __new__(cls, num, den):
-        return _intern(cls, (cls, id(num), id(den)), (num, den), num=num, den=den)
+        if isinstance(den, Const) and den.value != 0:
+            if isinstance(num, Const):
+                value = num.value / den.value
+                if _foldable(value, (num, den)):
+                    return Const(value)
+            elif den.value == 1:
+                return num
+        return _make(cls, num, den)
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Pow(Expr):
+    """An integer power; powers 0 and 1 and those of a constant are folded."""
+
     base: Expr
     exponent: int
 
     def __new__(cls, base, exponent):
         if isinstance(exponent, bool) or not isinstance(exponent, int):
             raise EvalError(f"Pow exponent must be an integer, got {exponent!r}")
-        return _intern(cls, (cls, id(base), exponent), (base,), base=base, exponent=exponent)
+        if exponent == 0:
+            return ONE
+        if exponent == 1:
+            return base
+        if isinstance(base, Const) and not (base.value == 0 and exponent < 0):
+            try:
+                value = base.value ** exponent
+            except (OverflowError, ZeroDivisionError):
+                # extreme magnitudes stay unfolded (overflow, or a negative
+                # power whose intermediate underflows to zero); evaluation
+                # reports inf or a pole hit there instead
+                pass
+            else:
+                if _foldable(value, (base,)):
+                    return Const(value)
+        return _make(cls, base, exponent)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -216,7 +322,8 @@ class _Unary(Expr):
 
     `name` is the node's function name in the grammar (None for negation)
     and `ufunc` the numpy ufunc that computes it (None for wp and wpd,
-    which need the elliptic context).
+    which need the elliptic context and so are never folded).  A node with
+    a ufunc and a constant operand is folded to its value.
     """
 
     arg: Expr
@@ -224,12 +331,20 @@ class _Unary(Expr):
     ufunc = None
 
     def __new__(cls, arg):
-        return _intern(cls, (cls, id(arg)), (arg,), arg=arg)
+        if isinstance(arg, Const) and cls.ufunc is not None:
+            with np.errstate(all="ignore"):
+                value = complex(cls.ufunc(arg.value))
+            if _foldable(value, (arg,)):
+                return Const(value)
+        return _make(cls, arg)
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Neg(_Unary):
     ufunc = np.negative
+
+    def __new__(cls, arg):
+        return arg.arg if isinstance(arg, Neg) else super().__new__(cls, arg)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -264,6 +379,19 @@ ZERO = Const(0.0)
 ONE = Const(1.0)
 
 
+def _foldable(value: complex, operands) -> bool:
+    """Whether a constant fold that gives `value` is made.
+
+    It is not when the constants among `operands` are all finite and
+    `value` is not: the node then stays unfolded, so it prints as text the
+    parser reads back to the same node, and evaluation meets the inf or
+    NaN as it meets any other overflow.
+    """
+    return cmath.isfinite(value) or not all(
+        cmath.isfinite(x.value) for x in operands if isinstance(x, Const)
+    )
+
+
 def as_expr(x) -> Expr:
     """Coerce a scalar to Const; pass expressions through."""
     if isinstance(x, Expr):
@@ -276,27 +404,6 @@ def as_expr(x) -> Expr:
 def variables(n: int) -> tuple[Var, ...]:
     """The tuple (z1, ..., zn)."""
     return tuple(Var(j) for j in range(1, n + 1))
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    # flatten one level so chained + stays shallow
-    terms: list[Expr] = []
-    for x in (a, b):
-        if isinstance(x, Add):
-            terms.extend(x.terms)
-        else:
-            terms.append(x)
-    return Add(tuple(terms))
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    factors: list[Expr] = []
-    for x in (a, b):
-        if isinstance(x, Mul):
-            factors.extend(x.factors)
-        else:
-            factors.append(x)
-    return Mul(tuple(factors))
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -330,134 +437,17 @@ def uses_wp(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# constant folding
-
-def fold_constants(e: Expr) -> Expr:
-    """Collapse constant subtrees, drop zero terms and unit factors.
-
-    The result evaluates identically to the input wherever the input is
-    defined.  This is deliberately *not* a canonical form: no expansion,
-    no term collection beyond constants.  Memoized per node; a node that
-    folds to itself is marked rather than pointing at itself.
-    """
-    out = e.__dict__.get("_folded")
-    if out is None:
-        out = _fold(e)
-        e.__dict__["_folded"] = True if out is e else out
-        return out
-    return e if out is True else out
-
-
-def _fold(e: Expr) -> Expr:
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Add):
-        return _fold_add([fold_constants(t) for t in e.terms])
-    if isinstance(e, Mul):
-        return _fold_mul([fold_constants(f) for f in e.factors])
-    if isinstance(e, Neg):
-        return _fold_neg(fold_constants(e.arg))
-    if isinstance(e, Div):
-        return _fold_div(fold_constants(e.num), fold_constants(e.den))
-    if isinstance(e, Pow):
-        return _fold_pow(fold_constants(e.base), e.exponent)
-    if isinstance(e, _Unary):
-        arg = fold_constants(e.arg)
-        # wp of a constant needs the elliptic context, so is never folded
-        if isinstance(arg, Const) and e.ufunc is not None:
-            with np.errstate(all="ignore"):
-                return Const(complex(e.ufunc(arg.value)))
-        return type(e)(arg)
-    raise TypeError(f"unknown node {e!r}")
-
-
-# The _fold_* helpers take operands that are already folded and return what
-# _fold returns for the node built from them, so the derivative below can
-# fold as it goes without building the unfolded node first.
-
-def _fold_add(terms_in: list[Expr]) -> Expr:
-    terms: list[Expr] = []
-    csum = 0j
-    for t in terms_in:
-        for x in t.terms if isinstance(t, Add) else (t,):
-            if isinstance(x, Const):
-                csum += x.value
-            else:
-                terms.append(x)
-    if csum != 0:
-        terms.insert(0, Const(csum))
-    if not terms:
-        return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    return Add(tuple(terms))
-
-
-def _fold_mul(factors_in: list[Expr]) -> Expr:
-    factors: list[Expr] = []
-    cprod = 1 + 0j
-    for f in factors_in:
-        for x in f.factors if isinstance(f, Mul) else (f,):
-            if isinstance(x, Const):
-                cprod *= x.value
-            else:
-                factors.append(x)
-    if cprod == 0:
-        return ZERO
-    if cprod != 1:
-        factors.insert(0, Const(cprod))
-    if not factors:
-        return ONE
-    if len(factors) == 1:
-        return factors[0]
-    return Mul(tuple(factors))
-
-
-def _fold_neg(arg: Expr) -> Expr:
-    if isinstance(arg, Const):
-        return Const(-arg.value)
-    if isinstance(arg, Neg):
-        return arg.arg
-    return Neg(arg)
-
-
-def _fold_div(num: Expr, den: Expr) -> Expr:
-    if isinstance(den, Const) and den.value != 0:
-        if isinstance(num, Const):
-            return Const(num.value / den.value)
-        if den.value == 1:
-            return num
-    return Div(num, den)
-
-
-def _fold_pow(base: Expr, k: int) -> Expr:
-    if k == 0:
-        return ONE
-    if k == 1:
-        return base
-    if isinstance(base, Const) and not (base.value == 0 and k < 0):
-        try:
-            return Const(base.value ** k)
-        except (OverflowError, ZeroDivisionError):
-            # extreme magnitudes stay unfolded (overflow, or a negative
-            # power whose intermediate underflows to zero); evaluation
-            # reports inf or a pole hit there instead
-            return Pow(base, k)
-    return Pow(base, k)
-
-
-# ---------------------------------------------------------------------------
 # differentiation
 
 def _deriv(e: Expr, w: tuple[Const, ...]) -> Expr:
-    """Folded derivative along the constant direction w: sum_j w_j d/dz_j.
+    """Derivative along the constant direction w: sum_j w_j d/dz_j.
 
-    The result is `fold_constants` of the chain-rule expansion (product
-    rule over every factor, quotient rule, ...), node for node, but it is
-    folded as it is built, so the unfolded expansion is never made.  `w`
-    holds interned constants, so it keys the per-node memo exactly (signed
-    zeros included).  The memo lives on `e`: a later derivative of the
-    same interned operand along the same direction is a lookup.
+    The chain-rule expansion (product rule over every factor, quotient
+    rule, ...) is built through the constructors, so it is folded as it is
+    built.  `w` holds interned constants, so it keys the per-node memo
+    exactly (signed zeros included).  The memo lives on `e`: a later
+    derivative of the same interned operand along the same direction is a
+    lookup.
     """
     memo = e.__dict__.get("_deriv")
     if memo is None:
@@ -469,42 +459,42 @@ def _deriv(e: Expr, w: tuple[Const, ...]) -> Expr:
 
 
 def _deriv_node(e: Expr, w: tuple[Const, ...]) -> Expr:
-    fold = fold_constants
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return w[e.index - 1]
     if isinstance(e, Add):
-        return _fold_add([_deriv(t, w) for t in e.terms])
+        return Add([_deriv(t, w) for t in e.terms])
     if isinstance(e, Mul):
-        folded = [fold(f) for f in e.factors]
-        return _fold_add([
-            _fold_mul(folded[:i] + [_deriv(f, w)] + folded[i + 1:])
-            for i, f in enumerate(e.factors)
-        ])
+        fs = list(e.factors)
+        # skip the terms whose differentiated factor is 0: each would fold
+        # to 0 and add nothing.  That holds while e has at most one constant
+        # factor and it is finite; else 0 times it is NaN, or the constants
+        # overflowed and the term would stay unfolded
+        consts = [x.value for x in fs if isinstance(x, Const)]
+        keep_zero = len(consts) > 1 or not all(map(cmath.isfinite, consts))
+        ds = [_deriv(f, w) for f in fs]
+        return Add([Mul(fs[:i] + [d] + fs[i + 1:])
+                    for i, d in enumerate(ds) if d is not ZERO or keep_zero])
     if isinstance(e, Neg):
-        return _fold_neg(_deriv(e.arg, w))
+        return Neg(_deriv(e.arg, w))
     if isinstance(e, Div):
         u, v = e.num, e.den
-        num = _fold_add([_fold_mul([_deriv(u, w), fold(v)]),
-                         _fold_neg(_fold_mul([fold(u), _deriv(v, w)]))])
-        return _fold_div(num, _fold_pow(fold(v), 2))
+        return (_deriv(u, w) * v - u * _deriv(v, w)) / v**2
     if isinstance(e, Pow):
         k = e.exponent
-        if k == 0:
-            return ZERO
-        return _fold_mul([Const(k), _fold_pow(fold(e.base), k - 1), _deriv(e.base, w)])
+        return Mul([Const(k), Pow(e.base, k - 1), _deriv(e.base, w)])
     if isinstance(e, Exp):
-        return _fold_mul([fold(e), _deriv(e.arg, w)])
+        return e * _deriv(e.arg, w)
     if isinstance(e, Sin):
-        return _fold_mul([fold(Cos(e.arg)), _deriv(e.arg, w)])
+        return Cos(e.arg) * _deriv(e.arg, w)
     if isinstance(e, Cos):
-        return _fold_neg(_fold_mul([fold(Sin(e.arg)), _deriv(e.arg, w)]))
+        return -(Sin(e.arg) * _deriv(e.arg, w))
     if isinstance(e, Wp):
-        return _fold_mul([fold(WpPrime(e.arg)), _deriv(e.arg, w)])
+        return WpPrime(e.arg) * _deriv(e.arg, w)
     if isinstance(e, WpPrime):
         # (wp')^2 = 4 wp^3 - 1  =>  wp'' = 6 wp^2
-        return _fold_mul([Const(6.0), fold(Pow(Wp(e.arg), 2)), _deriv(e.arg, w)])
+        return Mul([Const(6.0), Wp(e.arg) ** 2, _deriv(e.arg, w)])
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -587,7 +577,7 @@ def shift(e: Expr, c: Sequence[complex]) -> Expr:
             return Pow(sub(node.base), node.exponent)
         raise TypeError(f"unknown node {node!r}")
 
-    return fold_constants(sub(e))
+    return sub(e)
 
 
 # ---------------------------------------------------------------------------

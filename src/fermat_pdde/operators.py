@@ -30,7 +30,6 @@ from .errors import DimensionError, ProblemSpecError
 from .expr import (
     Expr,
     directional_derivative,
-    fold_constants,
     free_variables,
     max_var_index,
     partial,
@@ -99,7 +98,7 @@ def apply_linear_operator(op: LinearPDOperator, f: Expr) -> Expr:
     if max_var_index(f) > op.n:
         raise DimensionError(f"operand uses z{max_var_index(f)} but operator dimension is {op.n}")
     terms = [ex.Mul((coeff, partial(f, idx))) for idx, coeff in op.coeffs.items()]
-    return fold_constants(ex.Add(tuple(terms)))
+    return ex.Add(terms)
 
 
 def difference(f: Expr, c) -> Expr:
@@ -107,7 +106,7 @@ def difference(f: Expr, c) -> Expr:
     cs = tuple(complex(x) for x in c)
     if all(x == 0 for x in cs):
         raise ProblemSpecError("difference operator requires a nonzero shift vector")
-    return fold_constants(ex.Add((shift(f, cs), ex.Neg(f))))
+    return shift(f, cs) - f
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,16 +209,16 @@ def _equation_terms(p: PDDEProblem, f: Expr) -> tuple[tuple[Expr, Expr], Expr | 
         raise DimensionError(f"candidate uses z{max_var_index(f)} but dimension is {p.n}")
     kind = p.kind
     if kind == "fermat":
-        return (fold_constants(ex.Pow(f, p.m1)), fold_constants(ex.Pow(p.g, p.m1))), 1
+        return (f ** p.m1, p.g ** p.m1), 1
     if kind == "fg":
         gterm = apply_linear_operator(p.operator, f)
         return (
-            fold_constants(ex.Pow(gterm, p.m1)),
-            fold_constants(p.alpha * ex.Pow(difference(f, p.c), p.m2)),
+            gterm ** p.m1,
+            p.alpha * difference(f, p.c) ** p.m2,
         ), p.beta
-    d = fold_constants(ex.Pow(_derivative_term(p, f), p.m1))
+    d = _derivative_term(p, f) ** p.m1
     if kind in ("xc", "xw"):
-        return (d, fold_constants(ex.Pow(shift(f, p.c), p.m2))), 1
+        return (d, shift(f, p.c) ** p.m2), 1
     # equ1/equ2 fix m1 = 2; these kinds and fte/ftee take f(z+c) unpowered
     return (d, shift(f, p.c)), (p.phi if kind in ("fte", "ftee") else 1)
 
@@ -227,7 +226,7 @@ def _equation_terms(p: PDDEProblem, f: Expr) -> tuple[tuple[Expr, Expr], Expr | 
 def residual(p: PDDEProblem, f: Expr) -> Expr:
     """LHS - RHS of the equation for candidate f, as an expression."""
     lhs, rhs = _equation_terms(p, f)
-    return fold_constants(lhs[0] + lhs[1] - rhs)
+    return lhs[0] + lhs[1] - rhs
 
 
 def scale_terms(p: PDDEProblem, f: Expr) -> list[Expr]:

@@ -14,6 +14,10 @@ Numbers accept decimals and scientific notation.  Complex constants are
 written as ``a+b*i``.  ``sqrt`` is folded at parse time and only accepts a
 non-negative real constant argument.  Note that ``^`` applies to the whole
 unary, so ``-z1^2`` parses as ``(-z1)^2``.
+
+The result is built through the node constructors, so it is folded as it
+is built (see `expr`); each chain of ``+``/``-`` is one sum and each run
+of ``*`` one product, so a long chain is one wide node, not a deep one.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import re
 from typing import NamedTuple
 
 from .errors import ParseError
-from .expr import FUNCTIONS, Add, Const, Div, Expr, Mul, Neg, Pow, Var, fold_constants
+from .expr import FUNCTIONS, Add, Const, Div, Expr, Mul, Neg, Pow, Var
 
 __all__ = ["parse"]
 
@@ -85,21 +89,24 @@ class _Parser:
 
     # expr := term (('+'|'-') term)*
     def parse_expr(self) -> Expr:
-        node = self.parse_term()
+        terms = [self.parse_term()]
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
             rhs = self.parse_term()
-            node = Add((node, rhs if op == "+" else Neg(rhs)))
-        return node
+            terms.append(rhs if op == "+" else Neg(rhs))
+        return _chain(Add, terms)
 
     # term := factor (('*'|'/') factor)*
     def parse_term(self) -> Expr:
-        node = self.parse_factor()
+        factors = [self.parse_factor()]
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
             rhs = self.parse_factor()
-            node = Mul((node, rhs)) if op == "*" else Div(node, rhs)
-        return node
+            if op == "*":
+                factors.append(rhs)
+            else:
+                factors = [Div(_chain(Mul, factors), rhs)]
+        return _chain(Mul, factors)
 
     # factor := unary ('^' int)?
     def parse_factor(self) -> Expr:
@@ -167,15 +174,20 @@ class _Parser:
 
     def make_call(self, name: str, inner: Expr, pos: int) -> Expr:
         if name == "sqrt":
-            folded = fold_constants(inner)
-            if not isinstance(folded, Const) or folded.value.imag != 0 or folded.value.real < 0:
+            if not isinstance(inner, Const) or inner.value.imag != 0 or inner.value.real < 0:
                 raise ParseError("sqrt expects a non-negative real constant argument", pos)
-            return Const(math.sqrt(folded.value.real))
+            return Const(math.sqrt(inner.value.real))
         return FUNCTIONS[name](inner)
 
 
+def _chain(cls, operands: list[Expr]) -> Expr:
+    # a lone operand is returned as it is: Add or Mul would add it to 0 or
+    # multiply it by 1, which can turn a -0.0 part of a constant into +0.0
+    return operands[0] if len(operands) == 1 else cls(operands)
+
+
 def parse(text: str, n: int) -> Expr:
-    """Parse an expression over z1..zn; constants are folded in the result.
+    """Parse an expression over z1..zn into a folded expression.
 
     Raises ParseError with the offending position on syntax errors,
     out-of-range variable indices, and non-integer exponents.
@@ -187,4 +199,4 @@ def parse(text: str, n: int) -> Expr:
     tok = p.peek()
     if tok.kind != "end":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
-    return fold_constants(node)
+    return node

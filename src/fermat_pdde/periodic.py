@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import ConstructionError, ProblemSpecError
-from .expr import Expr, fold_constants
+from .expr import Expr
 
 __all__ = [
     "PeriodicSpec",
@@ -80,7 +80,7 @@ def basis_exprs(n: int, basis: str = "t1") -> tuple[Expr, ...]:
 def omega_expr(n: int, basis: str = "t1") -> Expr:
     """Sum of the w-coordinates (z2+...+zn, or z2-z1+z3+...+zn)."""
     ws = basis_exprs(n, basis)
-    return fold_constants(ex.Add(tuple(ws)))
+    return ex.Add(ws)
 
 
 def _bilinear(a, b) -> complex:
@@ -153,9 +153,9 @@ class PeriodicSpec:
         ws = basis_exprs(n, basis)
         terms = []
         for a, lam in zip(self.freqs, self.amps):
-            exponent = ex.Add(tuple(ex.Mul((ex.Const(2j * np.pi * aj), w)) for aj, w in zip(a, ws)))
+            exponent = ex.Add([ex.Mul((ex.Const(2j * np.pi * aj), w)) for aj, w in zip(a, ws)])
             terms.append(ex.Mul((ex.Const(lam), ex.Exp(exponent))))
-        return fold_constants(ex.Add(tuple(terms)))
+        return ex.Add(terms)
 
 
 def make_periodic(cprime, k: int, seed: int | None = None, basis: str = "t1") -> Expr:
@@ -178,7 +178,7 @@ def make_quasi_periodic(cprime, c1, k: int, seed: int | None = None, basis: str 
     if abs(tau) < 1e-12:
         raise ConstructionError(f"tau = sum(c') = {tau} vanishes but c1 = {c1} != 0")
     n = len(tuple(cprime)) + 1
-    return fold_constants(g + ex.Const(c1 / (2.0 * tau)) * omega_expr(n, basis))
+    return g + ex.Const(c1 / (2.0 * tau)) * omega_expr(n, basis)
 
 
 def make_polynomial_quasi_periodic(cprime, c1, seed: int | None = None, basis: str = "t1") -> Expr:
@@ -199,9 +199,7 @@ def make_polynomial_quasi_periodic(cprime, c1, seed: int | None = None, basis: s
     denom = _bilinear(u, cp)
 
     def linear_form(vec) -> Expr:
-        return fold_constants(
-            ex.Add(tuple(ex.Mul((ex.Const(complex(v)), w)) for v, w in zip(vec, ws)))
-        )
+        return ex.Add([ex.Mul((ex.Const(complex(v)), w)) for v, w in zip(vec, ws)])
 
     b = (c1 / 2.0 / denom) * u
     parts = [linear_form(b)] if c1 != 0 else []
@@ -214,4 +212,4 @@ def make_polynomial_quasi_periodic(cprime, c1, seed: int | None = None, basis: s
         lam = complex(0.3 + rng.random()) * np.exp(2j * np.pi * rng.random())
         parts.append(ex.Mul((ex.Const(lam), ex.Pow(linear_form(v), d))))
     parts.append(ex.Const(complex(rng.standard_normal() + 1j * rng.standard_normal())))
-    return fold_constants(ex.Add(tuple(parts)))
+    return ex.Add(parts)

@@ -8,9 +8,10 @@ sin or cos is one `OP_MAP` instruction that applies the node class's
 ufunc (`expr.FUNCTIONS`).  Two kinds of node get no instruction of their
 own:
 
-- a constant (the empty sum and product too) is an immediate operand,
-  a scalar the reading instruction broadcasts; a root constant gets an
-  `OP_CONST` instruction, which only fills its output row;
+- a constant is an immediate operand, a scalar the reading instruction
+  broadcasts; a root constant gets an `OP_CONST` instruction, which only
+  fills its output row (expressions are folded as they are built, so no
+  sum or product is empty);
 - a negation read as a summand other than the first is folded into that
   sum as a subtraction, a - b for a + (-b) (it gets an `OP_MAP`
   instruction only when something else reads it).
@@ -173,8 +174,8 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
                 if op == OP_VAR:
                     info.append((OP_VAR, node.index - 1, rd, -1))
                     n_min = max(n_min, node.index)
-                else:  # a constant, the empty sum and product included
-                    value = np.complex128(node.value if op == OP_CONST else (0j if op == OP_ADD else 1 + 0j))
+                else:  # a constant
+                    value = np.complex128(node.value)
                     info.append((OP_CONST, value, rd, -1))
                     const_at.append(i)
                     consts.append(value)

@@ -26,7 +26,7 @@ from . import expr as ex
 from .backends import BLOCK, eval_batch, eval_blocks
 from .elliptic import default_context
 from .errors import EstimationError, ProblemSpecError
-from .expr import DEFAULT_POLE_EPS, Expr, fold_constants, uses_wp
+from .expr import DEFAULT_POLE_EPS, Expr, uses_wp
 from .tape import compile_expr
 
 __all__ = [
@@ -296,8 +296,13 @@ def verify_problem(problem, f: Expr, policy: SamplingPolicy | None = None,
                           guards=guards)
 
 
+#: `is_identically_zero`: a sum counts as zero where |sum| <= ZERO_TOL *
+#: max |summand|; at 1 or more every sampled leaf would count as zero
+ZERO_TOL = 1e-10
+
+
 def _zero_candidates(e: Expr) -> list[Expr]:
-    """Sums and leaves of a folded expression, one of which vanishes iff e does.
+    """Sums and leaves of e, one of which vanishes iff e does.
 
     Holomorphic functions on a polydisc have no zero divisors, so a product
     vanishes identically iff one of its factors does; a quotient iff its
@@ -314,22 +319,21 @@ def _zero_candidates(e: Expr) -> list[Expr]:
     return [e]
 
 
-def is_identically_zero(e: Expr, n: int, tol: float = 1e-10) -> bool:
+def is_identically_zero(e: Expr, n: int) -> bool:
     """Sampling test for e vanishing identically on a polydisc.
 
-    An expression that folds to a constant is decided without a probe: it
-    is zero iff its value == 0, so 0 and -0.0 are and a subnormal, NaN or
-    inf is not (the answers the probe gives them).  Products, quotients
-    and positive powers are split first: e vanishes iff one of its
-    `_zero_candidates` does.  A sum counts as zero when |sum| <= tol *
-    max |summand| at every probe point, any other leaf only when it is
-    exactly zero.  So a tiny nonzero expression is not mistaken for zero
-    and huge terms that cancel to roundoff are, also inside a product.
+    A constant expression is decided without a probe: it is zero iff its
+    value == 0, so 0 and -0.0 are and a subnormal, NaN or inf is not (the
+    answers the probe gives them).  Products, quotients and positive
+    powers are split first: e vanishes iff one of its `_zero_candidates`
+    does.  A sum counts as zero when |sum| <= ZERO_TOL * max |summand| at
+    every probe point, any other leaf only when it is exactly zero.  So a
+    tiny nonzero expression is not mistaken for zero and huge terms that
+    cancel to roundoff are, also inside a product.
     Holomorphic functions in this expression class that vanish on a dozen
     generic points of a polydisc (the fixed probe: 12 points of the
     radius-1.1 polydisc) are identically zero for our purposes.
     """
-    e = fold_constants(e)
     if isinstance(e, ex.Const):  # nothing to sample: the probe would answer value == 0
         return e.value == 0
     roots = [e]  # evaluated only for its pole mask: denominators are no candidates
@@ -347,7 +351,7 @@ def is_identically_zero(e: Expr, n: int, tol: float = 1e-10) -> bool:
         kept = True
         mags = np.abs(vals[:, keep])
         for g, (i, k) in enumerate(groups):
-            zero[g] = zero[g] and bool(np.all(mags[i] <= tol * mags[i + 1 : i + 1 + k].max(axis=0)))
+            zero[g] = zero[g] and bool(np.all(mags[i] <= ZERO_TOL * mags[i + 1 : i + 1 + k].max(axis=0)))
     return kept and any(zero)
 
 

@@ -227,6 +227,18 @@ class TestOrderCommand:
         assert run_cli("order", "z1", "--n", "1", f"--directions={directions}") == 2
         assert f"--directions must be a positive integer, got {directions}" in capsys.readouterr().err
 
+    def test_too_many_directions_are_malformed_input(self, capsys):
+        # 1e11 directions would ask numpy for hundreds of GiB
+        assert run_cli("order", "z1", "--n", "1", "--directions=100000000000") == 2
+        assert "--directions must be at most 100000, got 100000000000" in capsys.readouterr().err
+
+    def test_long_sum_is_one_wide_node(self, capsys):
+        # one wide sum, not 700 nested ones that overrun the recursion limit
+        target = " + ".join(f"z1^{k}" for k in range(1, 701))
+        code = run_cli("--format", "machine", "order", target, "--n", "1", "--radii", "1.1,1.2")
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["estimate"]["radii"] == [1.1, 1.2]
+
     def test_negative_seed_is_malformed_input(self, capsys):
         assert run_cli("order", "z1", "--n", "1", "--seed", "-3") == 2
         assert "seed must be >= 0, got -3" in capsys.readouterr().err

@@ -271,9 +271,9 @@ class TestSlotTape:
 
     @settings(max_examples=150, deadline=None)
     @given(dags(max_nodes=20))
-    # the fresh z1 + z1 is folded in by an early step after z2 is computed:
+    # the fresh z1*z1 is folded in by an early step after z2 is computed:
     # its slot must live until that step
-    @example([Add((Add((Var(1), Var(1))), Neg(Var(2)), Var(1), Var(2)))])
+    @example([Add((Mul((Var(1), Var(1))), Neg(Var(2)), Var(1), Var(2)))])
     def test_symbolic_run_rebuilds_every_root(self, roots):
         """Instructions, slots, immediates, fold steps, outputs and fail indices, by property."""
         tape = compile_expr(roots)
@@ -361,6 +361,7 @@ class TestSlotTape:
 
     def test_empty_sum_and_product_are_constants(self):
         pts = disc_points(58, 10, 1)
+        assert Add(()) is Const(0.0) and Mul(()) is Const(1.0)
         roots = [Add(()), Mul(()), Add((Var(1), Mul(()))), Const(2.5j)]
         tape = compile_expr(roots)
         assert len(tape.ops) == 5  # three constant roots, z1 and z1 + 1

@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fermat_pdde import expr as ex
 from fermat_pdde.errors import DimensionError, EvalError, PoleHitError
 from fermat_pdde.expr import (
     Add,
@@ -17,7 +19,6 @@ from fermat_pdde.expr import (
     Sin,
     Var,
     directional_derivative,
-    fold_constants,
     free_variables,
     partial,
     shift,
@@ -30,34 +31,55 @@ from oracle import evaluate, fd_partial
 PI = math.pi
 
 F_EX4 = parse("1 - z1^2/4 + z1*exp(z2+z3) - exp(2*z2+2*z3)", 3)
-F_EX1 = parse(
+F_EX1_TEXT = (
     "pi*i + z3 - z4 + z5 + exp(z2+z3-2*z4) - (pi^2+z1^2)/4"
     " + (z1-pi*i)*exp(5*z2*z3-2*z2*z4+z5+9) + (z1-pi*i)*(z2+z3+z4+z5)/18"
-    " - (exp(5*z2*z3-2*z2*z4+z5+9) + (z2+z3+z4+z5-9*pi*i)/18)^2",
-    5,
+    " - (exp(5*z2*z3-2*z2*z4+z5+9) + (z2+z3+z4+z5-9*pi*i)/18)^2"
 )
+F_EX1 = parse(F_EX1_TEXT, 5)
 
 
-def exprs(n=3, leaves=None):
-    """Bounded random expression trees over z1..zn (hypothesis strategy)."""
+def recipes(n=3):
+    """Bounded random expression recipes over z1..zn (hypothesis strategy).
+
+    A recipe is a node class followed by its fields, with recipes in place
+    of operands: (Const, c), (Var, j), (Add, (r1, r2)), (Pow, r, k), ...
+    """
     finite = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
     leaf = st.one_of(
-        finite.map(Const),
-        st.integers(1, n).map(Var),
+        finite.map(lambda c: (Const, c)),
+        st.integers(1, n).map(lambda j: (Var, j)),
     )
 
     def extend(children):
         return st.one_of(
-            st.tuples(children, children).map(lambda t: Add(t)),
-            st.tuples(children, children).map(lambda t: Mul(t)),
-            children.map(Neg),
-            st.tuples(children, st.integers(-2, 3)).map(lambda t: Pow(t[0], t[1])),
-            children.map(Sin),
-            children.map(Cos),
-            st.tuples(children, children).map(lambda t: Div(t[0], t[1])),
+            st.tuples(children, children).map(lambda t: (Add, t)),
+            st.tuples(children, children).map(lambda t: (Mul, t)),
+            children.map(lambda r: (Neg, r)),
+            st.tuples(children, st.integers(-2, 3)).map(lambda t: (Pow, *t)),
+            children.map(lambda r: (Sin, r)),
+            children.map(lambda r: (Cos, r)),
+            st.tuples(children, children).map(lambda t: (Div, *t)),
         )
 
     return st.recursive(leaf, extend, max_leaves=8)
+
+
+def build(recipe, raw=False):
+    """The expression a recipe describes, built through the constructors,
+    which fold it; with `raw`, every node is interned as the recipe gives
+    it, unfolded."""
+    cls, *fields = recipe
+    if cls is Add or cls is Mul:
+        fields = [tuple(build(r, raw) for r in fields[0])]
+    elif cls is not Const and cls is not Var:
+        fields = [build(f, raw) if isinstance(f, tuple) else f for f in fields]
+    return ex._make(cls, *fields) if raw else cls(*fields)
+
+
+def exprs(n=3):
+    """Bounded random expressions over z1..zn (hypothesis strategy)."""
+    return recipes(n).map(build)
 
 
 def eval_ok(e, pt):
@@ -153,6 +175,17 @@ class TestPartial:
             fd = fd_partial(F_EX1, 1, pt)
             assert rel_err(evaluate(d, pt), fd) < 1e-6
 
+    def test_product_rule_left_out_terms_are_zero(self):
+        # the derivative leaves out product-rule terms with a zero factor;
+        # the result is the full sum, also where 0 times the constant is
+        # NaN (inf) or the constants overflowed and did not fold
+        z1, z2 = Var(1), Var(2)
+        for e in (parse("2*z1^2*exp(z2)*(z2+1)", 2), Mul((Const(math.inf), z1, z2)),
+                  Mul((Const(1e300), Const(1e300), z1, z2))):
+            fs = list(e.factors)
+            full = Add([Mul(fs[:i] + [partial(f, (1, 0))] + fs[i + 1:]) for i, f in enumerate(fs)])
+            assert partial(e, (1, 0)) is full
+
     def test_bad_multi_index(self):
         with pytest.raises(DimensionError):
             partial(F_EX4, (1, 0))
@@ -164,7 +197,7 @@ class TestPartial:
     def test_linearity(self, u, v, j):
         a, b = 1.3 - 0.7j, -0.4 + 2.1j
         idx = tuple(1 if i == j else 0 for i in (1, 2, 3))
-        combo = partial(fold_constants(Add((Mul((Const(a), u)), Mul((Const(b), v))))), idx)
+        combo = partial(Add((Mul((Const(a), u)), Mul((Const(b), v)))), idx)
         du, dv = partial(u, idx), partial(v, idx)
         for pt in disc_points(5, 4, 3, radius=0.7):
             vals = [eval_ok(e, pt) for e in (combo, du, dv)]
@@ -190,7 +223,7 @@ class TestDirectionalDerivative:
     def test_matches_sum_of_partials(self):
         e = parse("exp(z1*z2) + z1^3 - sin(z2)", 2)
         d = directional_derivative(e, (1, 1))
-        ref = fold_constants(Add((partial(e, (1, 0)), partial(e, (0, 1)))))
+        ref = Add((partial(e, (1, 0)), partial(e, (0, 1))))
         for pt in disc_points(7, 10, 2):
             assert rel_err(evaluate(d, pt), evaluate(ref, pt)) < 1e-12
 
@@ -244,46 +277,85 @@ class TestFdPartial:
 
 
 class TestFoldConstants:
+    """The node constructors fold; so does `parse`, which builds through them."""
+
     def test_drop_zero_term(self):
-        assert fold_constants(parse("0*z1 + z2", 2)) == Var(2)
+        assert Add((Mul((Const(0.0), Var(1))), Var(2))) is Var(2)
+        assert Add((Var(1), Const(0.0))) is Var(1)
+        assert parse("0*z1 + z2", 2) is Var(2)
 
     def test_pow_one(self):
-        assert fold_constants(Pow(Var(1), 1)) == Var(1)
+        assert Pow(Var(1), 1) is Var(1)
+        assert Pow(Var(1), 0) is Const(1.0)
 
     def test_const_product(self):
-        assert fold_constants(parse("2*3", 1)) == Const(6.0)
+        assert Mul((Const(2.0), Const(3.0))) is Const(6.0)
+        assert parse("2*3", 1) is Const(6.0)
 
     def test_unit_factor_dropped(self):
-        assert fold_constants(parse("1*z1", 1)) == Var(1)
+        assert Mul((Const(1.0), Var(1))) is Var(1)
+        assert parse("1*z1", 1) is Var(1)
 
     def test_idempotent(self):
-        e = fold_constants(F_EX1)
-        assert fold_constants(e) == e
+        # rebuilding a node of a folded expression from its fields gives it back
+        stack, seen = [F_EX1], set()
+        while stack:
+            e = stack.pop()
+            if e in seen:
+                continue
+            seen.add(e)
+            stack.extend(ex._children(e))
+            fields = [getattr(e, f) for f in e.__dataclass_fields__]
+            assert type(e)(*fields) is e
 
     def test_overflowing_constant_power_left_unfolded(self):
         # 1/denormal exceeds the float range; folding must not raise
         tiny = Pow(Const(2.225073858507e-311), -1)
-        assert fold_constants(tiny) == tiny
+        assert tiny is ex._make(Pow, Const(2.225073858507e-311), -1)
         huge = Pow(Const(1e200), 3)
-        assert fold_constants(huge) == huge
+        assert huge is ex._make(Pow, Const(1e200), 3)
         # the intermediate square underflows to zero before the reciprocal
         underflow = Pow(Const(5.636223382533671e-202), -2)
-        assert fold_constants(underflow) == underflow
+        assert underflow is ex._make(Pow, Const(5.636223382533671e-202), -2)
+        # the cube of a finite constant is NaN without an OverflowError
+        nan = Pow(Const(1e200 + 1e200j), 3)
+        assert nan is ex._make(Pow, Const(1e200 + 1e200j), 3)
+
+    def test_overflowing_fold_left_unfolded(self):
+        big, tiny, z1 = Const(1e300), Const(5e-324), Var(1)
+        assert Mul((big, big, z1)) is ex._make(Mul, (big, big, z1))
+        assert Mul((Mul((big, z1)), big)) is ex._make(Mul, (big, z1, big))
+        assert Div(Const(3.0), tiny) is ex._make(Div, Const(3.0), tiny)
+        assert Exp(Const(1000.0)) is ex._make(Exp, Const(1000.0))
+        assert Add((Const(1.7e308), Const(1.7e308), z1)) is ex._make(
+            Add, (Const(1.7e308), Const(1.7e308), z1))
+        # a constant that is not finite already still folds
+        inf = Const(math.inf)
+        assert Add((inf, Const(1.0))) is inf
+        for e in (Mul((inf, Const(2.0))), Div(inf, Const(2.0)), Exp(inf)):
+            assert isinstance(e, Const) and not cmath.isfinite(e.value)
 
     def test_preserves_eval_on_corpus(self):
-        corpus = [F_EX4, F_EX1, parse("cos(z1)^2 + sin(z1)^2 - 1/(2+z2)", 3)]
+        # each folded parse against the text evaluated in Python arithmetic
+        corpus = [
+            ("1 - z1^2/4 + z1*exp(z2+z3) - exp(2*z2+2*z3)", F_EX4),
+            (F_EX1_TEXT, F_EX1),
+            ("cos(z1)^2 + sin(z1)^2 - 1/(2+z2)", parse("cos(z1)^2 + sin(z1)^2 - 1/(2+z2)", 3)),
+        ]
+        names = {"exp": cmath.exp, "sin": cmath.sin, "cos": cmath.cos, "pi": PI, "i": 1j}
         pts = disc_points(10, 100, 5)
-        for e in corpus:
-            folded = fold_constants(e)
+        for text, folded in corpus:
+            code = compile(text.replace("^", "**"), "<corpus>", "eval")
             for pt in pts:
-                assert rel_err(evaluate(folded, pt), evaluate(e, pt)) < 1e-12
+                env = {**names, **{f"z{j}": complex(x) for j, x in enumerate(pt, start=1)}}
+                assert rel_err(evaluate(folded, pt), eval(code, env)) < 1e-12
 
     @settings(max_examples=60, deadline=None)
-    @given(exprs())
-    def test_preserves_eval_random(self, e):
-        folded = fold_constants(e)
+    @given(recipes())
+    def test_preserves_eval_random(self, recipe):
+        raw, folded = build(recipe, raw=True), build(recipe)
         for pt in disc_points(11, 4, 3, radius=0.8):
-            a, b = eval_ok(e, pt), eval_ok(folded, pt)
+            a, b = eval_ok(raw, pt), eval_ok(folded, pt)
             if a is None or b is None:
                 continue
             assert rel_err(b, a) < 1e-12

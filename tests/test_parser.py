@@ -250,6 +250,12 @@ class TestPrintParseRoundTrip:
         e = parse("wp(z1)^3 - wpd(z1)/sqrt(3)", 1)
         assert parse(to_string(e), 1) == e
 
+    @pytest.mark.parametrize("text", ["1e300*1e300*z1", "exp(1000) + z1", "3/5e-324*z1"])
+    def test_overflowing_fold_roundtrip(self, text):
+        # the fold to inf or NaN is not made, so the printed text holds none
+        e = parse(text, 1)
+        assert parse(to_string(e), 1) is e
+
     @settings(max_examples=80, deadline=None)
     @given(exprs())
     def test_random_roundtrip(self, e):

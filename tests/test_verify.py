@@ -406,9 +406,15 @@ class TestIdenticallyZeroConstant:
         monkeypatch.setattr(verify.np.random, "default_rng", refuse)
         for n in (1, 2, 3):
             assert is_identically_zero(Const(value), n) is zero
-        # a constant subtree folds first
+        # a constant subtree folds as it is built
         assert is_identically_zero(Const(value) * Const(1.0) + Const(0.0), 2) is zero
 
     def test_non_constant_is_still_probed(self):
         assert is_identically_zero(parse("z1 - z1", 1), 1)
         assert not is_identically_zero(parse("1e-300*z1", 1), 1)
+
+    def test_zero_tolerance_is_fixed(self):
+        # a tolerance of 1 or more would count every sampled leaf as zero
+        assert verify.ZERO_TOL == 1e-10
+        with pytest.raises(TypeError):
+            is_identically_zero(parse("z1", 1), 1, tol=1.0)
