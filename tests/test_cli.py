@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -294,7 +295,62 @@ class TestUsageErrors:
         assert "verdict: pass" in proc.stdout
 
 
+_PI = 3.141592653589793
+
+#: one loadable file per kind, and the fields each kind cannot do without
+_KIND_FILES = {
+    "fermat": {"n": 1, "kind": "fermat", "m1": 2, "f": "cos(z1)", "g": "sin(z1)"},
+    "xc": {"n": 2, "kind": "xc", "m1": 2, "m2": 2, "c": [[_PI, 0], [_PI, 0]], "f": "sin(z1+z2)"},
+    "xw": {"n": 2, "kind": "xw", "m1": 2, "m2": 2, "c": [[_PI, 0], [0, 0]], "f": "sin(z1)"},
+    "equ1": {"n": 2, "kind": "equ1", "c": [[1, 0], [1, 0]], "f": "z1"},
+    "equ2": {"n": 2, "kind": "equ2", "c": [[1, 0], [2, 0]], "f": "z1"},
+    "fte": {"n": 2, "kind": "fte", "m1": 2, "c": [[1, 0], [0, 0]], "f": "z1", "phi": "1+z2"},
+    "ftee": {"n": 3, "kind": "ftee", "m1": 2, "c": [[1, 0], [0, 0], [0, 0]], "f": "z1", "phi": "1+z3"},
+    "fg": {
+        "n": 2, "kind": "fg", "m1": 2, "m2": 1, "c": [[1, 0], [0, 0]],
+        "f": "exp(z1)", "alpha": "1", "beta": "1+z2",
+        "operator": [{"index": [1, 0], "coeff": "1"}, {"index": [0, 1], "coeff": "z1"}],
+    },
+}
+_NEEDED = {
+    "fermat": ("g", "m1"),
+    "xc": ("c", "m1", "m2"),
+    "xw": ("c", "m1", "m2"),
+    "equ1": ("c",),
+    "equ2": ("c",),
+    "fte": ("c", "m1", "phi"),
+    "ftee": ("c", "m1", "phi"),
+    "fg": ("c", "m1", "m2", "operator", "alpha", "beta"),
+}
+
+
 class TestProblemFileLoader:
+    @pytest.mark.parametrize("kind", sorted(_KIND_FILES))
+    def test_every_kind_loads(self, tmp_path, kind):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(_KIND_FILES[kind]))
+        assert load_problem(path).problem.kind == kind
+
+    @pytest.mark.parametrize("kind,field", [
+        (kind, field) for kind in sorted(_NEEDED) for field in ("n", "kind", "f", *_NEEDED[kind])
+    ])
+    def test_missing_needed_field_is_malformed_input(self, tmp_path, capsys, kind, field):
+        data = dict(_KIND_FILES[kind])
+        del data[field]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ProblemFileError, match="^" + re.escape(f"{path}: ")):
+            load_problem(path)
+        assert run_cli("verify", str(path)) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["equ1", "equ2"])
+    def test_equ_kinds_default_their_powers(self, tmp_path, kind):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(_KIND_FILES[kind]))
+        lp = load_problem(path)
+        assert (lp.problem.m1, lp.problem.m2) == (2, 1)
+
     def test_loads_policy_and_status(self, fixtures_dir):
         lp = load_problem(fixtures_dir / "example2.json")
         assert lp.expected_status == "inconsistent"

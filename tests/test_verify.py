@@ -366,6 +366,13 @@ class TestEstimateOrder:
         assert est.ladder_truncated
         assert est.radii == default_radii()[:2]
 
+    def test_nan_maximum_ends_the_ladder(self):
+        # inf - inf is NaN from radius 724 on: a NaN maximum is no usable
+        # radius, although it is not an overflow to inf
+        est = estimate_order(parse("exp(z1)*z1 - exp(z1)*z1 + z1", 1), 1)
+        assert est.radii == default_radii()[:15]
+        assert est.ladder_truncated
+
     def test_reports_usable_prefix(self):
         est = estimate_order(F_EX1, 5)
         assert est.ladder_truncated
