@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields, replace
 
 from .construct import (
     construct_cor1,
@@ -28,7 +29,7 @@ from .construct import (
     T1Params,
     T2Params,
 )
-from .errors import EstimationError, PDDEError, ParseError, ProblemSpecError
+from .errors import ConstructionError, EstimationError, PDDEError, ParseError, ProblemSpecError
 from .expr import Const, Expr, Wp, to_string
 from .operators import PDDEProblem
 from .parser import parse
@@ -40,9 +41,10 @@ __all__ = ["main"]
 
 _THEOREMS = ("t1-i", "t1-ii", "t2-i", "t2-ii", "cor1", "cor2", "equ1", "equ2")
 _FERMAT_KINDS = {"cos-sin": "cos_sin", "mobius": "mobius", "cubic": "cubic"}
-#: most directions `order` takes: it holds the points of every radius at
-#: once, radii x directions x n complex values
+#: most directions and radii `order` takes: it holds the points of every
+#: radius at once, radii x directions x n complex values
 MAX_DIRECTIONS = 100_000
+_MAX_RADII = 64
 
 
 def _add_policy_flags(sp: argparse.ArgumentParser) -> None:
@@ -60,15 +62,8 @@ def _add_format_flag(sp: argparse.ArgumentParser) -> None:
 
 
 def _policy_with_overrides(base: SamplingPolicy, args) -> SamplingPolicy:
-    fields = {
-        "samples": args.samples,
-        "radius": args.radius,
-        "tol": args.tol,
-        "seed": args.seed,
-        "pole_eps": args.pole_eps,
-    }
-    kwargs = {k: (v if v is not None else getattr(base, k)) for k, v in fields.items()}
-    return SamplingPolicy(**kwargs)
+    flags = {f.name: getattr(args, f.name) for f in fields(SamplingPolicy)}
+    return replace(base, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _parse_constant(text: str, what: str) -> complex:
@@ -90,6 +85,8 @@ def _parse_radii(text: str) -> tuple[float, ...]:
         radii = ()
     if not radii or not all(math.isfinite(r) and r > 0 for r in radii):
         raise ProblemSpecError(f"--radii must be comma-separated positive finite numbers, got {text!r}")
+    if len(radii) > _MAX_RADII:
+        raise ProblemSpecError(f"--radii must hold at most {_MAX_RADII} radii, got {len(radii)}")
     return radii
 
 
@@ -120,7 +117,11 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
-def _generated_g(theorem: str, n: int, c, seed: int, terms: int) -> Expr:
+def _generated_g(theorem: str, c, seed: int, terms: int) -> Expr:
+    if len(c) < 2:
+        # every family lives on C^n with n >= 2; its constructor says so
+        # too, but the generator reads c2 first
+        raise ConstructionError(f"theorem {theorem} needs a shift vector of at least 2 components, got {len(c)}")
     c1 = c[0]
     if theorem in ("t1-i",):
         return make_polynomial_quasi_periodic(c[1:], c1, seed=seed, basis="t1")
@@ -139,13 +140,11 @@ def _generated_g(theorem: str, n: int, c, seed: int, terms: int) -> Expr:
 def cmd_construct(args) -> int:
     theorem = args.theorem
     c = _parse_c(args.c)
-    n = args.n if args.n is not None else (2 if theorem in ("equ1", "equ2") else len(c))
-    if len(c) != n:
-        raise ParseError(f"--c has {len(c)} components but n = {n}", 0)
+    n = len(c)
     if args.g is not None:
         g = parse(args.g, n)
     else:
-        g = _generated_g(theorem, n, c, args.gen_seed, args.gen_terms)
+        g = _generated_g(theorem, c, args.gen_seed, args.gen_terms)
     phi = parse(args.phi, n)
 
     if theorem == "t1-i":
@@ -252,8 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("construct", help="build a family member and verify it")
     sp.add_argument("--theorem", choices=_THEOREMS, required=True)
-    sp.add_argument("--n", type=int, default=None, help="dimension (default: length of --c)")
-    sp.add_argument("--c", required=True, help="shift vector: comma-separated constants, e.g. '0,pi*i,pi*i'")
+    sp.add_argument("--c", required=True,
+                    help="shift vector, one component per dimension: comma-separated constants, e.g. '0,pi*i,pi*i'")
     sp.add_argument("--g", default=None, help="periodic/polynomial part (generated when omitted)")
     sp.add_argument("--phi", default="1", help="right side for t1-*/t2-* (default 1)")
     sp.add_argument("--gen-seed", type=int, default=0, help="seed for the generated g part")

@@ -247,14 +247,18 @@ class Mul(Expr):
     def __new__(cls, factors):
         factors = tuple(factors)  # read twice where a fold overflows
         rest: list[Expr] = []
-        cprod = 1 + 0j
+        # from the first constant, not 1+0j, which turns an imaginary -0.0
+        # into +0.0: so a folded product is a fixed point of Mul
+        cprod = None
         for f in factors:
             for x in f.factors if type(f) is Mul else (f,):
                 if type(x) is Const:
-                    cprod *= x.value
+                    cprod = x.value if cprod is None else cprod * x.value
                 else:
                     rest.append(x)
-        if not cmath.isfinite(cprod):
+        if cprod is None:
+            cprod = 1 + 0j
+        elif not cmath.isfinite(cprod):
             flat = tuple(x for f in factors for x in (f.factors if isinstance(f, Mul) else (f,)))
             if not _foldable(cprod, flat):
                 return _make(cls, flat)

@@ -18,12 +18,18 @@ Kinds:
 ``ftee``    (d f/d z1 + d f/d z2)^m1 + f(z+c) = phi(z3,...,zn)
 ``fg``      G(f)^m1 + alpha * (f(z+c) - f)^m2 = beta,  G a linear operator
 ==========  ================================================================
+
+Each kind is one row of `_KIND_TABLE`: the direction of its derivative
+term, the fields it needs, the values it fixes and the field holding its
+right side.  `PDDEProblem` validates an instance against its row, and
+`residual` and `scale_terms` build the equation from it; the problem-file
+reader and the CLI know no kind rule of their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import expr as ex
 from .errors import DimensionError, ProblemSpecError
@@ -48,11 +54,6 @@ __all__ = [
     "unit_index",
     "is_identically_zero",
 ]
-
-KINDS = ("fermat", "xc", "xw", "equ1", "equ2", "fte", "ftee", "fg")
-
-#: kinds whose equation contains a shifted copy of the unknown
-SHIFT_KINDS = ("xc", "xw", "equ1", "equ2", "fte", "ftee", "fg")
 
 
 def unit_index(j: int, n: int) -> tuple[int, ...]:
@@ -109,6 +110,36 @@ def difference(f: Expr, c) -> Expr:
     return shift(f, cs) - f
 
 
+class _Kind(NamedTuple):
+    """One row of the kind table.
+
+    `direction` holds the weights w of the derivative term sum_j w_j d/dz_j,
+    padded with zeros to n (None: the kind has no such term); `needs` the
+    fields the kind reads besides n and m1; `fixed` the values it fixes,
+    which a field left None takes; `rhs` the field holding the right side
+    (None: the number 1).
+    """
+
+    direction: tuple[int, ...] | None
+    needs: tuple[str, ...]
+    fixed: Mapping[str, int]
+    rhs: str | None = None
+
+
+_KIND_TABLE = {
+    "fermat": _Kind(None, ("g",), {}),
+    "xc": _Kind((1,), ("c", "m2"), {}),
+    "xw": _Kind((1, 1), ("c", "m2"), {}),
+    "equ1": _Kind((1,), ("c", "m2"), {"n": 2, "m1": 2, "m2": 1}),
+    "equ2": _Kind((1, 1), ("c", "m2"), {"n": 2, "m1": 2, "m2": 1}),
+    "fte": _Kind((1,), ("c", "phi"), {}, rhs="phi"),
+    "ftee": _Kind((1, 1), ("c", "phi"), {}, rhs="phi"),
+    "fg": _Kind(None, ("c", "m2", "operator", "alpha", "beta"), {}, rhs="beta"),
+}
+
+KINDS = tuple(_KIND_TABLE)
+
+
 @dataclass(frozen=True, eq=False)
 class PDDEProblem:
     """One equation instance; see the module docstring for the kinds."""
@@ -127,76 +158,50 @@ class PDDEProblem:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ProblemSpecError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.n < 1:
-            raise ProblemSpecError(f"dimension must be >= 1, got {self.n}")
+        kind, spec = self.kind, _KIND_TABLE[self.kind]
+        for name, value in spec.fixed.items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+            elif getattr(self, name) != value:
+                raise ProblemSpecError(f"kind {kind} fixes {name} = {value}, got {getattr(self, name)!r}")
+        n = self.n
+        if n < 1:
+            raise ProblemSpecError(f"dimension must be >= 1, got {n}")
         if self.c is not None:
             object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
-
-        kind = self.kind
-        if kind in ("xw", "equ2", "ftee") and self.n < 2:
-            raise ProblemSpecError(f"kind {kind} differentiates in z2 and needs n >= 2")
-        if kind in ("equ1", "equ2"):
-            if self.m1 is None:
-                object.__setattr__(self, "m1", 2)
-            if self.m2 is None:
-                object.__setattr__(self, "m2", 1)
-            if (self.m1, self.m2) != (2, 1):
-                raise ProblemSpecError(f"kind {kind} fixes (m1, m2) = (2, 1), got {(self.m1, self.m2)}")
-            if self.n != 2:
-                raise ProblemSpecError(f"kind {kind} is a two-variable equation, got n={self.n}")
+        banned = {j for j, w in enumerate(spec.direction or (), start=1) if w}  # phi may not use these
+        if banned and max(banned) > n:
+            raise ProblemSpecError(f"kind {kind} differentiates in z{max(banned)} and needs n >= {max(banned)}")
         if not isinstance(self.m1, int) or self.m1 < 1:
             raise ProblemSpecError(f"m1 must be a positive integer, got {self.m1!r}")
-        if kind in ("xc", "xw", "fg"):
-            if not isinstance(self.m2, int) or self.m2 < 1:
-                raise ProblemSpecError(f"kind {kind} needs a positive integer m2, got {self.m2!r}")
 
-        if kind in SHIFT_KINDS:
-            if self.c is None or len(self.c) != self.n:
-                raise ProblemSpecError(f"kind {kind} needs a shift vector of length n={self.n}")
-            if all(x == 0 for x in self.c):
-                raise ProblemSpecError(f"kind {kind} requires a nonzero shift vector")
-
-        if kind == "fermat":
-            if self.g is None:
-                raise ProblemSpecError("kind fermat stores the partner function in field g")
-            self._check_dim("g", self.g)
-        if kind in ("fte", "ftee"):
-            if self.phi is None:
-                raise ProblemSpecError(f"kind {kind} needs the right side phi")
-            self._check_dim("phi", self.phi)
-            banned = {1} if kind == "fte" else {1, 2}
-            used = free_variables(self.phi) & banned
-            if used:
-                raise ProblemSpecError(
-                    f"phi must not depend on {sorted('z%d' % j for j in banned)} for kind {kind}; "
-                    f"it uses {sorted('z%d' % j for j in used)}"
-                )
-            if is_identically_zero(self.phi, self.n):
-                raise ProblemSpecError("phi vanishes identically")
-        if kind == "fg":
-            if self.operator is None or self.alpha is None or self.beta is None:
-                raise ProblemSpecError("kind fg needs operator, alpha, and beta")
-            if self.operator.n != self.n:
-                raise ProblemSpecError(
-                    f"operator dimension {self.operator.n} does not match problem dimension {self.n}"
-                )
-            for name, e in (("alpha", self.alpha), ("beta", self.beta)):
-                self._check_dim(name, e)
-                if is_identically_zero(e, self.n):
+        for name in spec.needs:
+            value = getattr(self, name)
+            if value is None:
+                raise ProblemSpecError(f"kind {kind} needs the field {name}")
+            if name == "c":
+                if len(value) != n:
+                    raise ProblemSpecError(f"kind {kind} needs a shift vector of length n={n}")
+                if all(x == 0 for x in value):
+                    raise ProblemSpecError(f"kind {kind} requires a nonzero shift vector")
+            elif name == "m2":
+                if not isinstance(value, int) or value < 1:
+                    raise ProblemSpecError(f"kind {kind} needs a positive integer m2, got {value!r}")
+            elif name == "operator":
+                if value.n != n:
+                    raise ProblemSpecError(f"operator dimension {value.n} does not match problem dimension {n}")
+            else:
+                if max_var_index(value) > n:
+                    raise ProblemSpecError(f"{name} uses z{max_var_index(value)} but dimension is {n}")
+                used = free_variables(value) & banned
+                if used:
+                    raise ProblemSpecError(
+                        f"{name} must not depend on {sorted('z%d' % j for j in banned)} for kind {kind}; "
+                        f"it uses {sorted('z%d' % j for j in used)}"
+                    )
+                # g is the candidate's partner, not a coefficient of the equation
+                if name != "g" and is_identically_zero(value, n):
                     raise ProblemSpecError(f"{name} vanishes identically")
-
-    def _check_dim(self, name: str, e: Expr) -> None:
-        if max_var_index(e) > self.n:
-            raise ProblemSpecError(f"{name} uses z{max_var_index(e)} but dimension is {self.n}")
-
-
-def _derivative_term(p: PDDEProblem, f: Expr) -> Expr:
-    # the two-direction kinds take d/dz1 + d/dz2 in one chain-rule pass:
-    # termwise addition of the partials cancels catastrophically on
-    # functions of z2 - z1 with large factors
-    if p.kind in ("xw", "equ2", "ftee"):
-        return directional_derivative(f, (1, 1) + (0,) * (p.n - 2))
-    return partial(f, unit_index(1, p.n))
 
 
 def _equation_terms(p: PDDEProblem, f: Expr) -> tuple[tuple[Expr, Expr], Expr | int]:
@@ -207,20 +212,19 @@ def _equation_terms(p: PDDEProblem, f: Expr) -> tuple[tuple[Expr, Expr], Expr | 
     """
     if max_var_index(f) > p.n:
         raise DimensionError(f"candidate uses z{max_var_index(f)} but dimension is {p.n}")
-    kind = p.kind
-    if kind == "fermat":
-        return (f ** p.m1, p.g ** p.m1), 1
-    if kind == "fg":
+    spec = _KIND_TABLE[p.kind]
+    rhs = getattr(p, spec.rhs) if spec.rhs else 1
+    if p.kind == "fermat":
+        return (f ** p.m1, p.g ** p.m1), rhs
+    if p.kind == "fg":
         gterm = apply_linear_operator(p.operator, f)
-        return (
-            gterm ** p.m1,
-            p.alpha * difference(f, p.c) ** p.m2,
-        ), p.beta
-    d = _derivative_term(p, f) ** p.m1
-    if kind in ("xc", "xw"):
-        return (d, shift(f, p.c) ** p.m2), 1
-    # equ1/equ2 fix m1 = 2; these kinds and fte/ftee take f(z+c) unpowered
-    return (d, shift(f, p.c)), (p.phi if kind in ("fte", "ftee") else 1)
+        return (gterm ** p.m1, p.alpha * difference(f, p.c) ** p.m2), rhs
+    # the two-direction kinds take d/dz1 + d/dz2 in one chain-rule pass:
+    # termwise addition of the partials cancels catastrophically on
+    # functions of z2 - z1 with large factors
+    d = directional_derivative(f, spec.direction + (0,) * (p.n - len(spec.direction)))
+    shifted = shift(f, p.c)
+    return (d ** p.m1, shifted ** p.m2 if "m2" in spec.needs else shifted), rhs
 
 
 def residual(p: PDDEProblem, f: Expr) -> Expr:

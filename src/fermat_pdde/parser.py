@@ -31,6 +31,11 @@ from .expr import FUNCTIONS, Add, Const, Div, Expr, Mul, Neg, Pow, Var
 
 __all__ = ["parse"]
 
+#: largest dimension n an expression is parsed under; every command reads
+#: its dimension through `parse`, and the sampler and the order estimator
+#: hold n complex values per point
+_MAX_DIMENSION = 1000
+
 #: one alternative per token kind, tried in this order at each position;
 #: `ws` and `bad` (any other single character) make every character part of
 #: some match, so one scan of the text finds every token and the first bad
@@ -190,10 +195,13 @@ def parse(text: str, n: int) -> Expr:
     """Parse an expression over z1..zn into a folded expression.
 
     Raises ParseError with the offending position on syntax errors,
-    out-of-range variable indices, and non-integer exponents.
+    out-of-range variable indices and non-integer exponents, and at
+    position 0 on a dimension outside 1.._MAX_DIMENSION.
     """
     if n < 1:
         raise ParseError(f"dimension must be >= 1, got {n}", 0)
+    if n > _MAX_DIMENSION:
+        raise ParseError(f"dimension must be at most {_MAX_DIMENSION}, got {n}", 0)
     p = _Parser(text, n)
     node = p.parse_expr()
     tok = p.peek()

@@ -5,38 +5,37 @@ strings parsed under the file's dimension)::
 
     {
       "n": 3,                      # dimension, required
-      "kind": "fte",               # see operators.KINDS, required
-      "m1": 2,                     # power on the derivative term
-      "m2": 1,                     # power on the shifted term (xc, xw, fg)
-      "c": [[0,0], [0,3.14...]],   # shift vector, length n
+      "kind": "...",               # one of operators.KINDS
       "f": "1 - z1^2/4 + ...",     # candidate, required
-      "g": "...",                  # partner function, kind fermat only
-      "phi": "...",                # right side, kinds fte/ftee
-      "alpha": "...", "beta": "...",           # kind fg
-      "operator": [{"index": [1,0,0], "coeff": "1"}],  # kind fg
-      "policy": {"samples": 200, "radius": 2.0, "tol": 1e-8,
-                 "seed": 42, "pole_eps": 1e-8},        # optional overrides
+      "m1": 2, "m2": 1,            # integer powers
+      "c": [[0,0], [0,3.14...]],   # shift vector, length n
+      "g": "...", "phi": "...", "alpha": "...", "beta": "...",  # expressions
+      "operator": [{"index": [1,0,0], "coeff": "1"}],           # linear operator
+      "policy": {...},             # optional SamplingPolicy field overrides
       "expected_status": "pass",   # optional metadata: pass|fail|inconsistent
       "notes": "..."               # optional, informational
     }
+
+Every field that is present is read and type-checked here; which fields a
+kind needs, and the values it fixes, are the rules of the kind table in
+`operators`, applied by `PDDEProblem`.  Policy keys are the fields of
+`SamplingPolicy`, which checks their values.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ParseError, PDDEError, ProblemFileError
 from .expr import Expr
-from .operators import KINDS, LinearPDOperator, PDDEProblem
+from .operators import LinearPDOperator, PDDEProblem
 from .parser import parse
 from .verify import SamplingPolicy
 
 __all__ = ["LoadedProblem", "load_problem", "policy_from_dict"]
-
-_POLICY_KEYS = ("samples", "radius", "seed", "pole_eps", "tol")
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ def _complex_pair(value, where: str) -> complex:
     return complex(value[0], value[1])
 
 
-def _expr_field(data: dict, key: str, n: int, path: str, required: bool) -> Expr | None:
+def _expr_field(data: dict, key: str, n: int, path: str, required: bool = False) -> Expr | None:
     raw = data.get(key)
     if raw is None:
         if required:
@@ -75,8 +74,8 @@ def _expr_field(data: dict, key: str, n: int, path: str, required: bool) -> Expr
         raise ProblemFileError(f"{path}: in field {key!r}: {err}") from err
 
 
-def _int_field(data: dict, key: str, path: str, required: bool, default=None):
-    raw = data.get(key, default)
+def _int_field(data: dict, key: str, path: str, required: bool = False):
+    raw = data.get(key)
     if raw is None:
         if required:
             raise ProblemFileError(f"{path}: missing required field {key!r}")
@@ -86,15 +85,34 @@ def _int_field(data: dict, key: str, path: str, required: bool, default=None):
     return raw
 
 
+def _operator_coeffs(data: dict, n: int, path: str) -> dict | None:
+    raw_op = data.get("operator")
+    if raw_op is None:
+        return None
+    if not isinstance(raw_op, list):
+        raise ProblemFileError(f"{path}: field 'operator' must be a list of coefficient objects")
+    coeffs = {}
+    for i, entry in enumerate(raw_op):
+        where = f"{path}: operator[{i}]"
+        if not isinstance(entry, dict) or "index" not in entry or "coeff" not in entry:
+            raise ProblemFileError(f"{where}: entries are objects with 'index' and 'coeff'")
+        idx = entry["index"]
+        if not isinstance(idx, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in idx):
+            raise ProblemFileError(f"{where}: 'index' must be a list of integers")
+        coeffs[tuple(idx)] = _expr_field(entry, "coeff", n, where, required=True)
+    return coeffs
+
+
 def policy_from_dict(data: dict | None, where: str = "policy") -> SamplingPolicy:
-    data = data or {}
-    unknown = set(data) - set(_POLICY_KEYS)
+    if data is None:
+        data = {}
+    if not isinstance(data, dict):
+        raise ProblemFileError(f"{where}: must be an object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(SamplingPolicy)}
     if unknown:
         raise ProblemFileError(f"{where}: unknown policy keys {sorted(unknown)}")
-    defaults = SamplingPolicy()
-    kwargs = {k: data.get(k, getattr(defaults, k)) for k in _POLICY_KEYS}
     try:
-        return SamplingPolicy(**kwargs)
+        return SamplingPolicy(**data)
     except PDDEError as err:
         raise ProblemFileError(f"{where}: {err}") from err
 
@@ -112,51 +130,20 @@ def load_problem(path) -> LoadedProblem:
     if not isinstance(data, dict):
         raise ProblemFileError(f"{path}: top level must be an object")
 
-    kind = data.get("kind")
-    if kind not in KINDS:
-        raise ProblemFileError(f"{path}: kind must be one of {KINDS}, got {kind!r}")
     n = _int_field(data, "n", path, required=True)
-
     c = None
     if "c" in data:
         raw_c = data["c"]
         if not isinstance(raw_c, list):
             raise ProblemFileError(f"{path}: field 'c' must be a list of [re, im] pairs")
         c = tuple(_complex_pair(x, f"{path}: c[{i}]") for i, x in enumerate(raw_c))
-
     f = _expr_field(data, "f", n, path, required=True)
-    g = _expr_field(data, "g", n, path, required=(kind == "fermat"))
-    phi = _expr_field(data, "phi", n, path, required=(kind in ("fte", "ftee")))
-    alpha = _expr_field(data, "alpha", n, path, required=(kind == "fg"))
-    beta = _expr_field(data, "beta", n, path, required=(kind == "fg"))
-
-    operator = None
-    if kind == "fg":
-        raw_op = data.get("operator")
-        if not isinstance(raw_op, list) or not raw_op:
-            raise ProblemFileError(f"{path}: kind fg needs a nonempty 'operator' coefficient list")
-        coeffs = {}
-        for i, entry in enumerate(raw_op):
-            where = f"{path}: operator[{i}]"
-            if not isinstance(entry, dict) or "index" not in entry or "coeff" not in entry:
-                raise ProblemFileError(f"{where}: entries are objects with 'index' and 'coeff'")
-            idx = entry["index"]
-            if not isinstance(idx, list) or not all(isinstance(x, int) and not isinstance(x, bool) for x in idx):
-                raise ProblemFileError(f"{where}: 'index' must be a list of integers")
-            coeff = _expr_field(entry, "coeff", n, where, required=True)
-            coeffs[tuple(idx)] = coeff
-        operator = LinearPDOperator(n=n, coeffs=coeffs)
-
-    m1 = _int_field(data, "m1", path, required=kind not in ("equ1", "equ2"),
-                    default=2 if kind in ("equ1", "equ2") else None)
-    m2 = _int_field(data, "m2", path, required=(kind in ("xc", "xw", "fg")),
-                    default=1 if kind in ("equ1", "equ2") else None)
-
+    exprs = {key: _expr_field(data, key, n, path) for key in ("g", "phi", "alpha", "beta")}
+    m1, m2 = _int_field(data, "m1", path), _int_field(data, "m2", path)
+    coeffs = _operator_coeffs(data, n, path)
     try:
-        problem = PDDEProblem(
-            kind=kind, n=n, m1=m1, m2=m2, c=c, alpha=alpha, beta=beta, phi=phi,
-            operator=operator, g=g,
-        )
+        operator = None if coeffs is None else LinearPDOperator(n=n, coeffs=coeffs)
+        problem = PDDEProblem(kind=data.get("kind"), n=n, m1=m1, m2=m2, c=c, operator=operator, **exprs)
     except PDDEError as err:
         raise ProblemFileError(f"{path}: {err}") from err
 

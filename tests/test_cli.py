@@ -112,6 +112,20 @@ class TestVerifyCommand:
         assert run_cli("verify", str(path)) == 2
         assert "c[1]" in capsys.readouterr().err
 
+    def test_huge_dimension_is_malformed_input(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**_KIND_FILES["fermat"], "n": 10_000_000_000_000}))
+        assert run_cli("verify", str(path)) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "dimension must be at most 1000, got 10000000000000" in err
+
+    @pytest.mark.parametrize("policy", [5, "seed", [], ["seed"], True])
+    def test_policy_that_is_no_object_is_malformed_input(self, tmp_path, capsys, policy):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps({**_KIND_FILES["fte"], "policy": policy}))
+        assert run_cli("verify", str(path)) == 2
+        assert "policy: must be an object" in capsys.readouterr().err
+
     def test_negative_seed_flag_is_malformed_input(self, fixtures_dir, capsys):
         assert run_cli("verify", str(fixtures_dir / "example4.json"), "--seed", "-1") == 2
         assert "seed" in capsys.readouterr().err
@@ -184,7 +198,17 @@ class TestConstructCommand:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
     def test_dimension_mismatch(self, capsys):
+        # the dimension is the length of --c; there is no --n to disagree with it
         assert run_cli("construct", "--theorem", "t1-ii", "--c", "0,1", "--n", "3") == 2
+        assert "unrecognized arguments: --n 3" in capsys.readouterr().err
+        assert run_cli("construct", "--theorem", "equ1", "--c", "1,2,3") == 2
+        assert "two-variable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theorem", ["t1-ii", "t2-i", "t2-ii", "cor2", "equ1", "equ2"])
+    def test_one_component_shift_is_malformed_input(self, capsys, theorem):
+        # the generated g part reads c2, which a one-component shift lacks
+        assert run_cli("construct", "--theorem", theorem, "--c", "1") == 2
+        assert f"theorem {theorem} needs a shift vector of at least 2 components, got 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("c,message", [
         ("0,1e400*i,pi*i", "overflows"),
@@ -233,6 +257,19 @@ class TestOrderCommand:
         assert run_cli("order", "z1", "--n", "1", "--directions=100000000000") == 2
         assert "--directions must be at most 100000, got 100000000000" in capsys.readouterr().err
 
+    def test_huge_dimension_is_malformed_input(self, capsys):
+        # 1e13 coordinates per point would ask numpy for tens of TiB
+        assert run_cli("order", "z1", "--n", "10000000000000", "--directions", "1") == 2
+        assert "dimension must be at most 1000, got 10000000000000" in capsys.readouterr().err
+
+    def test_too_many_radii_are_malformed_input(self, capsys):
+        # 10 000 radii x 100 000 directions would ask numpy for 14.9 GiB
+        radii = ",".join(str(4 + k) for k in range(10_000))
+        assert run_cli("order", "z1", "--n", "1", "--directions", "100000", f"--radii={radii}") == 2
+        assert "--radii must hold at most 64 radii, got 10000" in capsys.readouterr().err
+        radii = ",".join(str(4 + k) for k in range(64))
+        assert run_cli("order", "z1", "--n", "1", f"--radii={radii}") == 0
+
     def test_long_sum_is_one_wide_node(self, capsys):
         # one wide sum, not 700 nested ones that overrun the recursion limit
         target = " + ".join(f"z1^{k}" for k in range(1, 701))
@@ -274,6 +311,11 @@ class TestFermatCommand:
         assert code == 0
         assert doc["m"] == 3
         assert doc["report"]["max_rel_residual"] < 1e-7
+
+
+    def test_huge_dimension_is_malformed_input(self, capsys):
+        assert run_cli("fermat", "--kind", "cos-sin", "--h", "z1", "--n", "10000000000000") == 2
+        assert "dimension must be at most 1000, got 10000000000000" in capsys.readouterr().err
 
 
 class TestUsageErrors:
@@ -361,6 +403,20 @@ class TestProblemFileLoader:
         f = tmp_path / "k.json"
         f.write_text(json.dumps({"n": 2, "kind": "weird", "m1": 2, "f": "z1"}))
         with pytest.raises(ProblemFileError):
+            load_problem(f)
+
+    def test_unhashable_kind(self, tmp_path):
+        f = tmp_path / "k.json"
+        f.write_text(json.dumps({**_KIND_FILES["fte"], "kind": ["fte"]}))
+        with pytest.raises(ProblemFileError, match="unknown kind"):
+            load_problem(f)
+
+    @pytest.mark.parametrize("kind", sorted(_KIND_FILES))
+    def test_malformed_operator_is_malformed_input(self, tmp_path, kind):
+        # every field present is read, whether or not the kind uses it
+        f = tmp_path / "op.json"
+        f.write_text(json.dumps({**_KIND_FILES[kind], "operator": [{"index": [1, 0, 0, 0], "coeff": "1"}]}))
+        with pytest.raises(ProblemFileError, match="does not have"):
             load_problem(f)
 
     def test_bad_complex_pair(self, tmp_path):

@@ -308,6 +308,13 @@ class TestFoldConstants:
             fields = [getattr(e, f) for f in e.__dataclass_fields__]
             assert type(e)(*fields) is e
 
+    def test_product_is_a_fixed_point_of_its_constructor(self):
+        # the constant factor 6-0j keeps its signed zero when the product
+        # is rebuilt: the fold starts from it, not from 1+0j
+        e = parse("(0-2)*(0-3)*z1", 1)
+        assert math.copysign(1.0, e.factors[0].value.imag) == -1.0
+        assert Mul(e.factors) is e
+
     def test_overflowing_constant_power_left_unfolded(self):
         # 1/denormal exceeds the float range; folding must not raise
         tiny = Pow(Const(2.225073858507e-311), -1)

@@ -92,6 +92,12 @@ class TestConstantFoldingAtParseTime:
 
 
 class TestErrors:
+    def test_dimension_bound(self):
+        assert parse("z1000", 1000) is Var(1000)
+        for n in (1001, 10_000_000_000_000):
+            with pytest.raises(ParseError, match=f"dimension must be at most 1000, got {n}"):
+                parse("z1", n)
+
     def test_variable_out_of_range_and_position(self):
         with pytest.raises(ParseError) as exc:
             parse("z3^2", 2)
