@@ -247,9 +247,7 @@ class Mul(Expr):
     def __new__(cls, factors):
         factors = tuple(factors)  # read twice where a fold overflows
         rest: list[Expr] = []
-        # from the first constant, not 1+0j, which turns an imaginary -0.0
-        # into +0.0: so a folded product is a fixed point of Mul
-        cprod = None
+        cprod = None  # the first constant: 1+0j would turn an imaginary -0.0 into +0.0
         for f in factors:
             for x in f.factors if type(f) is Mul else (f,):
                 if type(x) is Const:

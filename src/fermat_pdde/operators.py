@@ -19,11 +19,9 @@ Kinds:
 ``fg``      G(f)^m1 + alpha * (f(z+c) - f)^m2 = beta,  G a linear operator
 ==========  ================================================================
 
-Each kind is one row of `_KIND_TABLE`: the direction of its derivative
-term, the fields it needs, the values it fixes and the field holding its
-right side.  `PDDEProblem` validates an instance against its row, and
-`residual` and `scale_terms` build the equation from it; the problem-file
-reader and the CLI know no kind rule of their own.
+Each kind is one row of `_KIND_TABLE`, the one place its rules are
+written: `PDDEProblem` validates an instance against its row, and
+`residual` and `scale_terms` build the equation from it.
 """
 
 from __future__ import annotations
@@ -111,19 +109,12 @@ def difference(f: Expr, c) -> Expr:
 
 
 class _Kind(NamedTuple):
-    """One row of the kind table.
+    """One row of the kind table."""
 
-    `direction` holds the weights w of the derivative term sum_j w_j d/dz_j,
-    padded with zeros to n (None: the kind has no such term); `needs` the
-    fields the kind reads besides n and m1; `fixed` the values it fixes,
-    which a field left None takes; `rhs` the field holding the right side
-    (None: the number 1).
-    """
-
-    direction: tuple[int, ...] | None
-    needs: tuple[str, ...]
-    fixed: Mapping[str, int]
-    rhs: str | None = None
+    direction: tuple[int, ...] | None  # w of the term sum_j w_j df/dz_j, zero-padded to n; None: no such term
+    needs: tuple[str, ...]  # the fields the kind reads besides n and m1
+    fixed: Mapping[str, int]  # the values the kind fixes, which a field left None takes
+    rhs: str | None = None  # the field holding the right side; None: the number 1
 
 
 _KIND_TABLE = {
@@ -169,7 +160,8 @@ class PDDEProblem:
             raise ProblemSpecError(f"dimension must be >= 1, got {n}")
         if self.c is not None:
             object.__setattr__(self, "c", tuple(complex(x) for x in self.c))
-        banned = {j for j, w in enumerate(spec.direction or (), start=1) if w}  # phi may not use these
+        # the variables the derivative term differentiates, which phi must not use
+        banned = {j for j, w in enumerate(spec.direction or (), start=1) if w}
         if banned and max(banned) > n:
             raise ProblemSpecError(f"kind {kind} differentiates in z{max(banned)} and needs n >= {max(banned)}")
         if not isinstance(self.m1, int) or self.m1 < 1:

@@ -31,9 +31,8 @@ from .expr import FUNCTIONS, Add, Const, Div, Expr, Mul, Neg, Pow, Var
 
 __all__ = ["parse"]
 
-#: largest dimension n an expression is parsed under; every command reads
-#: its dimension through `parse`, and the sampler and the order estimator
-#: hold n complex values per point
+#: largest n an expression is parsed under: every command reads its
+#: dimension through `parse`, and every sample point holds n values
 _MAX_DIMENSION = 1000
 
 #: one alternative per token kind, tried in this order at each position;
@@ -195,8 +194,8 @@ def parse(text: str, n: int) -> Expr:
     """Parse an expression over z1..zn into a folded expression.
 
     Raises ParseError with the offending position on syntax errors,
-    out-of-range variable indices and non-integer exponents, and at
-    position 0 on a dimension outside 1.._MAX_DIMENSION.
+    out-of-range variable indices, non-integer exponents and a dimension
+    outside 1.._MAX_DIMENSION.
     """
     if n < 1:
         raise ParseError(f"dimension must be >= 1, got {n}", 0)
