@@ -10,12 +10,16 @@ it falls in.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from . import tape as tp
-from .elliptic import EllipticContext
 from .errors import MissingEllipticContextError, PDDEError
 from .expr import DEFAULT_POLE_EPS, Expr
+
+if TYPE_CHECKING:  # annotations only: elliptic is imported where a tape uses wp
+    from .elliptic import EllipticContext
 
 __all__ = [
     "BLOCK",

@@ -2,13 +2,17 @@
 
 Subcommands::
 
-    verify <file>          check the candidate in a problem file
+    verify <file>...       check the candidate in each problem file ('-':
+                           read the paths from stdin)
     construct --theorem .. build a solution family member and verify it
     order <file|expr>      estimate the growth order exponent
     fermat --kind ..       build an f^m + g^m = 1 pair and verify it
 
 Exit codes: 0 verification passed, 1 verification failed (or estimation
-impossible), 2 malformed input.
+impossible), 2 malformed input; for several files, the worst of theirs.
+
+A command imports the modules it runs when it runs: `verify` and `order`
+never load the constructors, `periodic` or (without wp) `elliptic`.
 """
 
 from __future__ import annotations
@@ -19,46 +23,49 @@ import os
 import sys
 from dataclasses import fields, replace
 
-from .construct import (
-    construct_cor1,
-    construct_cor2,
-    construct_fermat_pair,
-    construct_legacy_xw,
-    construct_t1,
-    construct_t2,
-    T1Params,
-    T2Params,
-)
 from .errors import ConstructionError, EstimationError, PDDEError, ParseError, ProblemSpecError
 from .expr import Const, Expr, Wp, to_string
-from .operators import PDDEProblem
 from .parser import parse
-from .periodic import make_periodic, make_polynomial_quasi_periodic
-from .problemfile import load_problem
-from .verify import SamplingPolicy, estimate_order, strict_json, verify_problem
+from .verify import SamplingPolicy, default_radii, estimate_order, strict_json, verify_problem
 
 __all__ = ["main"]
 
 _THEOREMS = ("t1-i", "t1-ii", "t2-i", "t2-ii", "cor1", "cor2", "equ1", "equ2")
-_FERMAT_KINDS = {"cos-sin": "cos_sin", "mobius": "mobius", "cubic": "cubic"}
-#: most directions and radii `order` takes: it holds the points of every
-#: radius at once, radii x directions x n complex values
+#: `fermat --kind` -> (the constructor's kind, the tolerance the pair is checked at)
+_FERMAT_KINDS = {"cos-sin": ("cos_sin", 1e-12), "mobius": ("mobius", 1e-12), "cubic": ("cubic", 1e-7)}
+#: `order` evaluates the points of every radius at once, radii x directions
+#: x n complex values of 16 bytes: each factor is bounded, and so is their
+#: product (10 million values are 160 MB)
 MAX_DIRECTIONS = 100_000
 _MAX_RADII = 64
+MAX_ORDER_VALUES = 10_000_000
+
+#: the sampling-policy flags: flag, type and what it sets
+_POLICY_FLAGS = (
+    ("--samples", int, "sample count"),
+    ("--radius", float, "polydisc radius"),
+    ("--tol", float, "relative tolerance"),
+    ("--seed", int, "sampling seed"),
+    ("--pole-eps", float, "pole-avoidance threshold"),
+)
 
 
-def _add_policy_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--samples", type=int, default=None, help="sample count (default 200)")
-    sp.add_argument("--radius", type=float, default=None, help="polydisc radius (default 2)")
-    sp.add_argument("--tol", type=float, default=None, help="relative tolerance (default 1e-8)")
-    sp.add_argument("--seed", type=int, default=None, help="sampling seed (default 42)")
-    sp.add_argument("--pole-eps", type=float, default=None, help="pole-avoidance threshold (default 1e-8)")
+def _add_policy_flags(sp: argparse.ArgumentParser, **shown: str) -> None:
+    """Add the sampling-policy flags; each help text states the command's default.
+
+    That is SamplingPolicy's value, or the text `shown` gives for the field.
+    """
+    base = SamplingPolicy()
+    for flag, kind, what in _POLICY_FLAGS:
+        name = flag[2:].replace("-", "_")
+        default = shown.get(name, f"{getattr(base, name):g}")
+        sp.add_argument(flag, type=kind, default=None, help=f"{what} (default {default})")
 
 
 def _add_format_flag(sp: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps the top-level value when the flag is not repeated here
     sp.add_argument("--format", choices=("text", "machine"), default=argparse.SUPPRESS,
-                    help="text report or one JSON document")
+                    help="text report, or JSON: one document per report")
 
 
 def _policy_with_overrides(base: SamplingPolicy, args) -> SamplingPolicy:
@@ -102,8 +109,10 @@ def _report_lines(report) -> list[str]:
     return report.to_text().splitlines()
 
 
-def cmd_verify(args) -> int:
-    loaded = load_problem(args.file)
+def _verify_file(path: str, args) -> int:
+    from .problemfile import load_problem
+
+    loaded = load_problem(path)
     policy = _policy_with_overrides(loaded.policy, args)
     rep = verify_problem(loaded.problem, loaded.f, policy)
     payload = {"file": loaded.path, "report": rep.to_dict()}
@@ -117,7 +126,26 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _paths(files: list[str]):
+    """Each path argument in turn; `-` stands for the lines of stdin, one path each."""
+    for name in files:
+        if name == "-":
+            yield from (line.strip() for line in sys.stdin if line.strip())
+        else:
+            yield name
+
+
+def cmd_verify(args) -> int:
+    """One report per file, in order; a file that cannot be checked prints its
+    error and the rest go on.  The exit code is the worst of the files'."""
+    # a flag is valid on every file's policy or on none: reject it once
+    _policy_with_overrides(SamplingPolicy(), args)
+    return max((_run(_verify_file, path, args) for path in _paths(args.files)), default=0)
+
+
 def _generated_g(theorem: str, c, seed: int, terms: int) -> Expr:
+    from .periodic import make_periodic, make_polynomial_quasi_periodic
+
     if len(c) < 2:
         # every family lives on C^n with n >= 2; its constructor says so
         # too, but the generator reads c2 first
@@ -138,6 +166,16 @@ def _generated_g(theorem: str, c, seed: int, terms: int) -> Expr:
 
 
 def cmd_construct(args) -> int:
+    from .construct import (
+        T1Params,
+        T2Params,
+        construct_cor1,
+        construct_cor2,
+        construct_legacy_xw,
+        construct_t1,
+        construct_t2,
+    )
+
     theorem = args.theorem
     c = _parse_c(args.c)
     n = len(c)
@@ -183,6 +221,8 @@ def cmd_construct(args) -> int:
 def cmd_order(args) -> int:
     target = args.target
     if os.path.isfile(target):
+        from .problemfile import load_problem
+
         loaded = load_problem(target)
         f, n = loaded.f, loaded.problem.n
         label = loaded.path
@@ -191,11 +231,16 @@ def cmd_order(args) -> int:
             raise ParseError("--n is required when the target is an expression", 0)
         f, n = parse(target, args.n), args.n
         label = target
-    radii = _parse_radii(args.radii) if args.radii else None
+    radii = _parse_radii(args.radii) if args.radii else default_radii()
     if args.directions < 1:
         raise ProblemSpecError(f"--directions must be a positive integer, got {args.directions}")
     if args.directions > MAX_DIRECTIONS:
         raise ProblemSpecError(f"--directions must be at most {MAX_DIRECTIONS}, got {args.directions}")
+    values = len(radii) * args.directions * n
+    if values > MAX_ORDER_VALUES:
+        raise ProblemSpecError(
+            f"radii x directions x n must be at most {MAX_ORDER_VALUES}, "
+            f"got {len(radii)} x {args.directions} x {n} = {values}")
     est = estimate_order(f, n, radii=radii, directions=args.directions, seed=args.seed)
     payload = {"target": label, "estimate": est.to_dict()}
     _emit(args, payload, [f"target: {label}"] + est.to_text().splitlines())
@@ -203,14 +248,15 @@ def cmd_order(args) -> int:
 
 
 def cmd_fermat(args) -> int:
-    kind = _FERMAT_KINDS[args.kind]
+    from .construct import construct_fermat_pair
+    from .operators import PDDEProblem
+
+    kind, tol = _FERMAT_KINDS[args.kind]
     h = parse(args.h, args.n)
     f, g = construct_fermat_pair(kind, h)
     m = 3 if kind == "cubic" else 2
     problem = PDDEProblem(kind="fermat", n=args.n, m1=m, g=g)
-    default_tol = 1e-7 if kind == "cubic" else 1e-12
-    base = SamplingPolicy(tol=default_tol)
-    policy = _policy_with_overrides(base, args)
+    policy = _policy_with_overrides(SamplingPolicy(tol=tol), args)
     guards = None
     if kind == "mobius":
         guards = [(Const(1.0) + h**2, 0.5)]
@@ -240,11 +286,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "partial differential-difference equations on C^n.",
     )
     ap.add_argument("--format", choices=("text", "machine"), default="text",
-                    help="text report or one JSON document")
+                    help="text report, or JSON: one document per report")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("verify", help="verify the candidate in a problem file")
-    sp.add_argument("file")
+    sp = sub.add_parser("verify", help="verify the candidate in each problem file",
+                        description="Verify the candidate in each problem file.  A policy flag "
+                        "overrides the file's policy, and a field that neither sets takes the "
+                        "default shown.")
+    sp.add_argument("files", nargs="+", metavar="file",
+                    help="problem file; '-' reads one path per line from stdin")
     _add_policy_flags(sp)
     _add_format_flag(sp)
     sp.set_defaults(fn=cmd_verify)
@@ -264,9 +314,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("order", help="estimate the growth order exponent")
     sp.add_argument("target", help="problem file or expression string")
     sp.add_argument("--n", type=int, default=None, help="dimension (for expression targets)")
-    sp.add_argument("--radii", default=None, help="comma-separated radius ladder")
-    sp.add_argument("--directions", type=int, default=200)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--radii", default=None,
+                    help="comma-separated radius ladder (default 4 .. 1024, ratio sqrt(2))")
+    sp.add_argument("--directions", type=int, default=200, help="directions per radius (default 200)")
+    sp.add_argument("--seed", type=int, default=42, help="direction seed (default 42)")
     _add_format_flag(sp)
     sp.set_defaults(fn=cmd_order)
 
@@ -274,20 +325,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=tuple(_FERMAT_KINDS), required=True)
     sp.add_argument("--h", required=True, help="parametrizing expression")
     sp.add_argument("--n", type=int, required=True, help="dimension")
-    _add_policy_flags(sp)
+    _add_policy_flags(sp, tol=", ".join(f"{kind}: {tol:g}" for kind, (_, tol) in _FERMAT_KINDS.items()))
     _add_format_flag(sp)
     sp.set_defaults(fn=cmd_fermat)
     return ap
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
+def _run(fn, *args) -> int:
+    """fn's exit code; an error it raises is printed to stderr and mapped to 1 or 2."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
-        return int(exc.code or 0)
-    try:
-        return args.fn(args)
+        return fn(*args)
     except EstimationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -296,5 +343,31 @@ def main(argv=None) -> int:
         return 2
 
 
+def main(argv=None) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad usage, 0 on --help
+        return int(exc.code or 0)
+    return _run(args.fn, args)
+
+
+def run() -> None:
+    """Run `main` as a one-shot process and exit without the interpreter's teardown.
+
+    Tearing down frees every module, numpy's for about 20 ms, and nothing
+    waits for that in a process that has finished, so the output is
+    flushed and the process ends.  If the reader of the output has gone
+    (`verify ... | head`), the rest is dropped and the exit code is 1.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except BrokenPipeError:
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -41,7 +41,7 @@ import math
 import struct
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -140,12 +140,17 @@ def _make(cls, *fields):
     return _intern(cls, key, kids, fields)
 
 
-# Nodes are dataclasses for their field list and repr only: construction
-# goes through each class's __new__, which folds and then interns, and
-# equality and hashing stay those of object (identity).  Memos are written
-# straight into a node's __dict__, past the frozen __setattr__.
+# Nodes are dataclasses for their field list only: construction goes
+# through each class's __new__, which folds and then interns, and equality
+# and hashing stay those of object (identity).  The repr and the frozen
+# __setattr__ and __delattr__ are written once, on Expr, so decorating a
+# node class generates no code; a class that adds no field (the unary
+# nodes below _Unary) inherits the field list undecorated.  Memos are
+# written straight into a node's __dict__, past the frozen __setattr__.
+_node = dataclass(init=False, repr=False, eq=False)
 
-@dataclass(frozen=True, eq=False, init=False)
+
+@_node
 class Expr:
     """Base node."""
 
@@ -185,8 +190,18 @@ class Expr:
     def __reduce__(self):
         return _make, (type(self), *(self.__dict__[f] for f in self.__dataclass_fields__))
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self.__dataclass_fields__)
+        return f"{type(self).__qualname__}({fields})"
 
-@dataclass(frozen=True, eq=False, init=False)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@_node
 class Const(Expr):
     value: complex
 
@@ -194,7 +209,7 @@ class Const(Expr):
         return _make(cls, complex(value))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Var(Expr):
     index: int  # 1-based
 
@@ -204,7 +219,7 @@ class Var(Expr):
         return _make(cls, index)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Add(Expr):
     """A sum: nested sums are flattened into it, its constant terms summed
     into one leading term (dropped if zero), and one remaining term is the
@@ -235,7 +250,7 @@ class Add(Expr):
         return _make(cls, tuple(rest))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Mul(Expr):
     """A product: nested products are flattened into it, its constant
     factors multiplied into one leading factor (dropped if one; a zero
@@ -271,7 +286,7 @@ class Mul(Expr):
         return _make(cls, tuple(rest))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Div(Expr):
     """A quotient; one by a nonzero constant of a constant is folded, and
     one by the constant 1 is its numerator."""
@@ -290,7 +305,7 @@ class Div(Expr):
         return _make(cls, num, den)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class Pow(Expr):
     """An integer power; powers 0 and 1 and those of a constant are folded."""
 
@@ -318,7 +333,7 @@ class Pow(Expr):
         return _make(cls, base, exponent)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@_node
 class _Unary(Expr):
     """A node with one operand, applied elementwise.
 
@@ -341,7 +356,6 @@ class _Unary(Expr):
         return _make(cls, arg)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Neg(_Unary):
     ufunc = np.negative
 
@@ -349,27 +363,22 @@ class Neg(_Unary):
         return arg.arg if isinstance(arg, Neg) else super().__new__(cls, arg)
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Exp(_Unary):
     name, ufunc = "exp", np.exp
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Sin(_Unary):
     name, ufunc = "sin", np.sin
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Cos(_Unary):
     name, ufunc = "cos", np.cos
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Wp(_Unary):
     name = "wp"
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class WpPrime(_Unary):
     name = "wpd"
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from . import expr as ex
 from .backends import BLOCK, eval_batch, eval_blocks
-from .elliptic import default_context
 from .errors import EstimationError, ProblemSpecError
 from .expr import DEFAULT_POLE_EPS, Expr, uses_wp
 from .tape import compile_expr
@@ -219,6 +218,19 @@ def sample_points(policy: SamplingPolicy, n: int) -> np.ndarray:
     return np.concatenate(list(_point_blocks(policy, n)))
 
 
+def _lattice(roots: list[Expr]):
+    """The elliptic context a tape of `roots` needs: None unless one uses wp.
+
+    `elliptic` is imported here, so a process that evaluates no wp never
+    loads it.
+    """
+    if not any(uses_wp(e) for e in roots):
+        return None
+    from .elliptic import default_context
+
+    return default_context()
+
+
 def _sampled(roots: list[Expr], policy: SamplingPolicy, n: int):
     """Evaluate the roots as one tape on the policy's sample, one block at a time.
 
@@ -226,8 +238,7 @@ def _sampled(roots: list[Expr], policy: SamplingPolicy, n: int):
     root, and the mask of the points where every root is pole-free and
     finite.  A subexpression the roots share is computed once per point.
     """
-    ell = default_context() if any(uses_wp(e) for e in roots) else None
-    blocks = eval_blocks(compile_expr(roots), n, _point_blocks(policy, n), ell=ell,
+    blocks = eval_blocks(compile_expr(roots), n, _point_blocks(policy, n), ell=_lattice(roots),
                          pole_eps=policy.pole_eps)
     for vals, oks in blocks:
         # a point needs every row finite; |v| can overflow where v does not,
@@ -421,7 +432,7 @@ def estimate_order(
         raise EstimationError("need at least one direction")
     if seed is not None and seed < 0:
         raise ProblemSpecError(f"seed must be >= 0, got {seed}")
-    ell = default_context() if uses_wp(f) else None
+    ell = _lattice([f])
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((directions, n)) + 1j * rng.standard_normal((directions, n))
     norms = np.linalg.norm(vecs, axis=1)

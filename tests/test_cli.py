@@ -1,3 +1,4 @@
+import io
 import json
 import re
 import subprocess
@@ -5,7 +6,9 @@ import sys
 
 import pytest
 
+from fermat_pdde import cli
 from fermat_pdde.cli import main
+from fermat_pdde.errors import EstimationError
 from fermat_pdde.errors import ProblemFileError
 from fermat_pdde.problemfile import load_problem
 
@@ -148,6 +151,52 @@ class TestVerifyCommand:
         assert "max_rel_residual: inf" in capsys.readouterr().out
 
 
+class TestVerifyBatch:
+    """`verify FILE...`: one report per file, the worst exit code."""
+
+    @pytest.mark.parametrize("fmt", ["text", "machine"])
+    def test_each_report_is_its_single_file_output(self, fixtures_dir, capsys, fmt):
+        paths = [str(p) for p in sorted(fixtures_dir.glob("*.json"))]
+        assert len(paths) == 8
+        singles = []
+        for path in paths:
+            code = run_cli("--format", fmt, "verify", path)
+            singles.append((code, capsys.readouterr().out))
+        code = run_cli("--format", fmt, "verify", *paths)
+        out = capsys.readouterr().out
+        assert out == "".join(text for _, text in singles)
+        assert code == max(c for c, _ in singles) == 1  # example2 and bad_poly fail
+        if fmt == "machine":  # JSON Lines: one document per file
+            assert [json.loads(line)["file"] for line in out.splitlines()] == paths
+
+    def test_exit_code_is_the_worst(self, fixtures_dir, tmp_path, capsys):
+        ok, failing = str(fixtures_dir / "example4.json"), str(fixtures_dir / "bad_poly.json")
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"n": 2, "kind": }')
+        assert run_cli("verify", ok, ok) == 0
+        assert run_cli("verify", ok, failing, ok) == 1
+        capsys.readouterr()
+        # a malformed file reports its error and the batch goes on
+        assert run_cli("verify", failing, str(malformed), ok) == 2
+        out, err = capsys.readouterr()
+        assert [line for line in out.splitlines() if line.startswith("file:")] == [
+            f"file: {failing}", f"file: {ok}"]
+        assert err.count("error:") == 1 and str(malformed) in err
+
+    def test_malformed_flag_is_reported_once(self, fixtures_dir, capsys):
+        paths = [str(fixtures_dir / "example4.json")] * 3
+        assert run_cli("verify", *paths, "--seed", "-1") == 2
+        assert capsys.readouterr() == ("", "error: seed must be >= 0, got -1\n")
+
+    def test_dash_reads_paths_from_stdin(self, fixtures_dir, monkeypatch, capsys):
+        ok, failing = str(fixtures_dir / "example4.json"), str(fixtures_dir / "bad_poly.json")
+        assert run_cli("--format", "machine", "verify", failing, ok, failing) == 1
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"{ok}\n\n  {failing}  \n"))
+        assert run_cli("--format", "machine", "verify", failing, "-") == 1
+        assert capsys.readouterr().out == expected
+
+
 class TestConstructCommand:
     @pytest.mark.parametrize("theorem,c", [
         ("t1-i", "14,1,3,5"),
@@ -277,6 +326,23 @@ class TestOrderCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["estimate"]["radii"] == [1.1, 1.2]
 
+    def test_too_many_values_are_malformed_input(self, capsys, monkeypatch):
+        # 17 radii x 100 000 directions x 1000 coordinates would ask numpy for 25.3 GiB
+        calls = []
+
+        def estimate_order(f, n, **kw):
+            calls.append((n, kw["directions"], len(kw["radii"])))
+            raise EstimationError("not estimated")
+
+        monkeypatch.setattr(cli, "estimate_order", estimate_order)
+        assert run_cli("order", "z1", "--n", "1000", "--directions", "100000") == 2
+        assert ("radii x directions x n must be at most 10000000, "
+                "got 17 x 100000 x 1000 = 1700000000") in capsys.readouterr().err
+        assert calls == []
+        # 17 x 100 000 x 5 = 8.5e6, the largest estimate the package's own measurements make
+        assert run_cli("order", "z1", "--n", "5", "--directions", "100000") == 1
+        assert calls == [(5, 100000, 17)]
+
     def test_negative_seed_is_malformed_input(self, capsys):
         assert run_cli("order", "z1", "--n", "1", "--seed", "-3") == 2
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
@@ -316,6 +382,43 @@ class TestFermatCommand:
     def test_huge_dimension_is_malformed_input(self, capsys):
         assert run_cli("fermat", "--kind", "cos-sin", "--h", "z1", "--n", "10000000000000") == 2
         assert "dimension must be at most 1000, got 10000000000000" in capsys.readouterr().err
+
+
+def help_text(capsys, command: str) -> str:
+    assert run_cli(command, "--help") == 0
+    return " ".join(capsys.readouterr().out.split())  # argparse wraps at the terminal width
+
+
+class TestHelp:
+    """Each command's --help states the defaults that command runs with."""
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--theorem", "t1-ii", "--c", "0,pi*i,pi*i"),
+        ("fermat", "--kind", "cos-sin", "--h", "z1", "--n", "1"),
+        ("fermat", "--kind", "mobius", "--h", "z1", "--n", "1"),
+        ("fermat", "--kind", "cubic", "--h", "z1", "--n", "1"),
+    ])
+    def test_policy_defaults_are_the_ones_used(self, capsys, argv):
+        text = help_text(capsys, argv[0])
+        assert run_cli("--format", "machine", *argv) == 0
+        used = json.loads(capsys.readouterr().out)["report"]["policy"]
+        assert len(used) == 5
+        for field, value in used.items():
+            flag = "--" + field.replace("_", "-")
+            shown = re.search(rf"{flag} \S+ [a-z -]+ \(default ([^)]*)\)", text).group(1)
+            if ":" in shown:  # one default per --kind
+                shown = dict(part.split(": ") for part in shown.split(", "))[argv[2]]
+            assert float(shown) == value, field
+
+    def test_verify_names_the_file_policy_first(self, capsys):
+        assert "A policy flag overrides the file's policy" in help_text(capsys, "verify")
+
+    def test_order_defaults_are_the_ones_used(self, capsys):
+        text = help_text(capsys, "order")
+        assert run_cli("--format", "machine", "order", "exp(z1)", "--n", "1") == 0
+        est = json.loads(capsys.readouterr().out)["estimate"]
+        assert f"--directions DIRECTIONS directions per radius (default {est['directions']})" in text
+        assert f"--seed SEED direction seed (default {est['seed']})" in text
 
 
 class TestUsageErrors:

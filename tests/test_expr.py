@@ -1,5 +1,8 @@
 import cmath
+import dataclasses
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from fermat_pdde.expr import (
     Pow,
     Sin,
     Var,
+    Wp,
+    WpPrime,
     directional_derivative,
     free_variables,
     partial,
@@ -108,6 +113,58 @@ class TestNodes:
         v = Var(1)
         with pytest.raises(AttributeError):
             v.index = 2
+
+
+_Z1, _Z2 = Var(1), Var(2)
+
+#: one node of each class and its repr as the generated dataclass methods
+#: wrote it; the hand-written Expr.__repr__ must print the same bytes
+NODE_REPRS = [
+    (Const(complex(-0.0, 2.5)), "Const(value=(-0+2.5j))"),
+    (Var(3), "Var(index=3)"),
+    (_Z1 + Const(1.5), "Add(terms=(Const(value=(1.5+0j)), Var(index=1)))"),
+    (Const(2.0) * _Z1 * _Z2, "Mul(factors=(Const(value=(2+0j)), Var(index=1), Var(index=2)))"),
+    (-_Z1, "Neg(arg=Var(index=1))"),
+    (_Z1 / _Z2, "Div(num=Var(index=1), den=Var(index=2))"),
+    (_Z1**-3, "Pow(base=Var(index=1), exponent=-3)"),
+    (Exp(_Z1), "Exp(arg=Var(index=1))"),
+    (Sin(_Z1), "Sin(arg=Var(index=1))"),
+    (Cos(_Z2), "Cos(arg=Var(index=2))"),
+    (Wp(_Z1), "Wp(arg=Var(index=1))"),
+    (WpPrime(_Z1 + _Z2), "WpPrime(arg=Add(terms=(Var(index=1), Var(index=2))))"),
+]
+_FIELDS = {Const: ["value"], Var: ["index"], Add: ["terms"], Mul: ["factors"], Div: ["num", "den"],
+           Pow: ["base", "exponent"], Neg: ["arg"], Exp: ["arg"], Sin: ["arg"], Cos: ["arg"],
+           Wp: ["arg"], WpPrime: ["arg"]}
+
+
+class TestNodeSurface:
+    """The node classes are dataclasses whose decorator generates no method:
+    the repr and the frozen setters are Expr's.  What callers see stays."""
+
+    def test_every_class_is_covered(self):
+        assert {type(node) for node, _ in NODE_REPRS} == set(_FIELDS)
+
+    @pytest.mark.parametrize("node, text", NODE_REPRS, ids=lambda x: type(x).__name__)
+    def test_repr(self, node, text):
+        assert repr(node) == text
+
+    def test_repr_of_a_dag(self):
+        text = repr(F_EX1)
+        assert len(text) == 1160
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "34497fd5f084c4dd9f20cb8131215a2b1ec22c793bd450537a2c0a599f1925fe")
+
+    @pytest.mark.parametrize("node", [n for n, _ in NODE_REPRS], ids=lambda x: type(x).__name__)
+    def test_fields_frozen_and_pickle(self, node):
+        names = [f.name for f in dataclasses.fields(node)]
+        assert names == _FIELDS[type(node)] == list(type(node).__dataclass_fields__)
+        for name in [*names, "other"]:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(node, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(node, name)
+        assert pickle.loads(pickle.dumps(node)) is node
 
     def test_var_index_positive(self):
         with pytest.raises(DimensionError):
