@@ -114,6 +114,18 @@ class TestNodes:
         with pytest.raises(AttributeError):
             v.index = 2
 
+    def test_var_index_positive(self):
+        with pytest.raises(DimensionError):
+            Var(0)
+
+    def test_pow_exponent_must_be_integer(self):
+        with pytest.raises(EvalError):
+            Pow(Var(1), 1.5)
+
+    def test_free_variables(self):
+        assert free_variables(F_EX4) == frozenset({1, 2, 3})
+        assert free_variables(Const(2.0)) == frozenset()
+
 
 _Z1, _Z2 = Var(1), Var(2)
 
@@ -165,18 +177,6 @@ class TestNodeSurface:
             with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
                 delattr(node, name)
         assert pickle.loads(pickle.dumps(node)) is node
-
-    def test_var_index_positive(self):
-        with pytest.raises(DimensionError):
-            Var(0)
-
-    def test_pow_exponent_must_be_integer(self):
-        with pytest.raises(EvalError):
-            Pow(Var(1), 1.5)
-
-    def test_free_variables(self):
-        assert free_variables(F_EX4) == frozenset({1, 2, 3})
-        assert free_variables(Const(2.0)) == frozenset()
 
 
 class TestEvaluate:
