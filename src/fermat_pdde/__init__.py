@@ -34,7 +34,6 @@ _EXPORTS = {
         "DimensionError",
         "EstimationError",
         "EvalError",
-        "MissingEllipticContextError",
         "ParseError",
         "PDDEError",
         "PoleHitError",

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import tape as tp
-from .errors import MissingEllipticContextError, PDDEError
+from .errors import PDDEError
 from .expr import DEFAULT_POLE_EPS, Expr
 
 if TYPE_CHECKING:  # annotations only: elliptic is imported where a tape uses wp
@@ -111,12 +111,16 @@ def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = 
     (near-zero denominator, negative power of a near-zero base, or a wp
     lattice neighborhood) and carry NaN values.  The slot rows are sized
     by the first block and reused, so memory does not grow with the
-    number of blocks.
+    number of blocks.  A tape that uses wp runs on `ell`, by default
+    `elliptic.default_context()`, imported only then.  Blocks are drawn
+    one at a time: a caller that stops iterating draws no further block.
     """
     if n < tape.n_min:
         raise PDDEError(f"points have {n} coordinates but the expression uses z{tape.n_min}")
     if tape.has_wp and ell is None:
-        raise MissingEllipticContextError("expression contains wp/wpd: pass an elliptic context")
+        from .elliptic import default_context
+
+        ell = default_context()
     R = len(tape.root_fails)
     width = 0
     for pts in blocks:

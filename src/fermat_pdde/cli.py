@@ -33,9 +33,9 @@ __all__ = ["main"]
 _THEOREMS = ("t1-i", "t1-ii", "t2-i", "t2-ii", "cor1", "cor2", "equ1", "equ2")
 #: `fermat --kind` -> (the constructor's kind, the tolerance the pair is checked at)
 _FERMAT_KINDS = {"cos-sin": ("cos_sin", 1e-12), "mobius": ("mobius", 1e-12), "cubic": ("cubic", 1e-7)}
-#: `order` evaluates the points of every radius at once, radii x directions
-#: x n complex values of 16 bytes: each factor is bounded, and so is their
-#: product (10 million values are 160 MB)
+#: `order` holds its directions (directions x n complex values of 16 bytes)
+#: and one block of points, and evaluates radii x directions points of n
+#: coordinates: each factor is bounded, and their product bounds the work
 MAX_DIRECTIONS = 100_000
 _MAX_RADII = 64
 MAX_ORDER_VALUES = 10_000_000
@@ -92,6 +92,8 @@ def _parse_radii(text: str) -> tuple[float, ...]:
         radii = ()
     if not radii or not all(math.isfinite(r) and r > 0 for r in radii):
         raise ProblemSpecError(f"--radii must be comma-separated positive finite numbers, got {text!r}")
+    if len(radii) < 2 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ProblemSpecError(f"--radii must be at least two strictly increasing radii, got {text!r}")
     if len(radii) > _MAX_RADII:
         raise ProblemSpecError(f"--radii must hold at most {_MAX_RADII} radii, got {len(radii)}")
     return radii

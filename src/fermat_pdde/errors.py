@@ -27,10 +27,6 @@ class PoleHitError(EvalError):
     """Evaluation hit a (near-)zero denominator or a lattice point of wp."""
 
 
-class MissingEllipticContextError(EvalError):
-    """Expression contains wp/wpd but no elliptic context was supplied."""
-
-
 class ProblemSpecError(PDDEError):
     """An equation instance violates the invariants of its kind."""
 

@@ -23,9 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import expr as ex
-from .backends import BLOCK, eval_batch, eval_blocks
+from .backends import BLOCK, eval_blocks
 from .errors import EstimationError, ProblemSpecError
-from .expr import DEFAULT_POLE_EPS, Expr, uses_wp
+from .expr import DEFAULT_POLE_EPS, Expr
 from .tape import compile_expr
 
 __all__ = [
@@ -218,19 +218,6 @@ def sample_points(policy: SamplingPolicy, n: int) -> np.ndarray:
     return np.concatenate(list(_point_blocks(policy, n)))
 
 
-def _lattice(roots: list[Expr]):
-    """The elliptic context a tape of `roots` needs: None unless one uses wp.
-
-    `elliptic` is imported here, so a process that evaluates no wp never
-    loads it.
-    """
-    if not any(uses_wp(e) for e in roots):
-        return None
-    from .elliptic import default_context
-
-    return default_context()
-
-
 def _sampled(roots: list[Expr], policy: SamplingPolicy, n: int):
     """Evaluate the roots as one tape on the policy's sample, one block at a time.
 
@@ -238,8 +225,7 @@ def _sampled(roots: list[Expr], policy: SamplingPolicy, n: int):
     root, and the mask of the points where every root is pole-free and
     finite.  A subexpression the roots share is computed once per point.
     """
-    blocks = eval_blocks(compile_expr(roots), n, _point_blocks(policy, n), ell=_lattice(roots),
-                         pole_eps=policy.pole_eps)
+    blocks = eval_blocks(compile_expr(roots), n, _point_blocks(policy, n), pole_eps=policy.pole_eps)
     for vals, oks in blocks:
         # a point needs every row finite; |v| can overflow where v does not,
         # so finiteness is judged on the values, not on their moduli
@@ -423,7 +409,9 @@ def estimate_order(
     every radius, so M(r) is smooth in r and the top-of-ladder slope is
     stable.  Radii where the candidate overflows are dropped from the top
     (the usable prefix is reported); pole hits abort, since the estimator
-    is only meaningful for candidates that are entire on the sample.
+    is only meaningful for candidates that are entire on the sample.  The
+    ladder streams through `eval_blocks` in blocks of whole radii and
+    stops after the first group of radii that overflows or hits a pole.
     """
     radii = tuple(float(r) for r in (radii if radii is not None else default_radii()))
     if len(radii) < 2 or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -432,28 +420,37 @@ def estimate_order(
         raise EstimationError("need at least one direction")
     if seed is not None and seed < 0:
         raise ProblemSpecError(f"seed must be >= 0, got {seed}")
-    ell = _lattice([f])
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((directions, n)) + 1j * rng.standard_normal((directions, n))
     norms = np.linalg.norm(vecs, axis=1)
     norms[norms == 0] = 1.0
     dirs = vecs / norms[:, None]
 
-    # one evaluation over every radius; the rows are then read in radius
-    # order, so a pole or an overflow past the first overflow never counts
-    pts = (np.asarray(radii)[:, None, None] * dirs).reshape(-1, n)
-    vals, ok = eval_batch(compile_expr(f), pts, ell=ell, pole_eps=1e-12)
-    vals = vals.reshape(len(radii), directions)
-    ok = ok.reshape(len(radii), directions)
+    # block k is radii i:j at directions lo:hi: max(1, BLOCK // directions)
+    # whole radii, or one radius in chunks of BLOCK directions
+    step = max(1, BLOCK // directions)
+    plan = [(i, min(i + step, len(radii)), lo, min(lo + BLOCK, directions))
+            for i in range(0, len(radii), step) for lo in range(0, directions, BLOCK)]
+    ladder = np.asarray(radii)
+    blocks = ((ladder[i:j, None, None] * dirs[lo:hi]).reshape(-1, n) for i, j, lo, hi in plan)
+    mod = np.zeros(len(radii))  # running max |f| per radius: np.maximum keeps a NaN
+    pole = np.zeros(len(radii), dtype=bool)
+    for (i, j, lo, hi), (vals, ok) in zip(plan, eval_blocks(compile_expr(f), n, blocks, pole_eps=1e-12)):
+        np.maximum(mod[i:j], np.abs(vals).reshape(j - i, hi - lo).max(axis=1), out=mod[i:j])
+        pole[i:j] |= ~ok.reshape(j - i, hi - lo).all(axis=1)
+        if hi == directions and (pole[i:j].any() or not np.isfinite(mod[i:j]).all()):
+            break  # the read below stops in this group: no larger radius is drawn
+
+    # the radii are read in order, so a pole or an overflow past the first
+    # overflow never counts, and no radius left undrawn is reached
     usable: list[float] = []
     max_mod: list[float] = []
     truncated = False
-    for r, row, row_ok in zip(radii, vals, ok):
-        if not row_ok.all():
+    for r, m, hit in zip(radii, mod.tolist(), pole):
+        if hit:
             raise EstimationError(
                 f"pole hit at radius {r:g}: order estimation expects entire candidates"
             )
-        m = float(np.abs(row).max())
         if not np.isfinite(m):
             truncated = True
             break

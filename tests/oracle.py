@@ -18,7 +18,6 @@ import numpy as np
 from fermat_pdde.errors import (
     DimensionError,
     EvalError,
-    MissingEllipticContextError,
     ParseError,
     PoleHitError,
 )
@@ -63,9 +62,9 @@ def _ipow(base: complex, k: int, pole_eps: float) -> complex:
 def evaluate(e: Expr, point: Sequence[complex], ell=None, pole_eps: float = DEFAULT_POLE_EPS) -> complex:
     """Value of the expression at one point of C^n.
 
-    `ell` is an EllipticContext and is required exactly when the tree
-    contains wp/wpd nodes.  Near-zero denominators (|den| < pole_eps) and
-    lattice-point arguments of wp raise PoleHitError.
+    `ell` is the EllipticContext wp/wpd nodes are evaluated on, by default
+    the package's lattice, as the tape takes it.  Near-zero denominators
+    (|den| < pole_eps) and lattice-point arguments of wp raise PoleHitError.
     """
     pt = tuple(complex(x) for x in point)
     if max_var_index(e) > len(pt):
@@ -73,7 +72,9 @@ def evaluate(e: Expr, point: Sequence[complex], ell=None, pole_eps: float = DEFA
             f"point has {len(pt)} coordinates but the expression uses z{max_var_index(e)}"
         )
     if ell is None and uses_wp(e):
-        raise MissingEllipticContextError("expression contains wp/wpd: pass an elliptic context")
+        from fermat_pdde.elliptic import default_context
+
+        ell = default_context()
 
     seen: dict[Expr, complex] = {}
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from fermat_pdde.backends import default_backend, eval_batch
 from fermat_pdde.elliptic import default_context
-from fermat_pdde.errors import EvalError, MissingEllipticContextError, PDDEError, PoleHitError
+from fermat_pdde.errors import EvalError, PDDEError, PoleHitError
 from fermat_pdde.expr import Div, Pow, Var
 from fermat_pdde.parser import parse
 from fermat_pdde.tape import compile_expr
@@ -116,9 +116,15 @@ class TestTape:
     def test_wp_flag(self):
         assert compile_expr(parse("wp(z1)", 1)).has_wp
 
-    def test_missing_elliptic_context(self):
-        with pytest.raises(MissingEllipticContextError):
-            eval_batch(parse("wp(z1)", 1), disc_points(38, 3, 1))
+    def test_wp_defaults_to_the_package_lattice(self):
+        pts = disc_points(38, 64, 1, radius=1.5)
+        pts[0] = 0.0  # a lattice point: a masked lane
+        e = parse("wp(z1)", 1)
+        vals, ok = eval_batch(e, pts)
+        ref, ref_ok = eval_batch(e, pts, ell=default_context())
+        assert not ok[0] and ok[1:].all()
+        assert np.array_equal(ok, ref_ok)
+        assert vals.tobytes() == ref.tobytes()
 
     def test_dimension_check(self):
         with pytest.raises(PDDEError):

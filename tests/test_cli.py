@@ -291,7 +291,8 @@ class TestOrderCommand:
         assert code == 0
         assert doc["estimate"]["rho_hat"] <= 0.2
 
-    @pytest.mark.parametrize("radii", ["a,b", "4,x", "4,,8", "4,inf", "nan,8", "4,1e400", "-8,-4", "0,4"])
+    @pytest.mark.parametrize("radii", ["a,b", "4,x", "4,,8", "4,inf", "nan,8", "4,1e400", "-8,-4", "0,4",
+                                       "8,4", "4", "4,4"])
     def test_malformed_radii_are_malformed_input(self, capsys, radii):
         assert run_cli("order", "z1", "--n", "1", f"--radii={radii}") == 2
         assert "--radii" in capsys.readouterr().err

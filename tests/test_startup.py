@@ -25,7 +25,7 @@ OPTIONAL = {"fermat_pdde.construct", "fermat_pdde.periodic", "fermat_pdde.ellipt
 EXPORTED = [
     "Const", "ConstructionError", "DimensionError", "EllipticContext", "EstimationError",
     "EvalError", "Expr", "GrowthEstimate", "LinearPDOperator", "LoadedProblem",
-    "MissingEllipticContextError", "PDDEError", "PDDEProblem", "ParseError", "PeriodicSpec",
+    "PDDEError", "PDDEProblem", "ParseError", "PeriodicSpec",
     "PoleHitError", "ProblemFileError", "ProblemSpecError", "SamplingPolicy", "T1Params",
     "T2Params", "Var", "VerificationReport", "apply_linear_operator", "backends",
     "check_residual", "construct", "construct_cor1", "construct_cor1_m3_control",

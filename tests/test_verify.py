@@ -13,6 +13,7 @@ from fermat_pdde.errors import EstimationError, ProblemSpecError
 from fermat_pdde.expr import Const, Div, Neg, Var, Add
 from fermat_pdde.operators import PDDEProblem, residual, scale_terms
 from fermat_pdde.parser import parse
+from fermat_pdde.problemfile import load_problem
 from fermat_pdde.tape import compile_expr
 from fermat_pdde.verify import (
     GrowthEstimate,
@@ -27,6 +28,7 @@ from fermat_pdde.verify import (
     verify_problem,
 )
 
+from conftest import FIXTURES
 from test_expr import F_EX1
 
 PI = math.pi
@@ -307,6 +309,60 @@ class TestStreamedCheck:
         assert rep.passed and rep.points_tested == 100_000
         # the whole-sample arrays alone came to 15.6 MiB
         assert peak < 4 * 2**20, peak / 2**20
+
+
+def whole_ladder_reference(f, n, directions, seed=42):
+    """estimate_order by evaluating every radius at once with eval_batch, then reading in order."""
+    radii = default_radii()
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((directions, n)) + 1j * rng.standard_normal((directions, n))
+    norms = np.linalg.norm(vecs, axis=1)
+    norms[norms == 0] = 1.0
+    dirs = vecs / norms[:, None]
+    pts = (np.asarray(radii)[:, None, None] * dirs).reshape(-1, n)
+    vals, ok = eval_batch(compile_expr(f), pts, pole_eps=1e-12)
+    usable, max_mod, truncated = [], [], False
+    for r, row, row_ok in zip(radii, vals.reshape(len(radii), -1), ok.reshape(len(radii), -1)):
+        assert row_ok.all()  # no target has a pole before its first overflow
+        m = float(np.abs(row).max())
+        if not np.isfinite(m):
+            truncated = True
+            break
+        usable.append(r)
+        max_mod.append(m)
+    fit = [(r, m) for r, m in zip(usable, max_mod) if m > 1.0][:-3:-1]  # the largest first
+    x = np.log([r for r, _ in fit])
+    y = np.log(np.log([m for _, m in fit]))
+    return GrowthEstimate(tuple(usable), tuple(max_mod), float(np.polyfit(x, y, 1)[0]),
+                          tuple(sorted(r for r, _ in fit)), truncated, directions, seed)
+
+
+class TestStreamedOrder:
+    """estimate_order streams blocks of whole radii; the estimate must not depend on it."""
+
+    @pytest.mark.parametrize("target", ["example1", "bad_poly", "exp(z1)*z1 - exp(z1)*z1 + z1",
+                                        "exp(exp(z1))/exp(-z1/10)"])
+    @pytest.mark.parametrize("directions", [1, 240, 241, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_bit_equal_to_whole_ladder(self, target, directions):
+        if target.isidentifier():
+            loaded = load_problem(FIXTURES / f"{target}.json")
+            f, n = loaded.f, loaded.problem.n
+        else:
+            f, n = parse(target, 1), 1
+        est = estimate_order(f, n, directions=directions)
+        assert est.to_json() == whole_ladder_reference(f, n, directions).to_json()
+
+    def test_memory_does_not_grow_with_the_ladder(self):
+        estimate_order(F_EX1, 5)  # warm the interned nodes
+        tracemalloc.start()
+        try:
+            est = estimate_order(F_EX1, 5, directions=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.ladder_truncated
+        # every radius's points at once came to 174.6 MiB
+        assert peak < 32 * 2**20, peak / 2**20
 
 
 class TestEstimateOrder:
