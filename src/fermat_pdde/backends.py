@@ -60,9 +60,9 @@ def _power_into(d: np.ndarray, base, k: int) -> None:
         d[...] = acc
 
 
-def _run_block(tape: tp.Tape, cols: np.ndarray, slots: np.ndarray, bad: np.ndarray,
+def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarray,
                out: np.ndarray, pole_eps: float, ell: EllipticContext | None) -> None:
-    """Run the tape on one block: `cols` holds one contiguous row per variable."""
+    """Run the tape on one block of points, `pts` of shape (m, n)."""
     rows = [*tape.consts, *slots]  # operand index -> immediate or slot row
     for op, dst, src, arg, fail, outs, steps in tape.ops:
         d = rows[dst]
@@ -76,7 +76,7 @@ def _run_block(tape: tp.Tape, cols: np.ndarray, slots: np.ndarray, bad: np.ndarr
         elif op == tp.OP_CONST:  # d is the immediate; `outs` broadcast it
             pass
         elif op == tp.OP_VAR:
-            d[...] = cols[arg]
+            d[...] = pts[:, arg]
         elif op == tp.OP_DIV:
             den = rows[src[1]]
             if arg is None:  # not a constant, whose fail row eval_blocks fixes once
@@ -107,11 +107,14 @@ def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = 
     """Run a tape over a stream of point blocks, yielding (values, ok) per block.
 
     `blocks` yields arrays of shape (m, n), m at most `BLOCK`.  Each block
-    gives fresh arrays of shape (roots, m): lanes with ok=False hit a pole
+    gives arrays of shape (roots, m): lanes with ok=False hit a pole
     (near-zero denominator, negative power of a near-zero base, or a wp
-    lattice neighborhood) and carry NaN values.  The slot rows are sized
-    by the first block and reused, so memory does not grow with the
-    number of blocks.  A tape that uses wp runs on `ell`, by default
+    lattice neighborhood) and carry NaN values.  The slot, value and mask
+    rows are allocated once per call and re-sized only for a block wider
+    than every block before it, so memory does not grow with the number of
+    blocks.  The yielded arrays are views of those rows: they stay valid
+    until the next block is drawn, and a caller that keeps them longer
+    copies them.  A tape that uses wp runs on `ell`, by default
     `elliptic.default_context()`, imported only then.  Blocks are drawn
     one at a time: a caller that stops iterating draws no further block.
     """
@@ -121,26 +124,35 @@ def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = 
         from .elliptic import default_context
 
         ell = default_context()
-    R = len(tape.root_fails)
+    # a quotient by a constant rejects every lane or none, once per call: per
+    # root, whether one rejects them all, and the fail rows read per block
+    fixed = {fail for fail, _ in tape.fixed_fails}
+    hit = {fail for fail, divisor in tape.fixed_fails if np.abs(divisor) < pole_eps}
+    masks = [(not hit.isdisjoint(fails), [f for f in fails if f not in fixed])
+             for fails in tape.root_fails]
+    R = len(masks)
     width = 0
     for pts in blocks:
         m = pts.shape[0]
         if m > width:
             width = m
             slots = np.empty((tape.n_slots, width), dtype=np.complex128)
-            bad = np.zeros((tape.n_fail, width), dtype=bool)
-            for fail, divisor in tape.fixed_fails:
-                bad[fail] = np.abs(divisor) < pole_eps
-        values = np.empty((R, m), dtype=np.complex128)
-        failed = np.zeros((R, m), dtype=bool)
-        cols = np.ascontiguousarray(pts[:, : tape.n_min].T)
+            bad = np.empty((tape.n_fail, width), dtype=bool)  # live rows are written per block
+            values = np.empty((R, width), dtype=np.complex128)
+            failed = np.empty((R, width), dtype=bool)
+            ok = np.empty((R, width), dtype=bool)
+            for r, (all_fail, _) in enumerate(masks):
+                failed[r] = all_fail
+        vals, fails = values[:, :m], failed[:, :m]
         with np.errstate(all="ignore"):
-            _run_block(tape, cols, slots[:, :m], bad[:, :m], values, pole_eps, ell)
-        for r, fails in enumerate(tape.root_fails):
-            if fails:
-                np.any(bad[list(fails), :m], axis=0, out=failed[r])
-        values[failed] = np.nan
-        yield values, ~failed
+            _run_block(tape, pts, slots[:, :m], bad[:, :m], vals, pole_eps, ell)
+        for r, (all_fail, live) in enumerate(masks):
+            if live and not all_fail:
+                np.any(bad[live, :m], axis=0, out=fails[r])
+        if fails.any():
+            vals[fails] = np.nan
+        np.logical_not(fails, out=ok[:, :m])
+        yield vals, ok[:, :m]
 
 
 def eval_batch(

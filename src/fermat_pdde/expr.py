@@ -26,12 +26,13 @@ keyed on the bit pattern of its value, so 0.0 and -0.0 stay distinct and
 folding is bit-exact.  The intern table holds nodes weakly; a node lives
 as long as something else refers to it.
 
-The tree walks (`free_variables`, `uses_wp`) and each directional
-derivative are memoized on the node they start from, so a shared subtree
-is walked or differentiated once.  Exact symbolic differentiation
-(`partial`), argument shifting (`shift`) and printing (`to_string`) live
-here.  Expressions are evaluated only by compiling them to a tape
-(`tape`) and running it over blocks of sample points (`backends`).
+The tree walks (`free_variables`, `uses_wp`), each directional
+derivative and each shift are memoized on the node they start from, so a
+shared subtree is walked, differentiated or shifted once.  Exact
+symbolic differentiation (`partial`), argument shifting (`shift`) and
+printing (`to_string`) live here.  Expressions are evaluated only by
+compiling them to a tape (`tape`) and running it over blocks of sample
+points (`backends`).
 """
 
 from __future__ import annotations
@@ -554,41 +555,61 @@ def partial(e: Expr, multi_index: Sequence[int]) -> Expr:
 
 
 def shift(e: Expr, c: Sequence[complex]) -> Expr:
-    """Replace every z_j by z_j + c_j (the shifted function z -> z + c)."""
+    """Replace every z_j by z_j + c_j (the shifted function z -> z + c).
+
+    Memoized on each node like a derivative: a later shift of the same
+    interned expression by the same vector is a lookup.
+    """
     cs = tuple(complex(x) for x in c)
     if max_var_index(e) > len(cs):
         raise DimensionError(
             f"shift vector has {len(cs)} components but the expression uses z{max_var_index(e)}"
         )
-    done: dict[Expr, Expr] = {}
+    return _shift(e, tuple(Const(x) for x in cs))
 
-    def sub(node: Expr) -> Expr:
-        out = done.get(node)
-        if out is None:
-            out = done[node] = sub_node(node)
-        return out
 
-    def sub_node(node: Expr) -> Expr:
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Var):
-            cj = cs[node.index - 1]
-            if cj == 0:
-                return node
-            return Add((node, Const(cj)))
-        if isinstance(node, Add):
-            return Add(tuple(sub(t) for t in node.terms))
-        if isinstance(node, Mul):
-            return Mul(tuple(sub(f) for f in node.factors))
-        if isinstance(node, _Unary):
-            return type(node)(sub(node.arg))
-        if isinstance(node, Div):
-            return Div(sub(node.num), sub(node.den))
-        if isinstance(node, Pow):
-            return Pow(sub(node.base), node.exponent)
-        raise TypeError(f"unknown node {node!r}")
+#: the shift memo's entry for a node the shift leaves as it is: the node
+#: itself would make the node refer to itself, a reference cycle
+_UNSHIFTED = object()
 
-    return sub(e)
+
+def _shift(e: Expr, c: tuple[Const, ...]) -> Expr:
+    """`shift` by the interned constants c, memoized on e under the key c.
+
+    Constants and variables are not memoized: a constant is its own
+    shift, and the shift of z_j, z_j + c_j, refers to z_j.  No other
+    node's shift refers to the node (a shift deepens a tree by at most the
+    one sum that replaces a variable), so the memo holds no cycle.
+    """
+    if type(e) is Const:
+        return e
+    if type(e) is Var:
+        cj = c[e.index - 1]
+        return e if cj.value == 0 else Add((e, cj))
+    memo = e.__dict__.get("_shift")
+    if memo is None:
+        memo = e.__dict__["_shift"] = {}
+    out = memo.get(c)
+    if out is None:
+        out = _shift_node(e, c)
+        memo[c] = _UNSHIFTED if out is e else out
+    elif out is _UNSHIFTED:
+        out = e
+    return out
+
+
+def _shift_node(e: Expr, c: tuple[Const, ...]) -> Expr:
+    if isinstance(e, Add):
+        return Add(tuple(_shift(t, c) for t in e.terms))
+    if isinstance(e, Mul):
+        return Mul(tuple(_shift(f, c) for f in e.factors))
+    if isinstance(e, _Unary):
+        return type(e)(_shift(e.arg, c))
+    if isinstance(e, Div):
+        return Div(_shift(e.num, c), _shift(e.den, c))
+    if isinstance(e, Pow):
+        return Pow(_shift(e.base, c), e.exponent)
+    raise TypeError(f"unknown node {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -224,12 +224,14 @@ def _sampled(roots: list[Expr], policy: SamplingPolicy, n: int):
     Yields, per block of at most BLOCK points, the values, one row per
     root, and the mask of the points where every root is pole-free and
     finite.  A subexpression the roots share is computed once per point.
+    The values are `eval_blocks`' view, valid until the next block.
     """
     blocks = eval_blocks(compile_expr(roots), n, _point_blocks(policy, n), pole_eps=policy.pole_eps)
-    for vals, oks in blocks:
-        # a point needs every row finite; |v| can overflow where v does not,
-        # so finiteness is judged on the values, not on their moduli
-        yield vals, np.all(oks & np.isfinite(vals), axis=0)
+    for vals, _ in blocks:
+        # a pole-hit lane carries NaN, so the finite values are the kept
+        # ones; |v| can overflow where v does not, so finiteness is judged
+        # on the values, not on their moduli
+        yield vals, np.isfinite(vals).all(axis=0)
 
 
 def check_residual(
@@ -263,9 +265,7 @@ def check_residual(
         if not kept:
             continue
         tested += kept
-        scale = np.ones(keep.shape)
-        for row in mags[1:k]:
-            np.maximum(scale, row, out=scale)
+        scale = np.maximum.reduce(mags[1:k], axis=0, initial=1.0)
         rel = mags[0] / scale
         # a finite value whose modulus overflows gives inf where the ratio is
         # finite: there the ratio is taken of the values halved, which is exact

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from fermat_pdde.backends import default_backend, eval_batch
+from fermat_pdde.backends import BLOCK, default_backend, eval_batch, eval_blocks
 from fermat_pdde.elliptic import default_context
 from fermat_pdde.errors import EvalError, PDDEError, PoleHitError
-from fermat_pdde.expr import Div, Pow, Var
+from fermat_pdde.expr import Const, Div, Pow, Var
 from fermat_pdde.parser import parse
 from fermat_pdde.tape import compile_expr
 
@@ -136,3 +136,82 @@ class TestTape:
         vals, ok = eval_batch(t, pts)
         ref, _ = scalar_reference(F_EX4, pts)
         assert np.abs(vals - ref).max() < 1e-9
+
+
+#: the pole threshold of the block-stream tapes
+STREAM_EPS = 1e-9
+
+
+def stream_roots():
+    """Roots whose tape has every kind of fail index.
+
+    Root 0 alone reads a quotient by a constant below STREAM_EPS (every
+    lane masked), roots 0 and 1 one by a constant above it (no lane
+    masked); root 1 has a live divisor, roots 2 and 3 wp, root 4 can
+    overflow to inf with ok=True, and roots 5 and 6 have no fail index.
+    """
+    z1, z2 = Var(1), Var(2)
+    third = Div(z1 + z2, Const(3.0))
+    return [
+        Div(z1, Const(1e-10)) + third,
+        third + 1 / (z1 - 0.25),
+        parse("wp(z1 + z2) * z2", 2),
+        parse("wpd(z1 + z2) - wp(z2)", 2),
+        parse("exp(800*z1)", 2),
+        z1 * z2,
+        Const(2.5),
+    ]
+
+
+def stream_points(count):
+    pts = disc_points(41, count, 2, radius=1.5)
+    pts[0] = (0.25, 0.5)  # the live divisor's pole
+    if count > 1:
+        pts[1] = (0.3, -0.3)  # a lattice point of wp(z1 + z2)
+    return pts
+
+
+class TestBlockStream:
+    """eval_blocks yields views of rows it keeps for the whole call.
+
+    Each block, copied as it is drawn, must equal the same points' slice
+    of eval_batch bit for bit, masks included, whatever the blocking.
+    """
+
+    @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_blocks_equal_the_batch(self, count):
+        tape = compile_expr(stream_roots())
+        pts = stream_points(count)
+        vals, ok = eval_batch(tape, pts, pole_eps=STREAM_EPS)
+        assert not ok[0].any() and ok[5:].all()
+        assert not ok[1, 0] and (count == 1 or not ok[2, 1] and not ok[3, 1])
+        # uniform blocks, and blocks that grow after a narrow first one
+        sizes = [BLOCK] * (count // BLOCK + 1)
+        ragged = [1, 3, BLOCK, 2] * (count // BLOCK + 1)
+        for widths in (sizes, ragged):
+            lo, blocks = 0, []
+            for w in widths:
+                blocks.append(pts[lo : lo + w])
+                lo += w
+            lo = 0
+            for v, k in eval_blocks(tape, 2, (b for b in blocks if len(b)), pole_eps=STREAM_EPS):
+                hi = lo + v.shape[1]
+                assert v.tobytes() == vals[:, lo:hi].tobytes()
+                assert np.array_equal(k, ok[:, lo:hi])
+                lo = hi
+            assert lo == count
+
+    def test_masks_match_the_scalar_reference(self):
+        pts = stream_points(64)
+        vals, ok = eval_batch(stream_roots(), pts, pole_eps=STREAM_EPS)
+        for root, v, k in zip(stream_roots(), vals, ok):
+            for pt, lane_ok in zip(pts, k):
+                try:
+                    evaluate(root, pt, pole_eps=STREAM_EPS)
+                except PoleHitError:
+                    assert not lane_ok
+                except OverflowError:  # exp(800*z1): an overflow is no pole
+                    assert lane_ok
+                else:
+                    assert lane_ok
+            assert np.isnan(v[~k]).all()

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fermat_pdde import expr as ex
-from fermat_pdde import verify
+from fermat_pdde import operators, verify
 from fermat_pdde.backends import BLOCK, eval_batch
 from fermat_pdde.cli import main as cli_main
 from fermat_pdde.elliptic import default_context
@@ -248,16 +248,80 @@ class TestInterning:
         f = parse("exp(z1+z2+z3)*(z1+1)*(z2+1)*(z3+1) + sin(z1*z2)", 3)
         assert partial(f, (1, 1, 1)) is partial(f, (1, 1, 1))
 
+    def test_shift_is_memoized_on_the_operand(self, monkeypatch):
+        f = parse("exp(z1+z2+z3)*(z1+1)*(z2+1)*(z3+1) + sin(z1*z2)", 3)
+        c = (0.5j, 0, -1.25)
+        shifted = ex.shift(f, c)
+        made = []
+        make = ex._make
+
+        def counted_make(cls, *fields):
+            made.append((cls, *fields))
+            return make(cls, *fields)
+
+        monkeypatch.setattr(ex, "_make", counted_make)
+        assert ex.shift(f, c) is shifted
+        # the only lookups are the interned constants that key the memo
+        assert made == [(Const, complex(x)) for x in c]
+
+    @pytest.mark.parametrize("kind", ["xc", "fg"])
+    def test_scale_terms_after_residual_reuses_the_shift(self, monkeypatch, kind):
+        n = 3
+        f_text, beta_text = FG_RUNG.fg_texts(n)
+        f = parse(f_text, n)
+        if kind == "fg":
+            p = FG_RUNG.fg_problem(parse(beta_text, n), n)
+        else:
+            p = operators.PDDEProblem(kind="xc", n=n, m1=2, m2=3, c=(0.5j, 0, -1.25))
+        operators.residual(p, f)
+        made, inside = [], []
+        make, shift = ex._make, operators.shift
+
+        def counted_make(cls, *fields):
+            if inside:
+                made.append(cls)
+            return make(cls, *fields)
+
+        def counted_shift(e, c):
+            inside.append(True)
+            try:
+                return shift(e, c)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(ex, "_make", counted_make)
+        monkeypatch.setattr(operators, "shift", counted_shift)
+        operators.scale_terms(p, f)
+        # the shift builds no node: it looks up the key's n constants
+        assert made == [Const] * n
+
+    def test_shift_memo_holds_no_reference_cycle(self):
+        # an unchanged subtree (z8^4, a constant) stores a marker, not
+        # itself, so reference counting alone frees the shifted tree
+        gc.collect()
+        gc.disable()
+        try:
+            baseline = len(ex._TABLE)
+            f = parse("(z7 + 3.125)^3*z8 - 2.375*z7*z8^2 + z8^4 + 5.625", 8)
+            g = ex.shift(f, (0,) * 6 + (1.5j, 0))
+            assert ex.shift(f, (0,) * 6 + (1.5j, 0)) is g
+            assert ex.shift(g, (0,) * 8) is g
+            del f, g
+            assert len(ex._TABLE) == baseline
+        finally:
+            gc.enable()
+
     def test_intern_table_does_not_leak(self):
-        # derivatives are memoized on their operand, so the trees use
-        # variables and constants no other test builds composites from:
-        # a memo on a node that outlives the test would keep its entries
+        # derivatives and shifts are memoized on their operand, so the
+        # trees use variables and constants no other test builds
+        # composites from: a memo on a node that outlives the test would
+        # keep its entries
         gc.collect()
         baseline = len(ex._TABLE)
         for k in range(50):
             f = parse(f"exp({k}.5*z7+z8)*(z7+{k}.25)^3 + sin(z7*z8)/(z8+{k}.75)", 8)
             partial(f, (0,) * 6 + (1, 1))
-            compile_expr([f, partial(f, (0,) * 7 + (1,))])
+            compile_expr([f, partial(f, (0,) * 7 + (1,)), ex.shift(f, (0,) * 6 + (0.5j, -1.5))])
         del f
         gc.collect()
         assert len(ex._TABLE) == baseline

@@ -29,6 +29,7 @@ from fermat_pdde.verify import (
 )
 
 from conftest import FIXTURES
+from test_backends import stream_roots
 from test_expr import F_EX1
 
 PI = math.pi
@@ -295,6 +296,19 @@ class TestStreamedCheck:
             assert rep.passed == (max_rel <= policy.tol and 2 * (samples - tested) < samples)
         if samples > BLOCK:
             assert 0 < samples - tested < samples / 2  # the pole ring and the guard skip points
+
+    @pytest.mark.parametrize("first", [0, 1])
+    @pytest.mark.parametrize("samples", BLOCK_COUNTS)
+    def test_keep_is_every_root_ok_and_finite(self, samples, first):
+        # a pole-hit lane carries NaN, so _sampled reads `keep` off the
+        # values alone; root 0 masks every lane, so the tape without it too
+        roots = stream_roots()[first:]
+        policy = SamplingPolicy(samples=samples, radius=1.5, seed=19, pole_eps=0.05)
+        vals, oks = eval_batch(compile_expr(roots), sample_points(policy, 2), pole_eps=policy.pole_eps)
+        keep = np.concatenate([k for _, k in verify._sampled(roots, policy, 2)])
+        assert np.array_equal(keep, np.all(oks & np.isfinite(vals), axis=0))
+        if first and samples > BLOCK:
+            assert not oks.all() and 0 < keep.sum() < samples
 
     def test_memory_does_not_grow_with_the_sample(self):
         p = example1_problem()
