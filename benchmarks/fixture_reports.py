@@ -10,9 +10,18 @@ digest shows whether the wp-heavy cubic reports moved.  Running it on two
 commits and comparing the outputs (or just the digests) tells which
 reports changed.
 
-It also checks the verdicts: one count line per fixture and pair goes to
-stderr, and the script exits 1 when a fixture's verdict differs from its
-`expected_status` (`inconsistent` expects fail) or a Fermat pair fails:
+Last come the solution families: every `construct` theorem, run through
+the `construct` command (`--format machine`) with the seed as both the
+generator and the sampling seed, and the m1 = 3 negative control, built
+by `construct_cor1_m3_control`.  One line per report gives its verdict
+and residual maxima; the digest covers the whole `construct` output for
+t1-i and t1-ii, so it shows whether a change moved those solutions' text
+or reports by a single bit.
+
+It also checks the verdicts: one count line per fixture, pair and family
+goes to stderr, and the script exits 1 when a fixture's verdict differs
+from its `expected_status` (`inconsistent` expects fail), a Fermat pair
+or a theorem fails, or the control passes:
 
     PYTHONPATH=src python benchmarks/fixture_reports.py > reports.jsonl
     PYTHONPATH=src python benchmarks/fixture_reports.py --samples 20000 --seeds 0-4
@@ -29,7 +38,16 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from fermat_pdde import check_residual, load_problem, residual, scale_terms
+from fermat_pdde import (
+    SamplingPolicy,
+    check_residual,
+    construct_cor1_m3_control,
+    load_problem,
+    make_periodic,
+    residual,
+    scale_terms,
+    verify_problem,
+)
 from fermat_pdde.cli import main as cli_main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -42,6 +60,19 @@ FERMAT_PAIRS = (
     ("cubic", "z1 + z2/2", 2),
 )
 
+#: (theorem, c) for `construct`: every theorem, with a shift it is solvable at
+THEOREMS = (
+    ("t1-i", "14,1,3,5"),
+    ("t1-ii", "0,pi*i,pi*i"),
+    ("t2-i", "2,3,2,4"),
+    ("t2-ii", "pi*i,2*pi*i,-pi*i,2*pi*i"),
+    ("cor1", "0.6,1.1,0.9"),
+    ("cor2", "0.5,1.4,0.8"),
+    ("equ1", "1,1"),
+    ("equ2", "1,3"),
+)
+#: the shift of the m1 = 3 control, that of cor1
+CONTROL_C = (0.6, 1.1, 0.9)
 
 #: the verdict each `expected_status` of a problem file calls for
 EXPECTED_VERDICT = {"pass": "pass", "fail": "fail", "inconsistent": "fail"}
@@ -62,15 +93,25 @@ def _line(digest, record: dict) -> None:
     print(line)
 
 
-def _fermat_report(kind: str, h: str, n: int, seed: int, radius: float, samples: int) -> dict:
-    argv = ["fermat", "--kind", kind, "--h", h, "--n", str(n), "--seed", str(seed),
-            "--radius", repr(radius), "--samples", str(samples), "--format", "machine"]
+def _cli_doc(argv: list[str]) -> dict:
+    """The `--format machine` document of one command."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = cli_main(argv)
+        code = cli_main([*argv, "--format", "machine"])
     if code not in (0, 1):  # 1 is a failed verdict, which the caller counts
-        raise SystemExit(f"fermat {' '.join(argv)} exited {code}")
-    return json.loads(out.getvalue())["report"]
+        raise SystemExit(f"{' '.join(argv)} exited {code}")
+    return json.loads(out.getvalue())
+
+
+def _fermat_report(kind: str, h: str, n: int, seed: int, radius: float, samples: int) -> dict:
+    return _cli_doc(["fermat", "--kind", kind, "--h", h, "--n", str(n), "--seed", str(seed),
+                     "--radius", repr(radius), "--samples", str(samples)])["report"]
+
+
+def _family_record(label: str, seed: int, rep: dict) -> dict:
+    return {"family": label, "seed": seed, "verdict": rep["verdict"], "tested": rep["points_tested"],
+            "skipped": rep["points_skipped"], "max_abs": repr(rep["max_abs_residual"]),
+            "max_rel": repr(rep["max_rel_residual"])}
 
 
 def main() -> None:
@@ -118,6 +159,27 @@ def main() -> None:
                 })
         wrong += _tally(f"{kind} {h}", verdicts, "pass")
     print(json.dumps({"fermat_sha256": digest.hexdigest()}))
+
+    digest = hashlib.sha256()
+    for theorem, c in THEOREMS:
+        verdicts = []
+        for seed in range(lo, hi + 1):
+            doc = _cli_doc(["construct", "--theorem", theorem, "--c", c, "--gen-seed", str(seed),
+                            "--seed", str(seed), "--samples", str(args.samples)])
+            verdicts.append(doc["report"]["verdict"])
+            print(json.dumps(_family_record(theorem, seed, doc["report"])))
+            if theorem.startswith("t1-"):
+                digest.update(json.dumps(doc).encode() + b"\n")
+        wrong += _tally(f"construct {theorem}", verdicts, "pass")
+    verdicts = []
+    for seed in range(lo, hi + 1):
+        g = make_periodic(CONTROL_C[1:], 2, seed=seed)
+        f, problem = construct_cor1_m3_control(len(CONTROL_C), CONTROL_C, g)
+        rep = verify_problem(problem, f, SamplingPolicy(seed=seed, samples=args.samples)).to_dict()
+        verdicts.append(rep["verdict"])
+        print(json.dumps(_family_record("cor1 m1=3 control", seed, rep)))
+    wrong += _tally("cor1 m1=3 control", verdicts, "fail")
+    print(json.dumps({"t1_families_sha256": digest.hexdigest()}))
     if wrong:
         raise SystemExit(f"{wrong} verdicts differ from the expected ones")
 

@@ -30,7 +30,10 @@ from .verify import SamplingPolicy, default_radii, estimate_order, strict_json, 
 
 __all__ = ["main"]
 
-_THEOREMS = ("t1-i", "t1-ii", "t2-i", "t2-ii", "cor1", "cor2", "equ1", "equ2")
+#: `construct --theorem` -> (the equation kind, the form of its quadratic solution);
+#: the corollaries and equ1/equ2 fix the right side to 1, so only t1-* and t2-* take --phi
+_THEOREMS = {"t1-i": ("fte", "I"), "t1-ii": ("fte", "II"), "t2-i": ("ftee", "I"), "t2-ii": ("ftee", "II"),
+             "cor1": ("fte", "II"), "cor2": ("ftee", "II"), "equ1": ("equ1", "II"), "equ2": ("equ2", "II")}
 #: `fermat --kind` -> (the constructor's kind, the tolerance the pair is checked at)
 _FERMAT_KINDS = {"cos-sin": ("cos_sin", 1e-12), "mobius": ("mobius", 1e-12), "cubic": ("cubic", 1e-7)}
 #: `order` holds its directions (directions x n complex values of 16 bytes)
@@ -146,61 +149,37 @@ def cmd_verify(args) -> int:
 
 
 def _generated_g(theorem: str, c, seed: int, terms: int) -> Expr:
-    from .periodic import make_periodic, make_polynomial_quasi_periodic
+    """A polynomial quasi-periodic g part for form I, a periodic one for form II."""
+    from .construct import quadratic_basis
+    from .periodic import make_periodic, make_polynomial_quasi_periodic, period_vector
 
     if len(c) < 2:
         # every family lives on C^n with n >= 2; its constructor says so
         # too, but the generator reads c2 first
         raise ConstructionError(f"theorem {theorem} needs a shift vector of at least 2 components, got {len(c)}")
-    c1 = c[0]
-    if theorem in ("t1-i",):
-        return make_polynomial_quasi_periodic(c[1:], c1, seed=seed, basis="t1")
-    if theorem in ("t1-ii", "cor1"):
-        return make_periodic(c[1:], terms, seed=seed, basis="t1")
-    cprime_t2 = (c[1] - c[0],) + tuple(c[2:])
-    if theorem == "t2-i":
-        return make_polynomial_quasi_periodic(cprime_t2, c1, seed=seed, basis="t2")
-    if theorem in ("t2-ii", "cor2"):
-        return make_periodic(cprime_t2, terms, seed=seed, basis="t2")
-    if theorem == "equ1":
-        return make_periodic((c[1],), terms, seed=seed, basis="t1")
-    return make_periodic((c[1] - c[0],), terms, seed=seed, basis="t2")
+    kind, form = _THEOREMS[theorem]
+    basis = quadratic_basis(kind)
+    cprime = period_vector(c, basis)
+    if form == "I":
+        return make_polynomial_quasi_periodic(cprime, c[0], seed=seed, basis=basis)
+    return make_periodic(cprime, terms, seed=seed, basis=basis)
 
 
 def cmd_construct(args) -> int:
-    from .construct import (
-        T1Params,
-        T2Params,
-        construct_cor1,
-        construct_cor2,
-        construct_legacy_xw,
-        construct_t1,
-        construct_t2,
-    )
+    from .construct import QuadraticParams, construct_quadratic
 
     theorem = args.theorem
+    if args.phi is not None and not theorem.startswith(("t1-", "t2-")):
+        raise ProblemSpecError(f"theorem {theorem} fixes the right side to 1; --phi applies to t1-* and t2-* only")
     c = _parse_c(args.c)
     n = len(c)
     if args.g is not None:
         g = parse(args.g, n)
     else:
         g = _generated_g(theorem, c, args.gen_seed, args.gen_terms)
-    phi = parse(args.phi, n)
-
-    if theorem == "t1-i":
-        f, problem = construct_t1(T1Params(n=n, c=c, form="I", g_part=g, phi=phi))
-    elif theorem == "t1-ii":
-        f, problem = construct_t1(T1Params(n=n, c=c, form="II", g_part=g, phi=phi))
-    elif theorem == "t2-i":
-        f, problem = construct_t2(T2Params(n=n, c=c, form="I", g_part=g, phi=phi))
-    elif theorem == "t2-ii":
-        f, problem = construct_t2(T2Params(n=n, c=c, form="II", g_part=g, phi=phi))
-    elif theorem == "cor1":
-        f, problem = construct_cor1(n, c, g)
-    elif theorem == "cor2":
-        f, problem = construct_cor2(n, c, g)
-    else:
-        f, problem = construct_legacy_xw(theorem, g, c)
+    phi = parse("1" if args.phi is None else args.phi, n)
+    kind, form = _THEOREMS[theorem]
+    f, problem = construct_quadratic(kind, QuadraticParams(n=n, c=c, form=form, g_part=g, phi=phi))
 
     policy = _policy_with_overrides(SamplingPolicy(), args)
     rep = verify_problem(problem, f, policy)
@@ -302,11 +281,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("construct", help="build a family member and verify it")
-    sp.add_argument("--theorem", choices=_THEOREMS, required=True)
+    sp.add_argument("--theorem", choices=tuple(_THEOREMS), required=True)
     sp.add_argument("--c", required=True,
                     help="shift vector, one component per dimension: comma-separated constants, e.g. '0,pi*i,pi*i'")
     sp.add_argument("--g", default=None, help="periodic/polynomial part (generated when omitted)")
-    sp.add_argument("--phi", default="1", help="right side for t1-*/t2-* (default 1)")
+    sp.add_argument("--phi", default=None,
+                    help="right side, for t1-* and t2-* only: the other theorems fix it to 1 (default 1)")
     sp.add_argument("--gen-seed", type=int, default=0, help="seed for the generated g part")
     sp.add_argument("--gen-terms", type=int, default=2, help="terms in the generated g part")
     _add_policy_flags(sp)

@@ -7,10 +7,10 @@ quasi-period increment, direction annihilation) are validated numerically
 on an internal sample; failures raise ConstructionError and report the
 largest violation seen.
 
-The two-variable families ``equ1``/``equ2`` and the corollary forms
-(right side identically 1) are special cases of the general quadratic
-families, but they are emitted with their own printed formulas so tests
-exercise those shapes verbatim.
+Every solution of (D f)^2 + f(z+c) = phi is built by `construct_quadratic`
+in form I or form II, on the basis of the kind's derivative direction D.
+The theorems' constructors, the right-side-1 corollaries and the
+two-variable `equ1`/`equ2` solutions are calls of it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .expr import (
     free_variables,
     shift,
 )
-from .operators import PDDEProblem
-from .periodic import omega_expr
+from .operators import KINDS, PDDEProblem, derivative_direction
+from .periodic import omega_expr, period_vector, tilt_coefficient
 from .verify import SamplingPolicy, check_residual
 
 __all__ = [
@@ -78,27 +78,10 @@ def _check_quasi_period(g: Expr, c, increment: complex, n: int, what: str) -> No
     _require(delta, g, n, CHECK_TOL, what)
 
 
-def _check_annihilated(g: Expr, n: int, what: str) -> None:
-    delta = directional_derivative(g, (1, 1) + (0,) * (n - 2))
-    _require(delta, g, n, ANNIHILATION_TOL, what)
-
-
-def _tilt_coefficient(c1: complex, tau: complex, form: str) -> complex:
-    """c1 / (2 tau); tau = 0 degenerates gracefully only when c1 = 0."""
-    if abs(tau) < 1e-12:
-        if c1 == 0:
-            return 0j
-        raise ConstructionError(f"form {form} needs tau != 0 (got tau = {tau}) when c1 = {c1} != 0")
-    return c1 / (2.0 * tau)
-
-
-def _neg_c(c) -> tuple[complex, ...]:
-    return tuple(-complex(x) for x in c)
-
-
 @dataclass(frozen=True)
 class QuadraticParams:
-    """Parameters of the quadratic families, kinds fte and ftee.
+    """Parameters of a quadratic solution: dimension n >= 2, shift c of length n,
+    form I or II, the g part and the right side phi.
 
     `construct_t1` and `construct_t2` take them, under the names T1Params
     and T2Params.
@@ -121,38 +104,65 @@ class QuadraticParams:
 T1Params = T2Params = QuadraticParams
 
 
-def construct_t1(p: QuadraticParams) -> tuple[Expr, PDDEProblem]:
-    """Quadratic solution of (df/dz1)^2 + f(z+c) = phi(z2..zn).
+def quadratic_basis(kind: str) -> str:
+    """The basis of the kind's g part: t1 under d/dz1, t2 under d/dz1 + d/dz2."""
+    direction = derivative_direction(kind, 2) if kind in KINDS else None
+    if direction not in ((1, 0), (1, 1)):
+        raise ConstructionError(f"no quadratic solution family for kind {kind!r}")
+    return "t2" if direction[1] else "t1"
 
-    Form I:  f = phi(.-c') - (-(z1-c1)/2 + g1(.-c'))^2 with a polynomial
-    g1 gaining exactly c1/2 per period step.  Form II: the same square
-    built from a periodic g2 plus the linear tilt c1*omega/(2 tau) and
-    the matching bookkeeping terms.
+
+def construct_quadratic(kind: str, p: QuadraticParams, m1: int = 2) -> tuple[Expr, PDDEProblem]:
+    """Quadratic solution of (D f)^2 + f(z+c) = phi, D = d/dz1 or d/dz1 + d/dz2.
+
+    The g part lives on the basis of D (see `periodic`), which moves by
+    the period vector c' under z -> z + c; tau is the sum of c' and
+    omega the sum of the basis coordinates.
+
+    Form I:  f = phi(z-c) - (-(z1-c1)/2 + g(z-c))^2 with a g gaining
+    exactly c1/2 per period step.  Form II: a periodic g plus the linear
+    tilt a*omega, a = c1/(2 tau),
+    f = (z1-c1)(g + a omega) - (g + a(omega-tau))^2 + (c1^2-z1^2)/4 + phi(z-c).
+
+    m1 is the power of the equation the solution is paired with: 2, or
+    3 for the negative control, which this f does not solve.
     """
+    basis = quadratic_basis(kind)
+    direction = derivative_direction(kind, p.n)
+    banned = [j for j, w in enumerate(direction, start=1) if w]
+    if free_variables(p.phi) & set(banned):
+        raise ConstructionError("phi must not depend on " + " or ".join(f"z{j}" for j in banned))
+    if basis == "t1":
+        if free_variables(p.g_part) & {1}:
+            raise ConstructionError("the g part for this family must not depend on z1")
+    else:
+        delta = directional_derivative(p.g_part, direction)
+        _require(delta, p.g_part, p.n, ANNIHILATION_TOL, "direction annihilation of the g part")
     z1 = Var(1)
     c1 = p.c[0]
-    if free_variables(p.g_part) & {1}:
-        raise ConstructionError("the g part for this family must not depend on z1")
-    if free_variables(p.phi) & {1}:
-        raise ConstructionError("phi must not depend on z1")
+    neg_c = tuple(-x for x in p.c)
     if p.form == "I":
-        _check_quasi_period(p.g_part, p.c, c1 / 2.0, p.n, "quasi-period relation for g1")
-        inner = Const(-0.5) * (z1 - Const(c1)) + shift(p.g_part, _neg_c(p.c))
-        f = shift(p.phi, _neg_c(p.c)) - inner**2
+        _check_quasi_period(p.g_part, p.c, c1 / 2.0, p.n, "quasi-period relation for the g part")
+        inner = Const(-0.5) * (z1 - Const(c1)) + shift(p.g_part, neg_c)
+        f = shift(p.phi, neg_c) - inner**2
     else:
-        _check_quasi_period(p.g_part, p.c, 0.0, p.n, "periodicity of g2")
-        tau = complex(sum(p.c[1:]))
-        a = _tilt_coefficient(c1, tau, "II")
-        omega = omega_expr(p.n, "t1")
-        g1 = p.g_part + Const(a) * omega
+        _check_quasi_period(p.g_part, p.c, 0.0, p.n, "periodicity of the g part")
+        tau = complex(sum(period_vector(p.c, basis)))
+        a = tilt_coefficient(c1, tau)
+        omega = omega_expr(p.n, basis)
         f = (
-            (z1 - Const(c1)) * g1
+            (z1 - Const(c1)) * (p.g_part + Const(a) * omega)
             - (p.g_part + Const(a) * (omega - Const(tau))) ** 2
             + Const(0.25) * (Const(c1**2) - z1**2)
-            + shift(p.phi, _neg_c(p.c))
+            + shift(p.phi, neg_c)
         )
-    problem = PDDEProblem(kind="fte", n=p.n, m1=2, c=p.c, phi=p.phi)
+    problem = PDDEProblem(kind=kind, n=p.n, m1=m1, c=p.c, phi=p.phi)
     return f, problem
+
+
+def construct_t1(p: QuadraticParams) -> tuple[Expr, PDDEProblem]:
+    """Quadratic solution of (df/dz1)^2 + f(z+c) = phi(z2..zn); g in the t1 basis."""
+    return construct_quadratic("fte", p)
 
 
 def construct_t2(p: QuadraticParams) -> tuple[Expr, PDDEProblem]:
@@ -162,89 +172,21 @@ def construct_t2(p: QuadraticParams) -> tuple[Expr, PDDEProblem]:
     hence must be annihilated by d/dz1 + d/dz2.  Its period vector in
     those coordinates is (c2-c1, c3, ..., cn).
     """
-    z1 = Var(1)
-    c1 = p.c[0]
-    if free_variables(p.phi) & {1, 2}:
-        raise ConstructionError("phi must not depend on z1 or z2")
-    _check_annihilated(p.g_part, p.n, "direction annihilation of the g part")
-    if p.form == "I":
-        _check_quasi_period(p.g_part, p.c, c1 / 2.0, p.n, "quasi-period relation for the g part")
-        inner = Const(-0.5) * (z1 - Const(c1)) + shift(p.g_part, _neg_c(p.c))
-        f = Const(-1.0) * inner**2 + shift(p.phi, _neg_c(p.c))
-    else:
-        _check_quasi_period(p.g_part, p.c, 0.0, p.n, "periodicity of the g part")
-        tau = complex(p.c[1] - p.c[0] + sum(p.c[2:]))
-        a = _tilt_coefficient(c1, tau, "II")
-        omega = omega_expr(p.n, "t2")
-        f = (
-            Const(0.25) * (Const(c1**2) - z1**2)
-            + (z1 - Const(c1)) * (p.g_part + Const(a) * omega)
-            - (p.g_part + Const(a) * (omega - Const(tau))) ** 2
-            + shift(p.phi, _neg_c(p.c))
-        )
-    problem = PDDEProblem(kind="ftee", n=p.n, m1=2, c=p.c, phi=p.phi)
-    return f, problem
+    return construct_quadratic("ftee", p)
 
 
 def construct_cor1(n: int, c, g2: Expr, m1: int = 2) -> tuple[Expr, PDDEProblem]:
-    """Right-side-1 specialization of the form II family, printed shape.
-
-    f = 1 + (c1^2 - z1^2)/4 + a*z1*omega + z1*g2 - (g2 + a*(omega-tau))^2
-        - c1*(g2 + a*omega),   a = c1/(2 tau), omega = z2+...+zn.
+    """Corollary 1: form II of `construct_t1` with phi = 1 and a periodic g2.
 
     m1 defaults to 2 (the solvable power); m1 = 3 is used by the negative
     control, where the same f must fail.
     """
-    c = tuple(complex(x) for x in c)
-    if n < 2 or len(c) != n:
-        raise ConstructionError(f"need n >= 2 and len(c) == n, got n={n}, c={c}")
-    if free_variables(g2) & {1}:
-        raise ConstructionError("the periodic part must not depend on z1")
-    _check_quasi_period(g2, c, 0.0, n, "periodicity of g2")
-    z1 = Var(1)
-    c1 = c[0]
-    tau = complex(sum(c[1:]))
-    a = _tilt_coefficient(c1, tau, "II")
-    omega = omega_expr(n, "t1")
-    f = (
-        Const(1.0)
-        + Const(0.25) * (Const(c1**2) - z1**2)
-        + Const(a) * z1 * omega
-        + z1 * g2
-        - (g2 + Const(a) * (omega - Const(tau))) ** 2
-        - Const(c1) * (g2 + Const(a) * omega)
-    )
-    problem = PDDEProblem(kind="fte", n=n, m1=m1, c=c, phi=Const(1.0))
-    return f, problem
+    return construct_quadratic("fte", QuadraticParams(n=n, c=c, form="II", g_part=g2), m1)
 
 
 def construct_cor2(n: int, c, g4: Expr) -> tuple[Expr, PDDEProblem]:
-    """Right-side-1 specialization of the two-direction form II family.
-
-    f = 1 + z1*(g4 + a*omega) - c1*(g4 + a*(omega-tau))
-        - (g4 + a*(omega-tau))^2 - (c1^2 + z1^2)/4,
-    omega = z2-z1+z3+...+zn, tau = c2-c1+c3+...+cn.
-    """
-    c = tuple(complex(x) for x in c)
-    if n < 2 or len(c) != n:
-        raise ConstructionError(f"need n >= 2 and len(c) == n, got n={n}, c={c}")
-    _check_annihilated(g4, n, "direction annihilation of g4")
-    _check_quasi_period(g4, c, 0.0, n, "periodicity of g4")
-    z1 = Var(1)
-    c1 = c[0]
-    tau = complex(c[1] - c[0] + sum(c[2:]))
-    a = _tilt_coefficient(c1, tau, "II")
-    omega = omega_expr(n, "t2")
-    shifted = g4 + Const(a) * (omega - Const(tau))
-    f = (
-        Const(1.0)
-        + z1 * (g4 + Const(a) * omega)
-        - Const(c1) * shifted
-        - shifted**2
-        - Const(0.25) * (Const(c1**2) + z1**2)
-    )
-    problem = PDDEProblem(kind="ftee", n=n, m1=2, c=c, phi=Const(1.0))
-    return f, problem
+    """Corollary 2: form II of `construct_t2` with phi = 1 and a periodic g4."""
+    return construct_quadratic("ftee", QuadraticParams(n=n, c=c, form="II", g_part=g4))
 
 
 def construct_cor1_m3_control(n: int, c, g2: Expr) -> tuple[Expr, PDDEProblem]:
@@ -257,7 +199,7 @@ def construct_cor1_m3_control(n: int, c, g2: Expr) -> tuple[Expr, PDDEProblem]:
 
 
 def construct_legacy_xw(which: str, g: Expr, c) -> tuple[Expr, PDDEProblem]:
-    """The quoted two-variable solutions of the kinds equ1 and equ2.
+    """Xu and Wang's two-variable solutions of the kinds equ1 and equ2: form II with n = 2, phi = 1.
 
     equ1 needs a periodic g(z2) with period c2 != 0; equ2 needs a periodic
     g(z2 - z1) with period c2 - c1 != 0 on the difference coordinate.
@@ -268,43 +210,14 @@ def construct_legacy_xw(which: str, g: Expr, c) -> tuple[Expr, PDDEProblem]:
     if len(c) != 2:
         raise ConstructionError(f"these are two-variable equations; got c = {c}")
     c1, c2 = c
-    z1, z2 = Var(1), Var(2)
     if which == "equ1":
         if abs(c2) < 1e-12:
             raise ConstructionError("degenerate period: equ1 needs c2 != 0")
         if free_variables(g) - {2}:
             raise ConstructionError("the periodic part for equ1 must be a function of z2 only")
-        _check_quasi_period(g, c, 0.0, 2, "periodicity of the g part")
-        a = c1 / (2.0 * c2)
-        f = (
-            Const(1.0)
-            - Const(0.25 * c1**2)
-            - Const(0.25) * z1**2
-            + Const(a) * z1 * z2
-            - Const(c1**2 / (2.0 * c2)) * (z2 - Const(c2))
-            + (z1 - Const(c1)) * g
-            - (Const(a) * (z2 - Const(c2)) + g) ** 2
-        )
-        problem = PDDEProblem(kind="equ1", n=2, m1=2, m2=1, c=c)
-    else:
-        if abs(c2 - c1) < 1e-12:
-            raise ConstructionError("degenerate period: equ2 needs c2 != c1")
-        _check_annihilated(g, 2, "direction annihilation of the g part")
-        _check_quasi_period(g, c, 0.0, 2, "periodicity of the g part")
-        a3 = c1 / (2.0 * (c2 - c1))
-        w = z2 - z1
-        wc = z2 - z1 - Const(c2 - c1)
-        f = (
-            Const(1.0)
-            - Const(0.25 * c1**2)
-            - Const(0.25) * z1**2
-            + z1 * (g + Const(a3) * w)
-            - Const(c1) * g
-            - Const(a3 * c1) * wc
-            - (g + Const(a3) * wc) ** 2
-        )
-        problem = PDDEProblem(kind="equ2", n=2, m1=2, m2=1, c=c)
-    return f, problem
+    elif abs(c2 - c1) < 1e-12:
+        raise ConstructionError("degenerate period: equ2 needs c2 != c1")
+    return construct_quadratic(which, QuadraticParams(n=2, c=c, form="II", g_part=g))
 
 
 def construct_fermat_pair(kind: str, h: Expr) -> tuple[Expr, Expr]:

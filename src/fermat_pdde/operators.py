@@ -131,6 +131,12 @@ _KIND_TABLE = {
 KINDS = tuple(_KIND_TABLE)
 
 
+def derivative_direction(kind: str, n: int) -> tuple[int, ...] | None:
+    """The w of the kind's term sum_j w_j df/dz_j, zero-padded to n; None: the kind has no such term."""
+    direction = _KIND_TABLE[kind].direction
+    return None if direction is None else direction + (0,) * (n - len(direction))
+
+
 @dataclass(frozen=True, eq=False)
 class PDDEProblem:
     """One equation instance; see the module docstring for the kinds."""
@@ -214,7 +220,7 @@ def _equation_terms(p: PDDEProblem, f: Expr) -> tuple[tuple[Expr, Expr], Expr | 
     # the two-direction kinds take d/dz1 + d/dz2 in one chain-rule pass:
     # termwise addition of the partials cancels catastrophically on
     # functions of z2 - z1 with large factors
-    d = directional_derivative(f, spec.direction + (0,) * (p.n - len(spec.direction)))
+    d = directional_derivative(f, derivative_direction(p.kind, p.n))
     shifted = shift(f, p.c)
     return (d ** p.m1, shifted ** p.m2 if "m2" in spec.needs else shifted), rhs
 

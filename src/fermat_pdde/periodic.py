@@ -14,10 +14,12 @@ Two variable bases are supported for the (n-1)-dimensional argument w:
 * ``t2``: w = (z2 - z1, z3, ..., zn)
 
 Functions emitted in the ``t2`` basis are annihilated by d/dz1 + d/dz2
-because every occurrence of z1, z2 is through z2 - z1.
+because every occurrence of z1, z2 is through z2 - z1.  A shift z -> z + c
+moves w by the period vector c' = `period_vector(c, basis)`.
 
-`make_quasi_periodic` adds the linear tilt c1 * omega / (2 tau), which
-turns exact periodicity into the additive law g(w + c') = g(w) + c1/2.
+`make_quasi_periodic` adds the linear tilt c1 * omega / (2 tau), tau the
+sum of c' (`tilt_coefficient`), which turns exact periodicity into the
+additive law g(w + c') = g(w) + c1/2.
 `make_polynomial_quasi_periodic` builds polynomial solutions of the same
 additive law from a tilted linear form plus shift-invariant terms.
 """
@@ -81,6 +83,28 @@ def omega_expr(n: int, basis: str = "t1") -> Expr:
     """Sum of the w-coordinates (z2+...+zn, or z2-z1+z3+...+zn)."""
     ws = basis_exprs(n, basis)
     return ex.Add(ws)
+
+
+def period_vector(c, basis: str = "t1") -> tuple[complex, ...]:
+    """The move c' of the w-coordinates under z -> z + c: (c2, ..., cn), or (c2-c1, c3, ..., cn)."""
+    _check_basis(basis)
+    c = tuple(c)
+    if basis == "t1":
+        return c[1:]
+    return (c[1] - c[0],) + c[2:]
+
+
+def tilt_coefficient(c1: complex, tau: complex) -> complex:
+    """c1 / (2 tau), the slope of the tilt c1*omega/(2 tau).
+
+    tau = 0 is only allowed with c1 = 0, where the tilt is 0: the
+    quasi-period law g(w + c') = g(w) + c1/2 is then plain periodicity.
+    """
+    if abs(tau) < 1e-12:
+        if c1 == 0:
+            return 0j
+        raise ConstructionError(f"tau = sum(c') = {tau} vanishes but c1 = {c1} != 0")
+    return c1 / (2.0 * tau)
 
 
 def _bilinear(a, b) -> complex:
@@ -167,18 +191,13 @@ def make_periodic(cprime, k: int, seed: int | None = None, basis: str = "t1") ->
 def make_quasi_periodic(cprime, c1, k: int, seed: int | None = None, basis: str = "t1") -> Expr:
     """Periodic part plus c1*omega/(2 tau): satisfies g(w+c') = g(w) + c1/2.
 
-    tau is the component sum of cprime; tau = 0 is only allowed with c1 = 0
-    (the law degenerates to plain periodicity).
+    tau is the component sum of cprime; see `tilt_coefficient`.
     """
     c1 = complex(c1)
     tau = complex(np.sum(np.asarray(cprime, dtype=np.complex128)))
     g = make_periodic(cprime, k, seed, basis)
-    if c1 == 0:
-        return g
-    if abs(tau) < 1e-12:
-        raise ConstructionError(f"tau = sum(c') = {tau} vanishes but c1 = {c1} != 0")
     n = len(tuple(cprime)) + 1
-    return g + ex.Const(c1 / (2.0 * tau)) * omega_expr(n, basis)
+    return g + ex.Const(tilt_coefficient(c1, tau)) * omega_expr(n, basis)
 
 
 def make_polynomial_quasi_periodic(cprime, c1, seed: int | None = None, basis: str = "t1") -> Expr:

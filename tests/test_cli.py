@@ -229,6 +229,15 @@ class TestConstructCommand:
         }))
         assert run_cli("verify", str(problem_file)) == 0
 
+    @pytest.mark.parametrize("theorem,c,phi", [("cor1", "0.6,1.1,0.9", "z3^5"), ("cor2", "0.5,1.4,0.8", "z3^5"),
+                                               ("equ1", "1,1", "z2^5"), ("equ2", "1,3", "1")])
+    def test_phi_on_a_unit_right_side_theorem_is_malformed_input(self, capsys, theorem, c, phi):
+        # these theorems fix the right side to 1: a --phi would be dropped, and a pass misread
+        assert run_cli("construct", "--theorem", theorem, "--c", c, "--phi", phi) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"theorem {theorem} fixes the right side to 1" in err
+
     def test_explicit_example4_reproduced(self, capsys):
         code = run_cli("--format", "machine", "construct", "--theorem", "t1-ii",
                        "--c", "0,pi*i,pi*i", "--g", "exp(z2+z3)")
@@ -251,7 +260,7 @@ class TestConstructCommand:
         assert run_cli("construct", "--theorem", "t1-ii", "--c", "0,1", "--n", "3") == 2
         assert "unrecognized arguments: --n 3" in capsys.readouterr().err
         assert run_cli("construct", "--theorem", "equ1", "--c", "1,2,3") == 2
-        assert "two-variable" in capsys.readouterr().err
+        assert "kind equ1 fixes n = 2, got 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("theorem", ["t1-ii", "t2-i", "t2-ii", "cor2", "equ1", "equ2"])
     def test_one_component_shift_is_malformed_input(self, capsys, theorem):

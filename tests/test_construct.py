@@ -17,7 +17,7 @@ from fermat_pdde.construct import (
     construct_t2,
 )
 from fermat_pdde.errors import ConstructionError
-from fermat_pdde.expr import Const, Wp
+from fermat_pdde.expr import Const, Wp, to_string
 from fermat_pdde.operators import PDDEProblem, residual, scale_terms
 from fermat_pdde.parser import parse
 from fermat_pdde.periodic import make_periodic, make_polynomial_quasi_periodic, make_quasi_periodic
@@ -205,6 +205,61 @@ class TestCorollaries:
         rep = verify_problem(problem, f)
         assert not rep.passed
         assert rep.max_rel_residual > 1e-2
+
+
+#: the right-side-1 solutions as printed, over c1, c2, tau (the sum of the period
+#: vector), a = c1/(2 tau), omega (the sum of the basis coordinates) and the periodic g
+COROLLARY_1 = ("1 + ({c1}^2 - z1^2)/4 + {a}*z1*{omega} + z1*{g}"
+               " - ({g} + {a}*({omega} - {tau}))^2 - {c1}*({g} + {a}*{omega})")
+COROLLARY_2 = ("1 + z1*({g} + {a}*{omega}) - {c1}*({g} + {a}*({omega} - {tau}))"
+               " - ({g} + {a}*({omega} - {tau}))^2 - ({c1}^2 + z1^2)/4")
+EQU1 = ("1 - {c1}^2/4 - z1^2/4 + {a}*z1*z2 - ({c1}^2/(2*{c2}))*(z2 - {c2})"
+        " + (z1 - {c1})*{g} - ({a}*(z2 - {c2}) + {g})^2")
+EQU2 = ("1 - {c1}^2/4 - z1^2/4 + z1*({g} + {a}*(z2 - z1)) - {c1}*{g}"
+        " - {a}*{c1}*(z2 - z1 - ({c2} - {c1})) - ({g} + {a}*(z2 - z1 - ({c2} - {c1})))^2")
+
+
+def grammar_constant(z) -> str:
+    z = complex(z)
+    return f"({z.real!r}+({z.imag!r})*i)"
+
+
+def period(c, basis):
+    """How the basis coordinates (z2, ..., zn), or (z2-z1, z3, ..., zn), move under z -> z + c."""
+    return c[1:] if basis == "t1" else (c[1] - c[0],) + c[2:]
+
+
+def printed_solution(template, c, g, basis):
+    n = len(c)
+    tau = sum(period(c, basis))
+    coords = ["z2-z1" if (basis, j) == ("t2", 2) else f"z{j}" for j in range(2, n + 1)]
+    values = {"c1": c[0], "c2": c[1], "tau": tau, "a": c[0] / (2 * tau)}
+    text = template.format(omega="(" + "+".join(coords) + ")", g=f"({to_string(g)})",
+                           **{k: grammar_constant(v) for k, v in values.items()})
+    return parse(text, n)
+
+
+class TestPrintedUnitRightSide:
+    """Each right-side-1 constructor equals its printed formula, over random parameter draws."""
+
+    @pytest.mark.parametrize("name,template,basis,dimensions,build", [
+        ("cor1", COROLLARY_1, "t1", (3, 4, 5), lambda c, g: construct_cor1(len(c), c, g)),
+        ("cor2", COROLLARY_2, "t2", (3, 4, 5), lambda c, g: construct_cor2(len(c), c, g)),
+        ("equ1", EQU1, "t1", (2,), lambda c, g: construct_legacy_xw("equ1", g, c)),
+        ("equ2", EQU2, "t2", (2,), lambda c, g: construct_legacy_xw("equ2", g, c)),
+    ])
+    def test_constructor_matches_printed_formula(self, name, template, basis, dimensions, build):
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        for draw in range(4):
+            n = dimensions[draw % len(dimensions)]
+            while True:
+                c = tuple(complex(rng.uniform(0.8, 1.6) * np.exp(2j * PI * rng.random())) for _ in range(n))
+                cprime = period(c, basis)
+                if abs(sum(cprime)) > 0.3 and abs(cprime[0]) > 0.3:
+                    break
+            g = make_periodic(cprime, 2, seed=int(rng.integers(0, 2**31)), basis=basis)
+            f, _ = build(c, g)
+            assert_same_function(f, printed_solution(template, c, g, basis), n, seed=90 + draw)
 
 
 class TestLegacyTwoVariable:
