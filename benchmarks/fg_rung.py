@@ -13,7 +13,8 @@ times `compile_expr` on the check's roots (residual and scale terms) on
 its own; `check_residual` compiles the same roots again, so `total`, the
 sum of parse, residual, scale_terms and check_residual, counts the
 compile once.  Prints the minimum and the median of the repeats, per
-phase, in milliseconds:
+phase, in milliseconds, then the check tape's instruction count and the
+entries the residual added to the intern table (the new nodes it built):
 
     PYTHONPATH=src python benchmarks/fg_rung.py --n 7 --repeats 7
 """
@@ -35,6 +36,7 @@ from fermat_pdde import (
     residual,
     scale_terms,
 )
+from fermat_pdde import expr as ex
 from fermat_pdde.expr import Expr
 from fermat_pdde.tape import compile_expr
 
@@ -59,19 +61,22 @@ def fg_problem(beta: Expr, n: int) -> PDDEProblem:
                        beta=beta, operator=LinearPDOperator(n=n, coeffs={(1,) * n: Const(1.0)}))
 
 
-def once(n: int, seed: int) -> dict[str, float]:
+def once(n: int, seed: int) -> tuple[dict[str, float], dict[str, int]]:
+    """The phase times of one cold rung, and its tape and intern counts."""
     f_text, beta_text = fg_texts(n)
     t0 = time.perf_counter()
     f = parse(f_text, n)
     beta = parse(beta_text, n)
     t1 = time.perf_counter()
     problem = fg_problem(beta, n)  # its validation is no phase of the rung
+    table_before = len(ex._TABLE)
     t2 = time.perf_counter()
     res = residual(problem, f)
     t3 = time.perf_counter()
+    interned = len(ex._TABLE) - table_before
     scales = scale_terms(problem, f)
     t4 = time.perf_counter()
-    compile_expr([res, *scales])
+    tape = compile_expr([res, *scales])
     t5 = time.perf_counter()
     rep = check_residual(res, scales, SamplingPolicy(samples=2000, seed=seed), n)
     t6 = time.perf_counter()
@@ -80,7 +85,7 @@ def once(n: int, seed: int) -> dict[str, float]:
     phases = {"parse": t1 - t0, "residual": t3 - t2, "scale_terms": t4 - t3, "compile": t5 - t4,
               "check_residual": t6 - t5}
     phases["total"] = sum(v for k, v in phases.items() if k != "compile")
-    return phases
+    return phases, {"tape instructions": len(tape.ops), "residual intern entries": interned}
 
 
 def main() -> None:
@@ -92,9 +97,12 @@ def main() -> None:
     for seed in range(args.repeats):
         gc.collect()
         runs.append(once(args.n, seed))
-    for phase in runs[0]:
-        times = [r[phase] * 1e3 for r in runs]
+    for phase in runs[0][0]:
+        times = [r[phase] * 1e3 for r, _ in runs]
         print(f"{phase:>15}: min {min(times):8.2f} ms  median {statistics.median(times):8.2f} ms")
+    # the first repeat's counts: each repeat builds the same rung cold
+    for name, count in runs[0][1].items():
+        print(f"{name}: {count}")
 
 
 if __name__ == "__main__":

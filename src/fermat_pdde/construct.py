@@ -32,8 +32,9 @@ from .expr import (
     directional_derivative,
     free_variables,
     shift,
+    to_string,
 )
-from .operators import KINDS, PDDEProblem, derivative_direction
+from .operators import _KIND_TABLE, KINDS, PDDEProblem, derivative_direction
 from .periodic import omega_expr, period_vector, tilt_coefficient
 from .verify import SamplingPolicy, check_residual
 
@@ -128,6 +129,10 @@ def construct_quadratic(kind: str, p: QuadraticParams, m1: int = 2) -> tuple[Exp
     3 for the negative control, which this f does not solve.
     """
     basis = quadratic_basis(kind)
+    # equ1 and equ2 fix the right side to 1 and read no phi
+    reads_phi = _KIND_TABLE[kind].rhs == "phi"
+    if not reads_phi and not (isinstance(p.phi, Const) and p.phi.value == 1):
+        raise ConstructionError(f"kind {kind} fixes the right side to 1, got phi = {to_string(p.phi)}")
     direction = derivative_direction(kind, p.n)
     banned = [j for j, w in enumerate(direction, start=1) if w]
     if free_variables(p.phi) & set(banned):
@@ -156,7 +161,7 @@ def construct_quadratic(kind: str, p: QuadraticParams, m1: int = 2) -> tuple[Exp
             + Const(0.25) * (Const(c1**2) - z1**2)
             + shift(p.phi, neg_c)
         )
-    problem = PDDEProblem(kind=kind, n=p.n, m1=m1, c=p.c, phi=p.phi)
+    problem = PDDEProblem(kind=kind, n=p.n, m1=m1, c=p.c, phi=p.phi if reads_phi else None)
     return f, problem
 
 

@@ -454,10 +454,10 @@ def uses_wp(e: Expr) -> bool:
 def _deriv(e: Expr, w: tuple[Const, ...]) -> Expr:
     """Derivative along the constant direction w: sum_j w_j d/dz_j.
 
-    The chain-rule expansion (product rule over every factor, quotient
-    rule, ...) is built through the constructors, so it is folded as it is
-    built.  `w` holds interned constants, so it keys the per-node memo
-    exactly (signed zeros included).  The memo lives on `e`: a later
+    The chain-rule expansion (product rule, quotient rule, ...; see
+    `_deriv_node`) is built through the constructors, so it is folded as
+    it is built.  `w` holds interned constants, so it keys the per-node
+    memo exactly (signed zeros included).  The memo lives on `e`: a later
     derivative of the same interned operand along the same direction is a
     lookup.
     """
@@ -471,6 +471,18 @@ def _deriv(e: Expr, w: tuple[Const, ...]) -> Expr:
 
 
 def _deriv_node(e: Expr, w: tuple[Const, ...]) -> Expr:
+    """The derivative of one node along w, differentiating its operands by `_deriv`.
+
+    A product is one product rule.  Where two or more factors have a
+    derivative other than the 0 node and some non-constant factor has the
+    0 node (w does not touch it), the result is the untouched factors, in
+    their order, times the sum of the product rule over the touched ones;
+    every other product is the sum of the products with one factor
+    differentiated, over its touched factors (see the comment below).  So a
+    mixed partial, whose steps each touch few factors, differentiates one
+    interned sum per step and grows linearly in the number of steps, where
+    copying the untouched factors into every term would double it per step.
+    """
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
@@ -486,6 +498,11 @@ def _deriv_node(e: Expr, w: tuple[Const, ...]) -> Expr:
         consts = [x.value for x in fs if isinstance(x, Const)]
         keep_zero = len(consts) > 1 or not all(map(cmath.isfinite, consts))
         ds = [_deriv(f, w) for f in fs]
+        touched = [i for i, d in enumerate(ds) if d is not ZERO]
+        if not keep_zero and len(touched) > 1 and len(touched) + len(consts) < len(fs):
+            inner = [fs[i] for i in touched]
+            return Mul([f for f, d in zip(fs, ds) if d is ZERO] + [Add(
+                [Mul(inner[:k] + [ds[i]] + inner[k + 1:]) for k, i in enumerate(touched)])])
         return Add([Mul(fs[:i] + [d] + fs[i + 1:])
                     for i, d in enumerate(ds) if d is not ZERO or keep_zero])
     if isinstance(e, Neg):
@@ -537,7 +554,10 @@ def partial(e: Expr, multi_index: Sequence[int]) -> Expr:
     all-zero index returns the expression unchanged.  The result is folded
     but otherwise unsimplified: compare derivatives numerically, not
     structurally.  Every step is memoized on its operand, so repeating a
-    partial of a live expression costs a few lookups.
+    partial of a live expression costs a few lookups.  A product's factors
+    that a step does not touch stay outside its product-rule sum (see
+    `_deriv_node`), so a mixed partial of a product of n factors in one
+    variable each grows linearly in n, not as 2^n.
     """
     idx = tuple(multi_index)
     if any((not isinstance(i, int)) or i < 0 for i in idx):

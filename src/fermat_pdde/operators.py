@@ -156,6 +156,9 @@ class PDDEProblem:
         if self.kind not in KINDS:
             raise ProblemSpecError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         kind, spec = self.kind, _KIND_TABLE[self.kind]
+        for name in ("m2", "c", "alpha", "beta", "phi", "operator", "g"):
+            if getattr(self, name) is not None and name not in spec.needs and name not in spec.fixed:
+                raise ProblemSpecError(f"kind {kind} does not read the field {name}")
         for name, value in spec.fixed.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)

@@ -499,6 +499,31 @@ class TestProblemFileLoader:
         assert run_cli("verify", str(path)) == 2
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,field", [
+        (kind, field) for kind in sorted(_NEEDED)
+        for field in ("m2", "c", "alpha", "beta", "phi", "operator", "g")
+        # equ1 and equ2 fix m2 = 1, so they read it
+        if field not in _NEEDED[kind] and not (kind.startswith("equ") and field == "m2")
+    ])
+    def test_unread_field_is_malformed_input(self, tmp_path, capsys, kind, field):
+        n = _KIND_FILES[kind]["n"]
+        values = {"m2": 1, "c": [[1, 0]] * n, "operator": [{"index": [1] + [0] * (n - 1), "coeff": "1"}]}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**_KIND_FILES[kind], field: values.get(field, "2")}))
+        assert run_cli("verify", str(path)) == 2
+        assert f"kind {kind} does not read the field {field}" in capsys.readouterr().err
+
+    def test_equ1_file_with_a_phi_is_malformed_input(self, tmp_path, capsys):
+        # a solution of the equ1 equation, whose right side is 1: the phi
+        # was ignored, and the file passed
+        data = {"n": 2, "kind": "equ1", "c": [[2, 0], [1, 0]], "f": "2 - z1^2/4 + z1*z2 - 2*z2 - (z2-1)^2"}
+        path = tmp_path / "equ1.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("verify", str(path)) == 0
+        path.write_text(json.dumps({**data, "phi": "z2^5"}))
+        assert run_cli("verify", str(path)) == 2
+        assert "kind equ1 does not read the field phi" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["equ1", "equ2"])
     def test_equ_kinds_default_their_powers(self, tmp_path, kind):
         path = tmp_path / "p.json"

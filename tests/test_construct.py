@@ -6,6 +6,7 @@ import pytest
 
 from fermat_pdde.backends import eval_batch
 from fermat_pdde.construct import (
+    QuadraticParams,
     T1Params,
     T2Params,
     construct_cor1,
@@ -13,6 +14,7 @@ from fermat_pdde.construct import (
     construct_cor2,
     construct_fermat_pair,
     construct_legacy_xw,
+    construct_quadratic,
     construct_t1,
     construct_t2,
 )
@@ -297,6 +299,16 @@ class TestLegacyTwoVariable:
     def test_equ1_part_must_be_univariate(self):
         with pytest.raises(ConstructionError):
             construct_legacy_xw("equ1", parse("z1", 2), (1.0, 1.0))
+
+    def test_equ1_rejects_a_phi_other_than_one(self):
+        # equ1 fixes its right side to 1; a phi would be dropped unread
+        p = QuadraticParams(n=2, c=(2.0, 1.0), form="II", g_part=Const(0.0), phi=parse("z2^5", 2))
+        with pytest.raises(ConstructionError, match="kind equ1 fixes the right side to 1"):
+            construct_quadratic("equ1", p)
+        f, problem = construct_quadratic("equ1", QuadraticParams(n=2, c=(2.0, 1.0), form="II",
+                                                                 g_part=Const(0.0), phi=parse("1", 2)))
+        assert problem.phi is None
+        assert_verified(f, problem)
 
 
 class TestFermatPairs:

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import gc
 import hashlib
 import math
 import pickle
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermat_pdde import expr as ex
+from fermat_pdde.backends import eval_batch
 from fermat_pdde.errors import DimensionError, EvalError, PoleHitError
 from fermat_pdde.expr import (
     Add,
@@ -29,8 +31,9 @@ from fermat_pdde.expr import (
     shift,
 )
 from fermat_pdde.parser import parse
+from fermat_pdde.tape import compile_expr
 
-from conftest import disc_points, rel_err
+from conftest import disc_points, load_script, rel_err
 from oracle import evaluate, fd_partial
 
 PI = math.pi
@@ -42,6 +45,7 @@ F_EX1_TEXT = (
     " - (exp(5*z2*z3-2*z2*z4+z5+9) + (z2+z3+z4+z5-9*pi*i)/18)^2"
 )
 F_EX1 = parse(F_EX1_TEXT, 5)
+FG_RUNG = load_script("fg_rung")
 
 
 def recipes(n=3):
@@ -242,6 +246,60 @@ class TestPartial:
             fs = list(e.factors)
             full = Add([Mul(fs[:i] + [partial(f, (1, 0))] + fs[i + 1:]) for i, f in enumerate(fs)])
             assert partial(e, (1, 0)) is full
+
+    def test_mixed_partial_grows_linearly(self):
+        # the factors zj+1 that d/dzj leaves alone stay outside the product
+        # rule's sum, so each step of d^(1,...,1) differentiates one sum
+        # instead of copying them into 2^n terms (267 new nodes at n = 7)
+        for n in range(2, 13):
+            gc.collect()
+            gc.disable()
+            try:
+                f = parse(FG_RUNG.fg_texts(n)[0], n)
+                before = len(ex._TABLE)
+                d = partial(f, (1,) * n)
+                assert len(ex._TABLE) - before <= 4 * n + 8, n
+            finally:
+                gc.enable()
+            for pt in disc_points(8, 6, n):
+                z = np.array(pt)
+                # exp(s)*prod(zj+2), and for n = 2 the mixed partial of sin(z1*z2)
+                ref = np.exp(z.sum()) * np.prod(z + 2)
+                if n == 2:
+                    w = z[0] * z[1]
+                    ref += np.cos(w) - w * np.sin(w)
+                assert rel_err(evaluate(d, pt), ref) < 1e-12, n
+
+    @pytest.mark.parametrize("text", ["exp(z1+z2)*z1*z2*(1/(z3-1))*(-z3)",
+                                      "exp(z1+z2)*z1*z2*(z3-1)^-1*(-z3)"])
+    def test_untouched_factors_keep_values_and_pole_mask(self, text):
+        # z2, then z1, stays outside the sum of the step that does not touch
+        # it.  1/(z3-1) and -z3 differentiate to 0/(z3-1)^2 and -0, not to the
+        # 0 node, so they stay in the sum, whose zero terms keep the wider
+        # pole mask of the full expansion; (z3-1)^-1 differentiates to 0 and
+        # stays outside with its own pole.  The full expansion below
+        # differentiates factor i in z1 and factor k in z2, for every i and k
+        e = parse(text, 3)
+        fs = list(e.factors)
+        d1 = partial(e, (1, 0, 0))
+        assert d1.factors[0] is Var(2)
+        if isinstance(fs[3], Pow):
+            assert d1.factors[1] is fs[3]
+
+        def term(i, k):
+            out = list(fs)
+            out[i] = partial(out[i], (1, 0, 0))
+            out[k] = partial(out[k], (0, 1, 0))
+            return Mul(out)
+
+        full = Add([term(i, k) for i in range(len(fs)) for k in range(len(fs))])
+        pts = disc_points(9, 200, 3, radius=0.5)
+        # on the pole, and where (z3-1)^2 or (z3-1)^4 is below the pole threshold
+        pts[:4, 2] = [1.0, 1 + 1e-7, 1 + 1e-4, 1 + 1e-2]
+        vals, ok = eval_batch(compile_expr([partial(e, (1, 1, 0)), full]), pts)
+        assert np.array_equal(ok[0], ok[1])
+        assert not ok[0, 0] and ok[0, 3] and ok[0, 4:].all()
+        assert np.allclose(vals[0, ok[0]], vals[1, ok[0]], rtol=1e-12, atol=0)
 
     def test_bad_multi_index(self):
         with pytest.raises(DimensionError):

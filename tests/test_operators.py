@@ -303,6 +303,11 @@ class TestProblemValidation:
         with pytest.raises(ProblemSpecError):
             PDDEProblem(kind="xw", n=1, m1=2, m2=1, c=(1,))
 
+    def test_unread_field_is_rejected(self):
+        # fte reads no m2: the equation it was meant for is another one
+        with pytest.raises(ProblemSpecError, match="kind fte does not read the field m2"):
+            PDDEProblem(kind="fte", n=2, m1=2, m2=3, c=(1, 0), phi=Const(1.0))
+
     def test_unit_index(self):
         assert unit_index(2, 4) == (0, 1, 0, 0)
         with pytest.raises(DimensionError):
