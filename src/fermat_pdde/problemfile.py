@@ -127,6 +127,8 @@ def load_problem(path) -> LoadedProblem:
         raise ProblemFileError(f"{path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ProblemFileError(f"{path}: invalid JSON at line {err.lineno} column {err.colno}: {err.msg}") from err
+    except ValueError as err:  # an integer past the conversion limit, text that is not UTF-8
+        raise ProblemFileError(f"{path}: invalid JSON: {err}") from err
     if not isinstance(data, dict):
         raise ProblemFileError(f"{path}: top level must be an object")
 

@@ -353,6 +353,16 @@ class TestOrderCommand:
         assert run_cli("order", "z1", "--n", "5", "--directions", "100000") == 1
         assert calls == [(5, 100000, 17)]
 
+    @pytest.mark.parametrize("target, message", [
+        ("(" * 400 + "z1" + ")" * 400, "nesting deeper than 200 parentheses and calls (at position 200)"),
+        ("z1^" + "9" * 5000, "overflows a double (at position 3)"),
+        ("z" + "1" * 5000, "variable index out of range"),
+    ], ids=["nesting", "exponent", "index"])
+    def test_text_past_the_parser_limits_is_malformed_input(self, capsys, target, message):
+        # a RecursionError, or a ValueError from converting 5000 digits, escaped as a traceback
+        assert run_cli("order", target, "--n", "1") == 2
+        assert message in capsys.readouterr().err
+
     def test_negative_seed_is_malformed_input(self, capsys):
         assert run_cli("order", "z1", "--n", "1", "--seed", "-3") == 2
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
@@ -536,6 +546,28 @@ class TestProblemFileLoader:
         assert lp.expected_status == "inconsistent"
         assert lp.policy.samples == 200
         assert lp.problem.kind == "fte"
+
+    @pytest.mark.parametrize("f, message", [
+        ("(" * 400 + "sin(z1+z2)" + ")" * 400, "nesting deeper than 200"),
+        # parsed, then the derivative's Const(k) held an int no double holds
+        ("z1^" + "9" * 400, "overflows a double"),
+    ], ids=["nesting", "exponent"])
+    def test_expression_past_the_parser_limits_is_malformed_input(self, tmp_path, capsys, f, message):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**_KIND_FILES["xc"], "f": f}))
+        with pytest.raises(ProblemFileError, match=f"in field 'f': .*{message}"):
+            load_problem(path)
+        assert run_cli("verify", str(path)) == 2
+        assert message in capsys.readouterr().err
+
+    def test_integer_past_the_conversion_limit_is_malformed_json(self, tmp_path, capsys):
+        # json.load raises a ValueError that is no JSONDecodeError
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**_KIND_FILES["fermat"], "n": 0}).replace('"n": 0', '"n": ' + "9" * 5000))
+        with pytest.raises(ProblemFileError, match="^" + re.escape(f"{path}: invalid JSON: ")):
+            load_problem(path)
+        assert run_cli("verify", str(path)) == 2
+        assert f"{path}: invalid JSON" in capsys.readouterr().err
 
     def test_bad_kind(self, tmp_path):
         f = tmp_path / "k.json"

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +20,17 @@ from fermat_pdde.expr import (
     Var,
     Wp,
     WpPrime,
+    partial,
+    shift,
     to_string,
 )
 from fermat_pdde.cli import main as cli_main
 from fermat_pdde.parser import _tokenize, parse
+from fermat_pdde.tape import compile_expr
 
 from conftest import FIXTURES, disc_points, load_script, rel_err
 from oracle import evaluate, tokenize
+from oracle import parse as reference_parse
 from test_expr import eval_ok, exprs
 
 
@@ -153,12 +158,92 @@ class TestErrors:
             parse("z1", 0)
 
 
+class TestLimits:
+    """Nesting and integer text past what the parser takes is a ParseError, not a traceback."""
+
+    def test_nesting_limit(self):
+        assert parse("(" * 200 + "z1" + ")" * 200, 1) is Var(1)
+        with pytest.raises(ParseError) as exc:
+            parse("(" * 201 + "z1" + ")" * 201, 1)
+        assert str(exc.value) == "nesting deeper than 200 parentheses and calls (at position 200)"
+
+    def test_calls_and_parentheses_nest_alike(self):
+        text = "exp(" * 100 + "(" * 100 + "z1" + ")" * 200
+        assert parse(text, 1) is parse("exp(" * 100 + "z1" + ")" * 100, 1)
+        with pytest.raises(ParseError, match="nesting deeper") as exc:
+            parse("sin(" + text + ")", 1)
+        assert exc.value.position == 4 + 400 + 99
+
+    def test_exp_chain_at_the_limit(self):
+        # the parser and every walk over the expression fit within the recursion limit
+        e = parse("exp(" * 200 + "z1" + ")" * 200, 1)
+        assert parse(to_string(e), 1) is e
+        d = partial(e, (1,))
+        s = shift(e, (0.5j,))
+        assert len(compile_expr([e, d, s]).ops) >= 400  # the exps of e and of its shift
+        with pytest.raises(ParseError, match="nesting deeper") as exc:
+            parse("exp(" * 201 + "z1" + ")" * 201, 1)
+        assert exc.value.position == 803
+
+    @pytest.mark.parametrize("text, node", [
+        ("z01", Var(1)),
+        ("z" + "0" * 5000 + "2", Var(2)),
+        ("z1^0003", Pow(Var(1), 3)),
+        ("z1^" + "0" * 5000 + "3", Pow(Var(1), 3)),
+        ("z1^-" + "0" * 400 + "2", Pow(Var(1), -2)),
+    ], ids=["index", "long index", "exponent", "long exponent", "negative exponent"])
+    def test_leading_zeros(self, text, node):
+        assert parse(text, 2) is node
+
+    @pytest.mark.parametrize("text, position", [
+        ("z1^" + "9" * 5000, 3),
+        ("z1^-" + "9" * 400, 4),
+        ("z1^1" + "0" * 309, 3),
+    ], ids=["past the conversion limit", "negative", "1e309"])
+    def test_exponent_past_the_double_range(self, text, position):
+        with pytest.raises(ParseError, match="overflows a double") as exc:
+            parse(text, 1)
+        assert exc.value.position == position
+
+    def test_largest_exponent(self):
+        k = int(sys.float_info.max)
+        assert parse(f"z1^{k}", 1) is Pow(Var(1), k)
+
+    @pytest.mark.parametrize("name", ["z" + "1" * 5000, "z1001", "z" + "0" * 5000],
+                             ids=["past the conversion limit", "z1001", "zero"])
+    def test_index_past_the_dimension_range(self, name):
+        with pytest.raises(ParseError, match="variable index out of range") as exc:
+            parse(f"1 + {name}", 1000)
+        assert exc.value.position == 4
+
+
 def scan(tokenizer, text):
-    """The tokens of text as plain tuples, or the ParseError's message and position."""
+    """The tokens of text as (kind, text, position) tuples, or the ParseError's message and position.
+
+    The package's scan gives each token as the strings its groups matched,
+    (space, num, name, op, bad): the kind is the group that matched, the
+    position the length matched before it, and the first token with only
+    space is the end.  A bad character is the error `parse` raises for it.
+    """
     try:
-        return [tuple(tok) for tok in tokenizer(text)]
+        tokens = tokenizer(text)
     except ParseError as err:
         return ("ParseError", str(err), err.position)
+    if tokenizer is not _tokenize:
+        return [tuple(tok) for tok in tokens]
+    out, pos = [], 0
+    for space, *groups in tokens:
+        pos += len(space)
+        kind = next((kind for kind, g in zip(("num", "name", "op", "bad"), groups) if g), "end")
+        if kind == "bad":
+            with pytest.raises(ParseError) as exc:
+                parse(text, 1)
+            return ("ParseError", str(exc.value), exc.value.position)
+        tok = "".join(groups)
+        out.append((kind, tok, pos))
+        if kind == "end":
+            return out
+        pos += len(tok)
 
 
 def fixture_texts():
@@ -195,29 +280,38 @@ def constructor_texts():
     return texts
 
 
+def gathered_texts(source):
+    """The fixture, fg rung or constructor texts."""
+    if source == "fg":
+        fg_texts = load_script("fg_rung").fg_texts
+        return [t for n in range(2, 8) for t in fg_texts(n)]
+    return {"fixtures": fixture_texts, "constructors": constructor_texts}[source]()
+
+
+#: texts whose first bad character, one no token starts, is at a position
+BAD_CHARACTERS = [
+    ("z1 $ 2", 3, "$"),
+    ("z1 +\n  # z2", 7, "#"),
+    ("z1 +\n\t\r\x0b\x0c z2 ; 3", 13, ";"),
+    ("z1 \u00b7 z2", 3, "\u00b7"),
+    ("exp(z\u00e9)", 5, "\u00e9"),
+    ("z1\u00a0+ \u2003z2 \u2212 1", 9, "\u2212"),
+]
+
+EDGE_TEXTS = ["", "   ", " z1 ", "\n1.5e-3*z2\t", "1e", "1.e5e", ".5.5", "z12ab3(", "2e+"]
+
+
 class TestTokenizer:
     """The one-pattern scan splits text as the token-at-a-time matcher of `oracle` does."""
 
     @pytest.mark.parametrize("source", ["fixtures", "fg", "constructors"])
     def test_same_tokens_as_the_reference(self, source):
-        fg_texts = load_script("fg_rung").fg_texts
-        texts = {
-            "fixtures": fixture_texts,
-            "fg": lambda: [t for n in range(2, 8) for t in fg_texts(n)],
-            "constructors": constructor_texts,
-        }[source]()
+        texts = gathered_texts(source)
         assert len(texts) >= 12
         for text in texts:
             assert scan(_tokenize, text) == scan(tokenize, text), text
 
-    @pytest.mark.parametrize("text, position, char", [
-        ("z1 $ 2", 3, "$"),
-        ("z1 +\n  # z2", 7, "#"),
-        ("z1 +\n\t\r\x0b\x0c z2 ; 3", 13, ";"),
-        ("z1 \u00b7 z2", 3, "\u00b7"),
-        ("exp(z\u00e9)", 5, "\u00e9"),
-        ("z1\u00a0+ \u2003z2 \u2212 1", 9, "\u2212"),
-    ])
+    @pytest.mark.parametrize("text, position, char", BAD_CHARACTERS)
     def test_bad_character_position(self, text, position, char):
         with pytest.raises(ParseError) as exc:
             parse(text, 2)
@@ -225,10 +319,50 @@ class TestTokenizer:
         assert str(exc.value) == f"unexpected character {char!r} (at position {position})"
         assert scan(_tokenize, text) == scan(tokenize, text)
 
-    @pytest.mark.parametrize("text", ["", "   ", " z1 ", "\n1.5e-3*z2\t", "1e", "1.e5e", ".5.5",
-                                      "z12ab3(", "2e+"])
+    @pytest.mark.parametrize("text", EDGE_TEXTS)
     def test_edge_texts(self, text):
         assert scan(_tokenize, text) == scan(tokenize, text)
+
+
+def parsed(parser, text, n):
+    """The node parser builds from text over z1..zn, or the ParseError's message and position."""
+    try:
+        return parser(text, n)
+    except ParseError as err:
+        return ("ParseError", str(err), err.position)
+
+
+def assert_same_parse(text, n):
+    got, want = parsed(parse, text, n), parsed(reference_parse, text, n)
+    assert got is want or (type(want) is tuple and got == want), (text, n, got, want)
+
+
+class TestSameNodesAsTheReference:
+    """`parse` returns the very node the method-per-rule parser of `oracle` builds, or fails alike."""
+
+    @pytest.mark.parametrize("source", ["fixtures", "fg", "constructors"])
+    def test_gathered_texts(self, source):
+        # under a smaller n than a text's, an index is out of range
+        for text in gathered_texts(source):
+            for n in (1, 3, 7):
+                assert_same_parse(text, n)
+
+    @pytest.mark.parametrize("text", EDGE_TEXTS + [text for text, _, _ in BAD_CHARACTERS])
+    def test_edge_and_bad_character_texts(self, text):
+        assert_same_parse(text, 2)
+
+    @pytest.mark.parametrize("text", [
+        "--z1^2", "-(-z1)^-3", "3/-z1*2", "z1^0003 - z01", "8/2/2*z2", "z1 + * z2", "(z1", "exp z1",
+        "exp(z1", "z1^", "z1^-", "z1^2.5", "z1^(2)", "z1^2^3", "sqrt(z1)", "sqrt(-1)", "z1 z2", "z0",
+        "z3", "foo(z1)", "1e400", "z1)", "2*/3", "-", "\u0663*z1^\u0663", "z1 ^ - 2 @",
+    ])
+    def test_grammar_and_error_texts(self, text):
+        assert_same_parse(text, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(exprs())
+    def test_printed_random_expressions(self, e):
+        assert_same_parse(to_string(e), 3)
 
 
 class TestPrintParseRoundTrip:
