@@ -4,10 +4,10 @@ The rung is the one of perfbench's `fg-ladder` workload: f = exp(z1+..+zn)
 * prod(zj+1) + sin(z1*z2), operator index (1,...,1), 2000 points.  The
 ladder reports rates over n = 2..7 with the memos of earlier cycles still
 warm; this script times the phases of a single rung separately and cold,
-the form in which ROADMAP item 2 states its n = 7 target.  Every repeat
-parses f and beta afresh after a full garbage collection, so no
-expression or derivative survives from the previous repeat (expressions
-are interned and memoize their derivatives).  `parse` reads f and beta;
+the form in which a change to the symbolic layer is compared with its
+parent.  Every repeat parses f and beta afresh after a full garbage
+collection, so no expression or derivative survives from the previous
+repeat (expressions are interned and memoize their derivatives).  `parse` reads f and beta;
 building and validating the problem belongs to no phase.  `compile`
 times `compile_expr` on the check's roots (residual and scale terms) on
 its own; `check_residual` compiles the same roots again, so `total`, the

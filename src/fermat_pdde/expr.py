@@ -26,13 +26,15 @@ keyed on the bit pattern of its value, so 0.0 and -0.0 stay distinct and
 folding is bit-exact.  The intern table holds nodes weakly; a node lives
 as long as something else refers to it.
 
-The tree walks (`free_variables`, `uses_wp`), each directional
-derivative and each shift are memoized on the node they start from, so a
-shared subtree is walked, differentiated or shifted once.  Exact
-symbolic differentiation (`partial`), argument shifting (`shift`) and
-printing (`to_string`) live here.  Expressions are evaluated only by
-compiling them to a tape (`tape`) and running it over blocks of sample
-points (`backends`).
+One iterative post-order walk on an explicit stack, `_walk`, gives the
+free variables, `uses_wp` and each derivative and shift of a tree of any
+depth.  It memoizes a node's value in the node's one dict `_memo`, under
+a key per walk, so a shared subtree is walked once; a value that is the
+node itself is stored as the marker `_SAME`, which makes no reference
+cycle.  Exact symbolic differentiation (`partial`), argument shifting
+(`shift`) and printing (`to_string`, on a stack of its own) live here.
+Expressions are evaluated only by compiling them to a tape (`tape`) and
+running it over blocks of sample points (`backends`).
 """
 
 from __future__ import annotations
@@ -113,6 +115,7 @@ def _intern(cls, key: tuple, kids: tuple, fields: tuple):
                 node = object.__new__(cls)
                 node.__dict__.update(zip(cls.__dataclass_fields__, fields))
                 node.__dict__["_kids"] = kids
+                node.__dict__["_memo"] = {}
                 _TABLE[key] = weakref.KeyedRef(node, _forget, key)
     return node
 
@@ -192,8 +195,23 @@ class Expr:
         return _make, (type(self), *(self.__dict__[f] for f in self.__dataclass_fields__))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self.__dataclass_fields__)
-        return f"{type(self).__qualname__}({fields})"
+        # the dataclass form, Add(terms=(Var(index=1), ...)), written out from
+        # an explicit stack of text pieces and field values, so a tree of any
+        # depth has a repr
+        out, stack = [], [self]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, Expr):
+                parts = [f"{type(x).__qualname__}("]
+                for k, f in enumerate(x.__dataclass_fields__):
+                    parts += [", " * (k > 0) + f"{f}=", x.__dict__[f]]
+                stack += reversed([*parts, ")"])
+            elif type(x) is tuple:
+                parts = [p for k, v in enumerate(x) for p in (", " * (k > 0), v)]
+                stack += reversed(["(", *parts, ",)" if len(x) == 1 else ")"])
+            else:
+                out.append(x if type(x) is str else repr(x))
+        return "".join(out)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -418,21 +436,54 @@ def variables(n: int) -> tuple[Var, ...]:
     return tuple(Var(j) for j in range(1, n + 1))
 
 
-def _children(e: Expr) -> tuple[Expr, ...]:
-    """The node's operands, in evaluation order (stored at construction)."""
-    return e._kids
+#: the memo entry of a node whose value is the node itself: storing the node
+#: would make it refer to itself, a reference cycle
+_SAME = object()
+
+
+def _walk(e: Expr, key, leaf, visit):
+    """The value at `e` of a post-order walk, memoized on each node under `key`.
+
+    A leaf (a constant or a variable) is worth `leaf(node)`, computed once
+    per walk and kept on no node.  Any other node is worth `visit(node,
+    values of its operands)`, stored in its `_memo` under `key` (as `_SAME`
+    where it is the node itself), so a later walk under the same key stops
+    where an earlier one has been.  A node without a value goes on the
+    stack with a None and its operands above it, and is visited when the
+    None is back on top; a popped operand that is a leaf or has a value is
+    passed over.
+    """
+    if not e._kids:
+        return leaf(e)
+    out = e._memo.get(key)
+    if out is None:
+        stack, leaves = [e], {}
+        while stack:
+            node = stack.pop()
+            if node is not None:
+                if node._kids and key not in node._memo:
+                    stack.append(node)
+                    stack.append(None)
+                    stack.extend(node._kids)
+                continue
+            node = stack.pop()
+            vals = []
+            for k in node._kids:
+                if k._kids:
+                    v = k._memo[key]
+                    vals.append(k if v is _SAME else v)
+                else:
+                    vals.append(leaves[k] if k in leaves else leaves.setdefault(k, leaf(k)))
+            out = visit(node, vals)
+            node._memo[key] = _SAME if out is node else out
+        out = e._memo[key]
+    return e if out is _SAME else out
 
 
 def free_variables(e: Expr) -> frozenset[int]:
     """Set of 1-based variable indices occurring in the expression."""
-    out = e.__dict__.get("_free")
-    if out is None:
-        if isinstance(e, Var):
-            out = frozenset((e.index,))
-        else:
-            out = frozenset().union(*(free_variables(c) for c in _children(e)))
-        e.__dict__["_free"] = out
-    return out
+    return _walk(e, "free", lambda x: frozenset((x.index,)) if type(x) is Var else frozenset(),
+                 lambda node, vals: frozenset().union(*vals))
 
 
 def max_var_index(e: Expr) -> int:
@@ -441,37 +492,40 @@ def max_var_index(e: Expr) -> int:
 
 
 def uses_wp(e: Expr) -> bool:
-    out = e.__dict__.get("_uses_wp")
-    if out is None:
-        out = isinstance(e, (Wp, WpPrime)) or any(uses_wp(c) for c in _children(e))
-        e.__dict__["_uses_wp"] = out
-    return out
+    return _walk(e, "wp", lambda x: False,
+                 lambda node, vals: isinstance(node, (Wp, WpPrime)) or any(vals))
+
+
+def _check_dimension(e: Expr, size: int, what: str) -> None:
+    if max_var_index(e) > size:
+        raise DimensionError(f"{what} has {size} components but the expression uses z{max_var_index(e)}")
+
+
+def _rebuild(e: Expr, kids: list[Expr]) -> Expr:
+    """A node of e's class and data on the operands `kids`, folded as it is built."""
+    cls = type(e)
+    if cls is Pow:
+        return Pow(kids[0], e.exponent)
+    return cls(kids) if cls is Add or cls is Mul else cls(*kids)
 
 
 # ---------------------------------------------------------------------------
 # differentiation
 
-def _deriv(e: Expr, w: tuple[Const, ...]) -> Expr:
+def _derivative(e: Expr, w: tuple[Const, ...]) -> Expr:
     """Derivative along the constant direction w: sum_j w_j d/dz_j.
 
     The chain-rule expansion (product rule, quotient rule, ...; see
     `_deriv_node`) is built through the constructors, so it is folded as
     it is built.  `w` holds interned constants, so it keys the per-node
-    memo exactly (signed zeros included).  The memo lives on `e`: a later
-    derivative of the same interned operand along the same direction is a
-    lookup.
+    memo exactly (signed zeros included): a later derivative of the same
+    interned operand along the same direction is a lookup.
     """
-    memo = e.__dict__.get("_deriv")
-    if memo is None:
-        memo = e.__dict__["_deriv"] = {}
-    out = memo.get(w)
-    if out is None:
-        out = memo[w] = _deriv_node(e, w)
-    return out
+    return _walk(e, ("d", w), lambda x: ZERO if type(x) is Const else w[x.index - 1], _deriv_node)
 
 
-def _deriv_node(e: Expr, w: tuple[Const, ...]) -> Expr:
-    """The derivative of one node along w, differentiating its operands by `_deriv`.
+def _deriv_node(e: Expr, ds: list[Expr]) -> Expr:
+    """The derivative of one node that is no leaf, given its operands' derivatives `ds`.
 
     A product is one product rule.  Where two or more factors have a
     derivative other than the 0 node and some non-constant factor has the
@@ -483,12 +537,8 @@ def _deriv_node(e: Expr, w: tuple[Const, ...]) -> Expr:
     interned sum per step and grows linearly in the number of steps, where
     copying the untouched factors into every term would double it per step.
     """
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Var):
-        return w[e.index - 1]
     if isinstance(e, Add):
-        return Add([_deriv(t, w) for t in e.terms])
+        return Add(ds)
     if isinstance(e, Mul):
         fs = list(e.factors)
         # skip the terms whose differentiated factor is 0: each would fold
@@ -497,7 +547,6 @@ def _deriv_node(e: Expr, w: tuple[Const, ...]) -> Expr:
         # overflowed and the term would stay unfolded
         consts = [x.value for x in fs if isinstance(x, Const)]
         keep_zero = len(consts) > 1 or not all(map(cmath.isfinite, consts))
-        ds = [_deriv(f, w) for f in fs]
         touched = [i for i, d in enumerate(ds) if d is not ZERO]
         if not keep_zero and len(touched) > 1 and len(touched) + len(consts) < len(fs):
             inner = [fs[i] for i in touched]
@@ -505,30 +554,27 @@ def _deriv_node(e: Expr, w: tuple[Const, ...]) -> Expr:
                 [Mul(inner[:k] + [ds[i]] + inner[k + 1:]) for k, i in enumerate(touched)])])
         return Add([Mul(fs[:i] + [d] + fs[i + 1:])
                     for i, d in enumerate(ds) if d is not ZERO or keep_zero])
-    if isinstance(e, Neg):
-        return Neg(_deriv(e.arg, w))
     if isinstance(e, Div):
         u, v = e.num, e.den
-        return (_deriv(u, w) * v - u * _deriv(v, w)) / v**2
+        return (ds[0] * v - u * ds[1]) / v**2
+    (d,) = ds  # the one operand's derivative
+    if isinstance(e, Neg):
+        return Neg(d)
     if isinstance(e, Pow):
         k = e.exponent
-        return Mul([Const(k), Pow(e.base, k - 1), _deriv(e.base, w)])
+        return Mul([Const(k), Pow(e.base, k - 1), d])
     if isinstance(e, Exp):
-        return e * _deriv(e.arg, w)
+        return e * d
     if isinstance(e, Sin):
-        return Cos(e.arg) * _deriv(e.arg, w)
+        return Cos(e.arg) * d
     if isinstance(e, Cos):
-        return -(Sin(e.arg) * _deriv(e.arg, w))
+        return -(Sin(e.arg) * d)
     if isinstance(e, Wp):
-        return WpPrime(e.arg) * _deriv(e.arg, w)
+        return WpPrime(e.arg) * d
     if isinstance(e, WpPrime):
         # (wp')^2 = 4 wp^3 - 1  =>  wp'' = 6 wp^2
-        return Mul([Const(6.0), Wp(e.arg) ** 2, _deriv(e.arg, w)])
+        return Mul([Const(6.0), Wp(e.arg) ** 2, d])
     raise TypeError(f"unknown node {e!r}")
-
-
-def _unit(j: int, n: int) -> tuple[Const, ...]:
-    return tuple(ONE if i == j else Const(0j) for i in range(1, n + 1))
 
 
 def directional_derivative(e: Expr, weights: Sequence[complex]) -> Expr:
@@ -540,11 +586,8 @@ def directional_derivative(e: Expr, weights: Sequence[complex]) -> Expr:
     termwise sum would cancel catastrophically.
     """
     w = tuple(Const(x) for x in weights)
-    if max_var_index(e) > len(w):
-        raise DimensionError(
-            f"direction has {len(w)} components but the expression uses z{max_var_index(e)}"
-        )
-    return _deriv(e, w)
+    _check_dimension(e, len(w), "direction")
+    return _derivative(e, w)
 
 
 def partial(e: Expr, multi_index: Sequence[int]) -> Expr:
@@ -562,74 +605,27 @@ def partial(e: Expr, multi_index: Sequence[int]) -> Expr:
     idx = tuple(multi_index)
     if any((not isinstance(i, int)) or i < 0 for i in idx):
         raise DimensionError(f"multi-index entries must be non-negative integers: {idx!r}")
-    if max_var_index(e) > len(idx):
-        raise DimensionError(
-            f"multi-index has {len(idx)} components but the expression uses z{max_var_index(e)}"
-        )
+    _check_dimension(e, len(idx), "multi-index")
     out = e
-    for j, count in enumerate(idx, start=1):
-        w = _unit(j, len(idx))
+    for j, count in enumerate(idx):
+        w = (ZERO,) * j + (ONE,) + (ZERO,) * (len(idx) - j - 1)  # d/dz_(j+1)
         for _ in range(count):
-            out = _deriv(out, w)
+            out = _derivative(out, w)
     return out
 
 
 def shift(e: Expr, c: Sequence[complex]) -> Expr:
     """Replace every z_j by z_j + c_j (the shifted function z -> z + c).
 
-    Memoized on each node like a derivative: a later shift of the same
-    interned expression by the same vector is a lookup.
+    Memoized on each node like a derivative, keyed by the interned shift
+    constants.  A shift contains its node only where it is the node, which
+    is stored as `_SAME` (a shift deepens a tree by at most the sum that
+    replaces a variable), so the memo holds no reference cycle.
     """
-    cs = tuple(complex(x) for x in c)
-    if max_var_index(e) > len(cs):
-        raise DimensionError(
-            f"shift vector has {len(cs)} components but the expression uses z{max_var_index(e)}"
-        )
-    return _shift(e, tuple(Const(x) for x in cs))
-
-
-#: the shift memo's entry for a node the shift leaves as it is: the node
-#: itself would make the node refer to itself, a reference cycle
-_UNSHIFTED = object()
-
-
-def _shift(e: Expr, c: tuple[Const, ...]) -> Expr:
-    """`shift` by the interned constants c, memoized on e under the key c.
-
-    Constants and variables are not memoized: a constant is its own
-    shift, and the shift of z_j, z_j + c_j, refers to z_j.  No other
-    node's shift refers to the node (a shift deepens a tree by at most the
-    one sum that replaces a variable), so the memo holds no cycle.
-    """
-    if type(e) is Const:
-        return e
-    if type(e) is Var:
-        cj = c[e.index - 1]
-        return e if cj.value == 0 else Add((e, cj))
-    memo = e.__dict__.get("_shift")
-    if memo is None:
-        memo = e.__dict__["_shift"] = {}
-    out = memo.get(c)
-    if out is None:
-        out = _shift_node(e, c)
-        memo[c] = _UNSHIFTED if out is e else out
-    elif out is _UNSHIFTED:
-        out = e
-    return out
-
-
-def _shift_node(e: Expr, c: tuple[Const, ...]) -> Expr:
-    if isinstance(e, Add):
-        return Add(tuple(_shift(t, c) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(tuple(_shift(f, c) for f in e.factors))
-    if isinstance(e, _Unary):
-        return type(e)(_shift(e.arg, c))
-    if isinstance(e, Div):
-        return Div(_shift(e.num, c), _shift(e.den, c))
-    if isinstance(e, Pow):
-        return Pow(_shift(e.base, c), e.exponent)
-    raise TypeError(f"unknown node {e!r}")
+    cs = tuple(Const(x) for x in c)
+    _check_dimension(e, len(cs), "shift vector")
+    return _walk(e, ("s", cs), lambda x: x if type(x) is Const else Add((x, cs[x.index - 1])),
+                 _rebuild)
 
 
 # ---------------------------------------------------------------------------
@@ -664,56 +660,59 @@ def _fmt_const(v: complex) -> tuple[str, int]:
     return f"({_fmt_float(re)}{sign}{_fmt_float(abs(im))}*i)", _PREC_ATOM
 
 
+def _render(node: Expr, ops: list[tuple[str, int]]) -> tuple[str, int]:
+    """The text and precedence of one node, given those of its operands."""
+    if isinstance(node, Const):
+        return _fmt_const(node.value)
+    if isinstance(node, Var):
+        return f"z{node.index}", _PREC_ATOM
+    if isinstance(node, Add):
+        (first, _), *rest = ops
+        return first + "".join(" - " + s[1:] if s.startswith("-") else " + " + s
+                               for s, _ in rest), _PREC_ADD
+    if isinstance(node, Mul):
+        return "*".join(f"({s})" if p < _PREC_MUL else s for s, p in ops), _PREC_MUL
+    if isinstance(node, Neg):
+        ((s, p),) = ops
+        # '^' binds after unary minus in this grammar, so "-x^2" would
+        # re-parse as (-x)^2; parenthesize Pow arguments.
+        if p < _PREC_UNARY or isinstance(node.arg, Pow):
+            s = f"({s})"
+        return f"-{s}", _PREC_UNARY
+    if isinstance(node, Div):
+        (ns, npr), (ds, dpr) = ops
+        if npr < _PREC_MUL:
+            ns = f"({ns})"
+        if dpr <= _PREC_MUL:
+            ds = f"({ds})"
+        return f"{ns}/{ds}", _PREC_MUL
+    if isinstance(node, Pow):
+        ((bs, bp),) = ops
+        if bp != _PREC_ATOM:
+            bs = f"({bs})"
+        return f"{bs}^{node.exponent}", _PREC_POW
+    if isinstance(node, _Unary):
+        return f"{node.name}({ops[0][0]})", _PREC_ATOM
+    raise TypeError(f"unknown node {node!r}")
+
+
 def to_string(e: Expr) -> str:
-    """Render in the expression grammar; parse(to_string(e)) evaluates equal to e."""
+    """Render in the expression grammar; parse(to_string(e)) evaluates equal to e.
 
-    def render(node: Expr) -> tuple[str, int]:
-        if isinstance(node, Const):
-            return _fmt_const(node.value)
-        if isinstance(node, Var):
-            return f"z{node.index}", _PREC_ATOM
-        if isinstance(node, Add):
-            parts = []
-            for k, t in enumerate(node.terms):
-                s, p = render(t)
-                if k == 0:
-                    parts.append(s)
-                elif s.startswith("-"):
-                    parts.append(" - " + s[1:])
-                else:
-                    parts.append(" + " + s)
-            return "".join(parts), _PREC_ADD
-        if isinstance(node, Mul):
-            parts = []
-            for f in node.factors:
-                s, p = render(f)
-                if p < _PREC_MUL:
-                    s = f"({s})"
-                parts.append(s)
-            return "*".join(parts), _PREC_MUL
-        if isinstance(node, Neg):
-            s, p = render(node.arg)
-            # '^' binds after unary minus in this grammar, so "-x^2" would
-            # re-parse as (-x)^2; parenthesize Pow arguments.
-            if p < _PREC_UNARY or isinstance(node.arg, Pow):
-                s = f"({s})"
-            return f"-{s}", _PREC_UNARY
-        if isinstance(node, Div):
-            ns, npr = render(node.num)
-            ds, dpr = render(node.den)
-            if npr < _PREC_MUL:
-                ns = f"({ns})"
-            if dpr <= _PREC_MUL:
-                ds = f"({ds})"
-            return f"{ns}/{ds}", _PREC_MUL
-        if isinstance(node, Pow):
-            bs, bp = render(node.base)
-            if bp != _PREC_ATOM:
-                bs = f"({bs})"
-            return f"{bs}^{node.exponent}", _PREC_POW
-        if isinstance(node, _Unary):
-            s, _ = render(node.arg)
-            return f"{node.name}({s})", _PREC_ATOM
-        raise TypeError(f"unknown node {node!r}")
-
-    return render(e)[0]
+    The nodes are rendered in post-order on an explicit stack, so a tree of
+    any depth prints.  `done` holds the text and precedence of the operands
+    rendered so far; a node takes its operands' entries off it.
+    """
+    done: list[tuple[str, int]] = []
+    stack = [(e, False)]
+    while stack:
+        node, ready = stack.pop()
+        kids = node._kids
+        if kids and not ready:
+            stack.append((node, True))
+            stack.extend((k, False) for k in reversed(kids))
+            continue
+        ops = done[len(done) - len(kids):]
+        del done[len(done) - len(kids):]
+        done.append(_render(node, ops))
+    return done[0][0]

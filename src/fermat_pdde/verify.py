@@ -16,7 +16,6 @@ evaluate without overflow.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -42,23 +41,16 @@ __all__ = [
 ]
 
 
-def _finite_or_none(obj):
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, dict):
-        return {k: _finite_or_none(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_none(v) for v in obj]
-    return obj
-
-
 def strict_json(payload) -> str:
     """`payload` as JSON with sorted keys; a non-finite float is written as null.
 
     JSON has no inf or NaN, so a report whose residual could not be
-    measured (no surviving point) still parses as standard JSON.
+    measured (no surviving point) still parses as standard JSON.  A first
+    dump writes them as the words NaN and Infinity; reading it back maps
+    each to None.
     """
-    return json.dumps(_finite_or_none(payload), sort_keys=True, allow_nan=False)
+    plain = json.loads(json.dumps(payload), parse_constant=lambda word: None)
+    return json.dumps(plain, sort_keys=True, allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -266,7 +258,8 @@ def check_residual(
             continue
         tested += kept
         scale = np.maximum.reduce(mags[1:k], axis=0, initial=1.0)
-        rel = mags[0] / scale
+        with np.errstate(invalid="ignore"):  # inf / inf: the lane is replaced below
+            rel = mags[0] / scale
         # a finite value whose modulus overflows gives inf where the ratio is
         # finite: there the ratio is taken of the values halved, which is exact
         big = np.flatnonzero(keep & (np.isinf(scale) | np.isinf(mags[0])))
@@ -303,17 +296,24 @@ def _zero_candidates(e: Expr) -> list[Expr]:
 
     Holomorphic functions on a polydisc have no zero divisors, so a product
     vanishes identically iff one of its factors does; a quotient iff its
-    numerator does; a positive power iff its base does.
+    numerator does; a positive power iff its base does.  The descent keeps
+    an explicit stack, so it reaches any depth.
     """
-    if isinstance(e, ex.Neg):
-        return _zero_candidates(e.arg)
-    if isinstance(e, ex.Mul):
-        return [c for factor in e.factors for c in _zero_candidates(factor)]
-    if isinstance(e, ex.Div):
-        return _zero_candidates(e.num)
-    if isinstance(e, ex.Pow) and e.exponent > 0:
-        return _zero_candidates(e.base)
-    return [e]
+    out = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, ex.Neg):
+            stack.append(x.arg)
+        elif isinstance(x, ex.Mul):
+            stack.extend(reversed(x.factors))
+        elif isinstance(x, ex.Div):
+            stack.append(x.num)
+        elif isinstance(x, ex.Pow) and x.exponent > 0:
+            stack.append(x.base)
+        else:
+            out.append(x)
+    return out
 
 
 def is_identically_zero(e: Expr, n: int) -> bool:

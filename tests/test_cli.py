@@ -151,6 +151,21 @@ class TestVerifyCommand:
         assert "max_rel_residual: inf" in capsys.readouterr().out
 
 
+    def test_deep_quotient_chain_gets_a_verdict(self, tmp_path):
+        # z1 divided 1500 times parses flat into 1500 nested quotients; every
+        # walk of the tree used to recurse once per level and end in a traceback
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"n": 2, "kind": "fte", "m1": 2, "c": [[0, 0], [0.5, 0]],
+                                    "f": "z1" + "/(z2+2)" * 1500, "phi": "1"}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "fermat_pdde", "--format", "machine", "verify", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode in (0, 1)
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["report"]["verdict"] in ("pass", "fail")
+
+
 class TestVerifyBatch:
     """`verify FILE...`: one report per file, the worst exit code."""
 

@@ -105,7 +105,7 @@ def distinct_nodes(roots):
         node = stack.pop()
         if node not in seen:
             seen.add(node)
-            stack.extend(ex._children(node))
+            stack.extend(node._kids)
     return seen
 
 
@@ -119,7 +119,7 @@ def instruction_count(roots):
     nodes = distinct_nodes(roots)
     needed = set(roots)
     for node in nodes:
-        for k, kid in enumerate(ex._children(node)):
+        for k, kid in enumerate(node._kids):
             if isinstance(kid, Neg) and not (isinstance(node, Add) and k > 0):
                 needed.add(kid)
     return sum(1 for node in nodes if not isinstance(node, (Const, Neg)) or node in needed)

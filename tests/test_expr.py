@@ -419,7 +419,7 @@ class TestFoldConstants:
             if e in seen:
                 continue
             seen.add(e)
-            stack.extend(ex._children(e))
+            stack.extend(e._kids)
             fields = [getattr(e, f) for f in e.__dataclass_fields__]
             assert type(e)(*fields) is e
 

@@ -24,9 +24,7 @@ PI = math.pi
 def contains_exp(e):
     if isinstance(e, Exp):
         return True
-    from fermat_pdde.expr import _children
-
-    return any(contains_exp(c) for c in _children(e))
+    return any(contains_exp(c) for c in e._kids)
 
 
 def ambient_shift(cprime, basis):

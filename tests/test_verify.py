@@ -246,6 +246,17 @@ class TestCheckResidual:
         assert math.isfinite(rep.max_rel_residual)
         assert rep.max_rel_residual > sys.float_info.max / 1e308
 
+    def test_overflowing_modulus_of_a_kept_point_warns_nothing(self):
+        # |1.5e308*(1+i)| overflows for the residual and its one scale term:
+        # the ratio inf / inf of those lanes is replaced by that of the
+        # halved values, and numpy must not warn about the division first
+        r = parse("1.5e308*(1+i) + 1e-300*z1", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = check_residual(r, [r], SamplingPolicy(samples=12), 1)
+        assert (rep.points_tested, rep.points_skipped, rep.passed) == (12, 0, False)
+        assert (rep.max_abs_residual, rep.max_rel_residual) == (math.inf, 1.0)
+
     def test_report_serialization_deterministic(self):
         p = example1_problem()
         reps = [verify_problem(p, F_EX1) for _ in range(2)]
