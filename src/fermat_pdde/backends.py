@@ -64,7 +64,7 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
                out: np.ndarray, pole_eps: float, ell: EllipticContext | None) -> None:
     """Run the tape on one block of points, `pts` of shape (m, n)."""
     rows = [*tape.consts, *slots]  # operand index -> immediate or slot row
-    for op, dst, src, arg, fail, outs, steps in tape.ops:
+    for op, dst, src, arg, fail, outs in tape.ops:
         d = rows[dst]
         if op == tp.OP_ADD or op == tp.OP_MUL:
             acc = rows[src[0]]  # a folded sum or product has two operands or more
@@ -98,8 +98,6 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
             raise PDDEError(f"bad opcode {op}")
         for r in outs:
             out[r] = d
-        for fold, acc, left, right in steps:
-            fold(rows[left], rows[right], out=rows[acc])
 
 
 def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = None,

@@ -144,6 +144,15 @@ def _make(cls, *fields):
     return _intern(cls, key, kids, fields)
 
 
+def _unpickle(items):
+    """The last node of a postfix list from `Expr.__reduce__`, rebuilt through `_make`."""
+    nodes = []
+    for cls, kids, rest in items:
+        kids = tuple(nodes[k] for k in kids)
+        nodes.append(_make(cls, kids) if cls is Add or cls is Mul else _make(cls, *kids, *rest))
+    return nodes[-1]
+
+
 # Nodes are dataclasses for their field list only: construction goes
 # through each class's __new__, which folds and then interns, and equality
 # and hashing stay those of object (identity).  The repr and the frozen
@@ -192,7 +201,25 @@ class Expr:
         return to_string(self)
 
     def __reduce__(self):
-        return _make, (type(self), *(self.__dict__[f] for f in self.__dataclass_fields__))
+        # one flat postfix list of the distinct nodes, each (class, operand
+        # indices, other fields), so a tree of any depth pickles and copies
+        # without recursion
+        index, items, stack = {}, [], [self]
+        while stack:
+            node = stack[-1]
+            if node in index:
+                stack.pop()
+                continue
+            todo = [k for k in node._kids if k not in index]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            index[node] = len(items)
+            rest = (node.__dict__[f] for f in node.__dataclass_fields__)
+            items.append((type(node), tuple(index[k] for k in node._kids),
+                          tuple(v for v in rest if not isinstance(v, (Expr, tuple)))))
+        return _unpickle, (tuple(items),)
 
     def __repr__(self) -> str:
         # the dataclass form, Add(terms=(Var(index=1), ...)), written out from

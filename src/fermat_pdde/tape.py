@@ -18,10 +18,9 @@ own:
 
 Sums and products are one n-ary instruction each and are folded left to
 right, in the order of their operands, so every value matches the one a
-node-by-node postfix evaluation of the same tree gives, bit for bit.  A
-wide sum or product starts its fold early, in steps attached to the
-instructions that produce its operands, so its fresh operands need not
-all be live at once (the order of the fold is unchanged).  A `Wp` and a
+node-by-node postfix evaluation of the same tree gives, bit for bit.  The
+operands of a sum or product are all live when its instruction runs, so a
+sum of K freshly computed terms holds K slots at once.  A `Wp` and a
 `WpPrime` of the same argument share one evaluation of the pair: the
 first of the two writes both slots and the second only marks where its
 value is ready.
@@ -79,9 +78,6 @@ class Instr(NamedTuple):
     arg: object
     fail: int  # fail index of an instruction that can reject points, else -1
     outs: tuple[int, ...]  # output rows that take this slot's value
-    #: early fold steps of sums and products, run after this instruction:
-    #: (ufunc, accumulator, left operand, right operand)
-    steps: tuple[tuple[object, int, int, int], ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +108,9 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     last position that reads each operand.  A negation is emitted when it
     is a root or when something reads it other than as a folded summand;
     its readers come after it, so that is known once the walk ends.  Then
-    the sums and products whose operands can fold in early get their fold
-    steps, and one loop over the emitted positions writes the
-    instructions: it takes a slot when an instruction or fold step first
-    writes a node and frees it after the node's last read.
+    one loop over the emitted positions writes the instructions: it takes
+    a slot when an instruction first writes a node and frees it after the
+    node's last read.
     """
     single = isinstance(e, ex.Expr)
     roots = [e] if single else list(e)
@@ -124,7 +119,8 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     # Per postfix position: (opcode, instruction arg, operand positions
     # read, fail index) and the last position that reads it (its own if
     # none does).  The arg of a sum or product is the ufunc folding in
-    # each operand, that of the first of a wp pair whether it is wp'.
+    # each operand after the first, that of the first of a wp pair
+    # whether it is wp'.
     pos: dict[ex.Expr, int] = {}
     get = pos.get
     info: list[tuple] = []
@@ -135,19 +131,16 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     folded_negs = set()  # negations no reader has emitted so far
     fixed_fails = []
     n_fail = 0
-    wide = []  # (position, position when its visit began) of the sums and products to schedule
     wp_first = {}  # (class, argument position) -> position of a wp node with no partner yet
     partner = {}  # position of the first node of a wp pair -> that of the second
     n_min = 0
 
     for root in roots:
-        stack = [(root, -1)]
+        stack = [root]
         while stack:
-            node, first = stack.pop()
-            if first < 0:
-                if node in pos:
-                    continue
-                first = len(info)
+            node = stack.pop()
+            if node in pos:
+                continue
             kids = node._kids
             rd = []  # the children's positions, if they are all visited
             x = 0  # None once a child turns out unvisited
@@ -157,10 +150,10 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
                     break
                 rd.append(x)
             if x is None:  # visit the unvisited children first, then come back
-                stack.append((node, first))
+                stack.append(node)
                 for c in reversed(kids):
                     if c not in pos:
-                        stack.append((c, -1))
+                        stack.append(c)
                 continue
 
             i = len(info)
@@ -183,28 +176,21 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
                         idle.append(i)
                 continue
             marks = rd  # operands that are emitted if they are negations
-            placed = True  # its reads happen at its own position
             fail = -1
-            if op == OP_MUL or op == OP_ADD:
-                if op == OP_MUL:
-                    arg = (np.multiply,) * len(rd)
-                else:
-                    arg = (np.add,) * len(rd)
-                    marks = rd[:1]
-                    for k in range(1, len(rd)):
-                        if type(kids[k]) is ex.Neg:
-                            rd[k] = info[rd[k]][2][0]
-                            arg = (*arg[:k], np.subtract, *arg[k + 1:])
-                if first < i and len(rd) >= 3:  # operands computed in its visit can fold in early
-                    wide.append((i, first))
-                    placed = False  # the schedule places its reads
-                else:
-                    arg = arg[1:]
+            if op == OP_MUL:
+                arg = (np.multiply,) * (len(rd) - 1)
+            elif op == OP_ADD:
+                marks = rd[:1]
+                folds = [np.add] * (len(rd) - 1)
+                for k in range(1, len(rd)):
+                    if type(kids[k]) is ex.Neg:
+                        rd[k] = info[rd[k]][2][0]
+                        folds[k - 1] = np.subtract
+                arg = tuple(folds)
             elif op == OP_MAP:
                 arg = node.ufunc
                 if type(node) is ex.Neg and node not in is_root:
                     folded_negs.add(i)
-                    placed = False
             elif op == OP_POWI:
                 arg = node.exponent
                 if arg < 0:
@@ -236,15 +222,14 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
                         a = info[x][2][0]
                         if last[a] < x:
                             last[a] = x
-            if placed:
+            if i not in folded_negs:  # a folded negation's reads happen at its readers
                 for x in rd:
                     last[x] = i
             info.append((op, arg, rd, fail))
 
     n = len(info)
-    # the fail indices at or below each node, from the reads before the
-    # schedule rewrites them: a read operand carries those below it, and a
-    # folded negation's argument those of the negation
+    # the fail indices at or below each node: a read operand carries those
+    # below it, and a folded negation's argument those of the negation
     root_fails = ((),) * len(roots)
     if n_fail:
         second = {j: i for i, j in partner.items()}
@@ -269,52 +254,6 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     for k, x in enumerate(const_at):
         ref[x] = k
         last[x] = n  # an immediate is never freed
-
-    # Schedule. A sum or product of K >= 3 operands folds its operands
-    # left to right into its own slot as soon as both sides are ready, but
-    # not before its visit starts (operands computed earlier are old and
-    # live anyway; one whose visit emitted nothing before it has only old
-    # operands and is left to its own instruction by the walk).  Steps
-    # that fall before the node's own instruction are attached to the
-    # first instruction after both sides are ready; the node's own
-    # instruction then reads its own slot and folds in the rest.  A wide
-    # sum of fresh terms holds one term at a time instead of all of them.
-    # Immediates are ready from the start, and every other operand is
-    # emitted.
-    early: list = [None] * n  # position -> its steps: (ufunc, node, left, right operand positions)
-    for i, t in wide:
-        op, folds, ks, fail = info[i]
-        x = ks[0]
-        if x > t and ref[x] < 0:
-            t = x
-        done = 0
-        for k in range(1, len(ks) - 1):
-            x = ks[k]
-            if x > t and ref[x] < 0:
-                t = x
-            elif not emit[t]:  # a fresh operand is emitted, so only t = the visit's start gets here
-                t += 1
-                while not emit[t]:
-                    t += 1
-                if t >= i:
-                    break
-            step = (folds[k], i, ks[0] if k == 1 else i, x)
-            if early[t] is None:
-                early[t] = [step]
-            else:
-                early[t].append(step)
-            if last[x] < t:
-                last[x] = t
-            if k == 1 and last[ks[0]] < t:
-                last[ks[0]] = t
-            done = k
-        for x in ks[done + 1 if done else 0:]:
-            if last[x] < i:
-                last[x] = i
-        if done:
-            info[i] = (op, folds[done + 1:], [i, *ks[done + 1:]], fail)
-        else:
-            info[i] = (op, folds[1:], ks, fail)
 
     outs: list = [()] * n
     for r, root in enumerate(roots):
@@ -351,16 +290,7 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
             if j is not None:
                 pair[not arg] = ref[j] = take()
             arg = tuple(pair)
-        steps = ()
-        if early[i] is not None:
-            steps = []
-            for fold, a, left, right in early[i]:
-                acc = ref[a]
-                if acc < 0:
-                    acc = ref[a] = take()
-                steps.append((fold, acc, ref[left], ref[right]))
-            steps = tuple(steps)
-        ops.append(_new(Instr, (op, dst, tuple(src), arg, fail, outs[i], steps)))
+        ops.append(_new(Instr, (op, dst, tuple(src), arg, fail, outs[i])))
         if dies[i] is not None:
             free.extend(dies[i])
         t = last[i]
