@@ -13,9 +13,10 @@ times `compile_expr` on the check's roots (residual and scale terms) on
 its own; `check_residual` compiles the same roots again, so `total`, the
 sum of parse, residual, scale_terms and check_residual, counts the
 compile once.  Prints the minimum and the median of the repeats, per
-phase, in milliseconds, then the check tape's instruction and slot counts
-and the entries the residual added to the intern table (the new nodes it
-built):
+phase, in milliseconds, then the distinct nodes under the check's roots
+(the nodes `expr._postorder` lists and the compiler reads), the check
+tape's instruction and slot counts and the entries the residual added
+to the intern table (the new nodes it built):
 
     PYTHONPATH=src python benchmarks/fg_rung.py --n 7 --repeats 7
 """
@@ -86,7 +87,8 @@ def once(n: int, seed: int) -> tuple[dict[str, float], dict[str, int]]:
     phases = {"parse": t1 - t0, "residual": t3 - t2, "scale_terms": t4 - t3, "compile": t5 - t4,
               "check_residual": t6 - t5}
     phases["total"] = sum(v for k, v in phases.items() if k != "compile")
-    return phases, {"tape instructions": len(tape.ops), "tape slots": tape.n_slots,
+    return phases, {"check distinct nodes": len(ex._postorder([res, *scales])),
+                    "tape instructions": len(tape.ops), "tape slots": tape.n_slots,
                     "residual intern entries": interned}
 
 

@@ -31,8 +31,10 @@ free variables, `uses_wp` and each derivative and shift of a tree of any
 depth.  It memoizes a node's value in the node's one dict `_memo`, under
 a key per walk, so a shared subtree is walked once; a value that is the
 node itself is stored as the marker `_SAME`, which makes no reference
-cycle.  Exact symbolic differentiation (`partial`), argument shifting
-(`shift`) and printing (`to_string`, on a stack of its own) live here.
+cycle.  One per-call walk, `_postorder`, lists the distinct nodes under a
+list of roots, each after its operands, for the tape compiler, printing
+(`to_string`) and pickling.  Exact symbolic differentiation (`partial`)
+and argument shifting (`shift`) live here too.
 Expressions are evaluated only by compiling them to a tape (`tape`) and
 running it over blocks of sample points (`backends`).
 """
@@ -201,21 +203,11 @@ class Expr:
         return to_string(self)
 
     def __reduce__(self):
-        # one flat postfix list of the distinct nodes, each (class, operand
-        # indices, other fields), so a tree of any depth pickles and copies
-        # without recursion
-        index, items, stack = {}, [], [self]
-        while stack:
-            node = stack[-1]
-            if node in index:
-                stack.pop()
-                continue
-            todo = [k for k in node._kids if k not in index]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            index[node] = len(items)
+        # one flat postfix list of the distinct nodes (`_postorder`), each
+        # (class, operand indices, other fields), so a tree of any depth
+        # pickles and copies without recursion
+        index, items = _postorder((self,)), []
+        for node in index:
             rest = (node.__dict__[f] for f in node.__dataclass_fields__)
             items.append((type(node), tuple(index[k] for k in node._kids),
                           tuple(v for v in rest if not isinstance(v, (Expr, tuple)))))
@@ -224,7 +216,8 @@ class Expr:
     def __repr__(self) -> str:
         # the dataclass form, Add(terms=(Var(index=1), ...)), written out from
         # an explicit stack of text pieces and field values, so a tree of any
-        # depth has a repr
+        # depth has a repr; a string per node, as `to_string` builds from
+        # `_postorder`, would copy a deep chain's text once per level
         out, stack = [], [self]
         while stack:
             x = stack.pop()
@@ -463,6 +456,31 @@ def variables(n: int) -> tuple[Var, ...]:
     return tuple(Var(j) for j in range(1, n + 1))
 
 
+def _postorder(roots: Sequence[Expr]) -> dict[Expr, int]:
+    """The distinct nodes under `roots`, each after its operands: node -> position.
+
+    Roots are taken in order and operands left to right, as a recursive
+    walk that skips seen nodes takes them.  A node that is no leaf waits
+    on one explicit stack with an iterator over its operands until the
+    iterator is spent, so a tree of any depth is walked.
+    """
+    pos: dict[Expr, int] = {}
+    for root in roots:
+        stack = [(root, iter(root._kids))] if root not in pos else []
+        while stack:
+            node, kids = stack[-1]
+            for k in kids:
+                if k not in pos:
+                    if k._kids:
+                        stack.append((k, iter(k._kids)))
+                        break
+                    pos[k] = len(pos)
+            else:
+                stack.pop()
+                pos[node] = len(pos)
+    return pos
+
+
 #: the memo entry of a node whose value is the node itself: storing the node
 #: would make it refer to itself, a reference cycle
 _SAME = object()
@@ -478,7 +496,8 @@ def _walk(e: Expr, key, leaf, visit):
     where an earlier one has been.  A node without a value goes on the
     stack with a None and its operands above it, and is visited when the
     None is back on top; a popped operand that is a leaf or has a value is
-    passed over.
+    passed over.  It keeps this loop, not `_postorder`, which would list
+    every node below `e`, also those below a node memoized under `key`.
     """
     if not e._kids:
         return leaf(e)
@@ -724,22 +743,24 @@ def _render(node: Expr, ops: list[tuple[str, int]]) -> tuple[str, int]:
 
 
 def to_string(e: Expr) -> str:
-    """Render in the expression grammar; parse(to_string(e)) evaluates equal to e.
+    """Render in the expression grammar.
 
-    The nodes are rendered in post-order on an explicit stack, so a tree of
-    any depth prints.  `done` holds the text and precedence of the operands
-    rendered so far; a node takes its operands' entries off it.
+    `parse(to_string(e))` gives back e while the text nests no deeper than
+    the parser reads (`parser._MAX_NESTING`, 200 parentheses and calls);
+    a deeper tree, which no text the parser reads spells, prints to text
+    it refuses.  Each distinct node is rendered once, in `_postorder`,
+    from its operands' text and precedence in `done`, so a tree of any
+    depth prints; an operand leaves `done` at its last reader.
     """
-    done: list[tuple[str, int]] = []
-    stack = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        kids = node._kids
-        if kids and not ready:
-            stack.append((node, True))
-            stack.extend((k, False) for k in reversed(kids))
-            continue
-        ops = done[len(done) - len(kids):]
-        del done[len(done) - len(kids):]
-        done.append(_render(node, ops))
-    return done[0][0]
+    reads = dict.fromkeys(_postorder((e,)), 0)  # per node, its readers not yet rendered
+    for node in reads:
+        for k in node._kids:
+            reads[k] += 1
+    done: dict[Expr, tuple[str, int]] = {}
+    for node in reads:
+        ops = []
+        for k in node._kids:
+            reads[k] -= 1
+            ops.append(done[k] if reads[k] else done.pop(k))
+        done[node] = _render(node, ops)
+    return done[e][0]

@@ -1,12 +1,12 @@
 """Multi-output slot tapes: the package's one way to evaluate expressions.
 
-`compile_expr` takes one expression or a list of them and walks the DAG
-their interned nodes form.  It emits one instruction per distinct node,
-in postfix order, and gives each instruction a value slot; a slot is
-reused once the last instruction reading it has run.  A negation, exp,
-sin or cos is one `OP_MAP` instruction that applies the node class's
-ufunc (`expr.FUNCTIONS`).  Two kinds of node get no instruction of their
-own:
+`compile_expr` takes one expression or a list of them and emits one
+instruction per distinct node of the DAG their interned nodes form, in
+the post-order of `expr._postorder`, which printing and pickling read
+too.  It gives each instruction a value slot; a slot is reused once the
+last instruction reading it has run.  A negation, exp, sin or cos is one
+`OP_MAP` instruction that applies the node class's ufunc
+(`expr.FUNCTIONS`).  Two kinds of node get no instruction of their own:
 
 - a constant is an immediate operand, a scalar the reading instruction
   broadcasts; a root constant gets an `OP_CONST` instruction, which only
@@ -100,17 +100,16 @@ class Tape:
 def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     """Compile one expression, or a list of roots, to a slot tape.
 
-    One depth-first walk visits each distinct node once, children before
-    parents, and settles everything a node decides on its own: its
-    postfix position, opcode, immediate and instruction argument, the
-    operands its instruction reads (a negation summand past the first is
-    read through its argument and subtracted), its fail index, and the
-    last position that reads each operand.  A negation is emitted when it
-    is a root or when something reads it other than as a folded summand;
-    its readers come after it, so that is known once the walk ends.  Then
-    one loop over the emitted positions writes the instructions: it takes
-    a slot when an instruction first writes a node and frees it after the
-    node's last read.
+    One loop over the nodes in `expr._postorder` settles everything a
+    node decides on its own: its opcode, immediate and instruction
+    argument, the operand positions its instruction reads (a negation
+    summand past the first is read through its argument and subtracted),
+    its fail index, and the last position that reads each operand.  A
+    negation is emitted when it is a root or when something reads it
+    other than as a folded summand; its readers come after it, so that is
+    known once the loop ends.  Then one loop over the emitted positions
+    writes the instructions: it takes a slot when an instruction first
+    writes a node and frees it after the node's last read.
     """
     single = isinstance(e, ex.Expr)
     roots = [e] if single else list(e)
@@ -121,10 +120,10 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     # none does).  The arg of a sum or product is the ufunc folding in
     # each operand after the first, that of the first of a wp pair
     # whether it is wp'.
-    pos: dict[ex.Expr, int] = {}
-    get = pos.get
+    pos = ex._postorder(roots)
+    n = len(pos)
     info: list[tuple] = []
-    last: list[int] = []
+    last = list(range(n))
     consts: list = []
     const_at: list[int] = []  # position of each immediate
     idle: list[int] = []  # positions of the constants that are no root
@@ -135,99 +134,77 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     partner = {}  # position of the first node of a wp pair -> that of the second
     n_min = 0
 
-    for root in roots:
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if node in pos:
-                continue
-            kids = node._kids
-            rd = []  # the children's positions, if they are all visited
-            x = 0  # None once a child turns out unvisited
-            for c in kids:
-                x = get(c)
-                if x is None:
-                    break
-                rd.append(x)
-            if x is None:  # visit the unvisited children first, then come back
-                stack.append(node)
-                for c in reversed(kids):
-                    if c not in pos:
-                        stack.append(c)
-                continue
-
-            i = len(info)
-            try:
-                op = _OPCODE[type(node)]
-            except KeyError:
-                raise TypeError(f"unknown node {node!r}") from None
-            pos[node] = i
-            last.append(i)
-            if not rd:
-                if op == OP_VAR:
-                    info.append((OP_VAR, node.index - 1, rd, -1))
-                    n_min = max(n_min, node.index)
-                else:  # a constant
-                    value = np.complex128(node.value)
-                    info.append((OP_CONST, value, rd, -1))
-                    const_at.append(i)
-                    consts.append(value)
-                    if node not in is_root:
-                        idle.append(i)
-                continue
-            marks = rd  # operands that are emitted if they are negations
-            fail = -1
-            if op == OP_MUL:
-                arg = (np.multiply,) * (len(rd) - 1)
-            elif op == OP_ADD:
-                marks = rd[:1]
-                folds = [np.add] * (len(rd) - 1)
-                for k in range(1, len(rd)):
-                    if type(kids[k]) is ex.Neg:
-                        rd[k] = info[rd[k]][2][0]
-                        folds[k - 1] = np.subtract
-                arg = tuple(folds)
-            elif op == OP_MAP:
-                arg = node.ufunc
-                if type(node) is ex.Neg and node not in is_root:
-                    folded_negs.add(i)
-            elif op == OP_POWI:
-                arg = node.exponent
-                if arg < 0:
-                    fail = n_fail
-            elif op == OP_DIV:
+    for node, i in pos.items():
+        try:
+            op = _OPCODE[type(node)]
+        except KeyError:
+            raise TypeError(f"unknown node {node!r}") from None
+        kids = node._kids
+        rd = [pos[c] for c in kids]  # the operand positions
+        if not rd:
+            if op == OP_VAR:
+                info.append((OP_VAR, node.index - 1, rd, -1))
+                n_min = max(n_min, node.index)
+            else:  # a constant
+                value = np.complex128(node.value)
+                info.append((OP_CONST, value, rd, -1))
+                const_at.append(i)
+                consts.append(value)
+                if node not in is_root:
+                    idle.append(i)
+            continue
+        marks = rd  # operands that are emitted if they are negations
+        fail = -1
+        if op == OP_MUL:
+            arg = (np.multiply,) * (len(rd) - 1)
+        elif op == OP_ADD:
+            marks = rd[:1]
+            folds = [np.add] * (len(rd) - 1)
+            for k in range(1, len(rd)):
+                if type(kids[k]) is ex.Neg:
+                    rd[k] = info[rd[k]][2][0]
+                    folds[k - 1] = np.subtract
+            arg = tuple(folds)
+        elif op == OP_MAP:
+            arg = node.ufunc
+            if type(node) is ex.Neg and node not in is_root:
+                folded_negs.add(i)
+        elif op == OP_POWI:
+            arg = node.exponent
+            if arg < 0:
                 fail = n_fail
+        elif op == OP_DIV:
+            fail = n_fail
+            arg = None
+            if info[rd[1]][0] == OP_CONST:  # a quotient by a constant
+                arg = info[rd[1]][1]
+                fixed_fails.append((fail, arg))
+        else:  # OP_WP
+            cls = type(node)
+            other = wp_first.pop((ex.WpPrime if cls is ex.Wp else ex.Wp, rd[0]), None)
+            if other is None:
+                wp_first[cls, rd[0]] = i
+                arg = cls is ex.WpPrime
+                fail = n_fail
+            else:  # written by its partner, which reads the argument
+                partner[other] = i
+                op = OP_WP_SHARED
                 arg = None
-                if info[rd[1]][0] == OP_CONST:  # a quotient by a constant
-                    arg = info[rd[1]][1]
-                    fixed_fails.append((fail, arg))
-            else:  # OP_WP
-                cls = type(node)
-                other = wp_first.pop((ex.WpPrime if cls is ex.Wp else ex.Wp, rd[0]), None)
-                if other is None:
-                    wp_first[cls, rd[0]] = i
-                    arg = cls is ex.WpPrime
-                    fail = n_fail
-                else:  # written by its partner, which reads the argument
-                    partner[other] = i
-                    op = OP_WP_SHARED
-                    arg = None
-                    rd = []
-            if fail >= 0:
-                n_fail += 1
-            if folded_negs and not folded_negs.isdisjoint(marks):
-                for x in marks:
-                    if x in folded_negs:  # a negation read as itself
-                        folded_negs.discard(x)
-                        a = info[x][2][0]
-                        if last[a] < x:
-                            last[a] = x
-            if i not in folded_negs:  # a folded negation's reads happen at its readers
-                for x in rd:
-                    last[x] = i
-            info.append((op, arg, rd, fail))
+                rd = []
+        if fail >= 0:
+            n_fail += 1
+        if folded_negs and not folded_negs.isdisjoint(marks):
+            for x in marks:
+                if x in folded_negs:  # a negation read as itself
+                    folded_negs.discard(x)
+                    a = info[x][2][0]
+                    if last[a] < x:
+                        last[a] = x
+        if i not in folded_negs:  # a folded negation's reads happen at its readers
+            for x in rd:
+                last[x] = i
+        info.append((op, arg, rd, fail))
 
-    n = len(info)
     # the fail indices at or below each node: a read operand carries those
     # below it, and a folded negation's argument those of the negation
     root_fails = ((),) * len(roots)
@@ -246,9 +223,7 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
         )
 
     emit = [True] * n
-    for x in idle:
-        emit[x] = False
-    for x in folded_negs:
+    for x in (*idle, *folded_negs):
         emit[x] = False
     ref = [-1] * n  # operand index: an immediate's now, a slot once written
     for k, x in enumerate(const_at):

@@ -242,8 +242,8 @@ def check_residual(
     count.  A maximum is exact, so the report does not depend on the
     blocking.  Points where any expression pole-hits, evaluates
     non-finite, or where a guard expression has modulus below its floor
-    are skipped (and counted); a verdict needs at least half the sample to
-    survive.
+    are skipped (and counted); a pass needs fewer than half the sample
+    skipped, so exactly half skipped fails.
     """
     guards = guards or []
     k = 1 + len(scale_terms)
@@ -297,7 +297,8 @@ def _zero_candidates(e: Expr) -> list[Expr]:
     Holomorphic functions on a polydisc have no zero divisors, so a product
     vanishes identically iff one of its factors does; a quotient iff its
     numerator does; a positive power iff its base does.  The descent keeps
-    an explicit stack, so it reaches any depth.
+    an explicit stack, so it reaches any depth; it enters only some
+    operands, in pre-order, so it is no `expr._postorder` walk.
     """
     out = []
     stack = [e]

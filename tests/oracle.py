@@ -11,7 +11,8 @@ its descent read the scan's tuples by index.  `free_variables`,
 `uses_wp`, `partial`, `directional_derivative`, `shift`, `to_string` and
 `_zero_candidates` recurse once per tree level, each with its own memo on
 the node (or none), as the package did before one iterative walk with one
-memo per node replaced them.
+memo per node replaced them.  `postorder` recurses to list the distinct
+nodes under a list of roots in the order `expr._postorder` gives.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from fermat_pdde.expr import (
 
 __all__ = [
     "evaluate", "fd_partial", "parse", "tokenize", "free_variables", "max_var_index", "uses_wp",
-    "partial", "directional_derivative", "shift", "to_string", "_zero_candidates",
+    "partial", "directional_derivative", "shift", "to_string", "_zero_candidates", "postorder",
 ]
 
 
@@ -602,6 +603,26 @@ def to_string(e: Expr) -> str:
         raise TypeError(f"unknown node {node!r}")
 
     return render(e)[0]
+
+
+def postorder(roots) -> list[Expr]:
+    """The distinct nodes under `roots`, each after its operands.
+
+    Roots in order, operands left to right, and a node already listed is
+    skipped where it occurs again.
+    """
+    seen: dict[Expr, None] = {}
+
+    def visit(node: Expr) -> None:
+        if node in seen:
+            return
+        for k in node._kids:
+            visit(k)
+        seen[node] = None
+
+    for root in roots:
+        visit(root)
+    return list(seen)
 
 
 def _zero_candidates(e: Expr) -> list[Expr]:

@@ -215,6 +215,18 @@ class TestCheckResidual:
         assert 0 < rep.points_skipped < 100
         assert rep.passed
 
+    @pytest.mark.parametrize("samples", [200, 64])
+    def test_half_the_sample_skipped_fails(self, samples):
+        # a floor between two sampled |z1| skips exactly the points below it
+        policy = SamplingPolicy(samples=samples)
+        moduli = np.sort(np.abs(sample_points(policy, 1)[:, 0]))
+        res = Add((Var(1), Neg(Var(1))))  # z1 - z1, exactly 0
+        for skip, passed in ((samples // 2, False), (samples // 2 - 1, True)):
+            rep = check_residual(res, [Var(1)], policy, 1, guards=[(Var(1), moduli[skip])])
+            assert rep.points_skipped == skip
+            assert rep.max_rel_residual == 0.0
+            assert rep.passed is passed
+
     def test_scale_prevents_false_pass_on_cancellation(self):
         # residual == z1 is not small, and scale terms of size 1 keep it visible
         rep = check_residual(Var(1), [Const(1.0)], SamplingPolicy(), 1)

@@ -1,10 +1,13 @@
-"""One iterative post-order walk behind the symbolic layer.
+"""Two iterative post-order walks behind the symbolic layer.
 
 `free_variables`, `uses_wp`, the derivative and the shift walk with
-`expr._walk`, and `to_string` and the zero probe's descent keep their own
-explicit stacks, so none of them recurses once per tree level.  They give
-what the recursive versions in `oracle` give, and a value that is its
-own node is memoized as a marker, so reference counting alone frees it.
+`expr._walk`, which memoizes on the nodes; `to_string` (and the tape
+compiler and pickling) read the distinct nodes from `expr._postorder`,
+which keeps no memo; the zero probe's descent keeps a stack of its own.
+None of them recurses once per tree level.  They give what the recursive
+versions in `oracle` give, `_postorder` lists the nodes in the order of
+`oracle.postorder`, and a value that is its own node is memoized as a
+marker, so reference counting alone frees it.
 """
 
 import gc
@@ -26,7 +29,7 @@ from fermat_pdde.expr import (
     to_string,
     uses_wp,
 )
-from fermat_pdde.operators import PDDEProblem
+from fermat_pdde.operators import PDDEProblem, residual
 from fermat_pdde.parser import parse
 from fermat_pdde.verify import _zero_candidates, is_identically_zero
 from test_dag import dags
@@ -70,6 +73,8 @@ class TestDeepTrees:
         assert uses_wp(e) is False
         text = "(" * (depth - 1) + "z1^2" + ")^2" * (depth - 1)
         assert to_string(e) == text
+        with pytest.raises(ParseError, match="nesting deeper than 200"):
+            parse(text, 1)
         # the text nests deeper than the parser reads; its inner 150 levels read back
         inner = e
         for _ in range(depth - 150):
@@ -133,6 +138,7 @@ def agrees_with_the_reference(e, n):
     assert max_var_index(e) == oracle.max_var_index(e)
     assert uses_wp(e) is oracle.uses_wp(e)
     assert to_string(e) == oracle.to_string(e)
+    assert list(ex._postorder([e])) == oracle.postorder([e])
     assert _zero_candidates(e) == oracle._zero_candidates(e)
     indices = [tuple(int(i == j) for i in range(n)) for j in range(n)]
     indices += [(2,) + (0,) * (n - 1), (1,) * n]
@@ -187,3 +193,22 @@ class TestSameAsTheRecursiveReference:
     def test_random_dags(self, roots):
         for e in roots:
             agrees_with_the_reference(e, 3)
+        # the order of a multi-root list is the one the tape digests pin
+        order = ex._postorder(roots)
+        assert list(order) == oracle.postorder(roots)
+        assert list(order.values()) == list(range(len(order)))
+
+
+class TestPrintingCost:
+    def test_each_distinct_node_is_rendered_once(self, monkeypatch):
+        fg = load_script("fg_rung")
+        f_text, beta_text = fg.fg_texts(7)
+        e = residual(fg.fg_problem(parse(beta_text, 7), 7), parse(f_text, 7))
+        calls = []
+        render = ex._render
+        monkeypatch.setattr(ex, "_render", lambda node, ops: calls.append(node) or render(node, ops))
+        text = to_string(e)
+        assert len(calls) == len(ex._postorder([e]))
+        assert len(set(calls)) == len(calls)
+        monkeypatch.undo()
+        assert text == oracle.to_string(e)
