@@ -62,7 +62,11 @@ def _power_into(d: np.ndarray, base, k: int) -> None:
 
 def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarray,
                out: np.ndarray, pole_eps: float, ell: EllipticContext | None) -> None:
-    """Run the tape on one block of points, `pts` of shape (m, n)."""
+    """Run the tape on one block of points, `pts` of shape (m, n).
+
+    A divisor near zero is divided as it stands: its fail row voids the
+    lane in every root that reads the quotient (see `eval_blocks`).
+    """
     rows = [*tape.consts, *slots]  # operand index -> immediate or slot row
     for op, dst, src, arg, fail, outs in tape.ops:
         d = rows[dst]
@@ -81,13 +85,12 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
             den = rows[src[1]]
             if arg is None:  # not a constant, whose fail row eval_blocks fixes once
                 np.less(np.abs(den), pole_eps, out=bad[fail])
-                den = np.where(bad[fail], 1.0, den)
             np.divide(rows[src[0]], den, out=d)
         elif op == tp.OP_POWI:
             _power_into(d, rows[src[0]], abs(arg))
             if arg < 0:
                 np.less(np.abs(d), pole_eps, out=bad[fail])
-                np.divide(1.0, np.where(bad[fail], 1.0, d), out=d)
+                np.divide(1.0, d, out=d)
         elif op == tp.OP_WP:
             x, y, wok = ell.wp_many(rows[src[0]])  # NaN on the lanes it rejects
             np.logical_not(wok, out=bad[fail])

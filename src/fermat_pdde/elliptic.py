@@ -13,13 +13,16 @@ b1 to b2 splits it into two such triangles, and the nearest lattice point
 is the closest of the three vertices of the triangle holding the point.
 wp(w z) = w wp(z) for w = e^{2 pi i/3}, so the Laurent series has nonzero
 terms only in z^-2 and z^(6j+4); it is summed by Horner's rule in u^6.
-Lanes whose reduced argument lies beyond `series_radius` are halved
-before the sum and doubled back with the curve's point-doubling step.
-One halving covers the whole cell at the default radius 0.95 (the cell
-circumradius is about 1.767); a smaller radius can need a second.
+The lattice, the series and both radii are module constants: one context
+serves every caller.  A reduced argument beyond `SERIES_RADIUS` = 0.95
+is halved before the sum and doubled back with the curve's
+point-doubling step.  One halving always suffices: the cell's
+circumradius, 2 omega1 / sqrt(3) = 1.767, is below 2 * 0.95.  Every lane
+of a block runs the same steps, and the halving and the doubling are
+kept only on the lanes beyond the radius.
 
-Arguments within `pole_radius` of a lattice point are reported as pole
-hits, never evaluated: their lanes carry NaN and ok=False.  So are
+Arguments within `POLE_RADIUS` = 1e-2 of a lattice point are reported
+as pole hits: their lanes carry NaN and ok=False.  So are
 arguments large enough that a lattice coordinate can reach
 `MAX_LATTICE_COORD` = 2^20 (|z| from about 2.8e6 on this lattice).  Such
 a coordinate keeps fewer than 32 of its 52 fraction bits, and the reduced
@@ -33,8 +36,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,11 +46,20 @@ __all__ = ["EllipticContext", "default_context", "half_periods", "OMEGA1", "E1"]
 #: real half-period of the (g2, g3) = (0, 1) lattice: Gamma(1/3)^3 / (4 pi)
 OMEGA1 = math.gamma(1.0 / 3.0) ** 3 / (4.0 * math.pi)
 
+#: second half-period: the lattice is hexagonal
+OMEGA2 = OMEGA1 * cmath.exp(1j * math.pi / 3.0)
+
 #: real branch point: the real root of 4 t^3 - 1, equals wp(omega1)
 E1 = 0.25 ** (1.0 / 3.0)
 
 #: reduce_point refuses arguments closer than this to a lattice point
 LATTICE_EPS = 1e-8
+
+#: wp_many rejects lanes whose reduced argument is closer than this to 0
+POLE_RADIUS = 1e-2
+
+#: wp_many halves the reduced arguments beyond this before the series sum
+SERIES_RADIUS = 0.95
 
 
 def _laurent_coefficients(order: int) -> np.ndarray:
@@ -67,62 +77,36 @@ def _laurent_coefficients(order: int) -> np.ndarray:
 #: wp_many rejects lanes whose lattice coordinates can reach this modulus
 MAX_LATTICE_COORD = 2.0**20
 
-#: most halvings before the series sum (see the module docstring)
-MAX_HALVINGS = 2
+_B1, _B2 = 2.0 * complex(OMEGA1), 2.0 * OMEGA2
+_DET = _B1.real * _B2.imag - _B2.real * _B1.imag
+#: z = s b1 + t b2: (s, t) = (m00 x + m01 y, m10 x + m11 y) for z = x + iy
+_INV = (_B2.imag / _DET, -_B2.real / _DET, -_B1.imag / _DET, _B1.real / _DET)
+#: |z| below which both lattice coordinates stay under MAX_LATTICE_COORD,
+#: as |s| <= |(m00, m01)| |z| and |t| <= |(m10, m11)| |z|
+_MAX_ABS = MAX_LATTICE_COORD / max(math.hypot(*_INV[:2]), math.hypot(*_INV[2:]))
+
+_COEFFS = _laurent_coefficients(32)
+_COEFFS.setflags(write=False)
+#: Horner coefficients in u^6 of wp and of wp': c[k] is zero unless 3
+#: divides k, so wp(z) = z^-2 + z^4 sum_j c[3j+3] z^(6j); wp' takes (6j+4) c[3j+3]
+_HORNER = tuple(float(c) for c in _COEFFS[3::3])
+_HORNER_D = tuple((6 * j + 4) * c for j, c in enumerate(_HORNER))
 
 
-@dataclass(frozen=True, eq=False)
 class EllipticContext:
-    """Immutable evaluation context for wp/wpd; safe to share across threads."""
+    """wp and wp' on the one lattice; it holds no state, so it is safe to share."""
 
-    omega1: complex
-    omega2: complex
-    coeffs: np.ndarray
-    series_radius: float
-    pole_radius: float
-    _inv: tuple[float, float, float, float] = field(init=False, repr=False)
-    #: |z| below which both lattice coordinates stay under MAX_LATTICE_COORD
-    _max_abs: float = field(init=False, repr=False)
-    #: Horner coefficients in u^6 of wp and of wp': c[3j+3] and (6j+4) c[3j+3]
-    _horner: tuple[tuple[float, ...], tuple[float, ...]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        b1, b2 = 2.0 * complex(self.omega1), 2.0 * complex(self.omega2)
-        det = b1.real * b2.imag - b2.real * b1.imag
-        inv = (b2.imag / det, -b2.real / det, -b1.imag / det, b1.real / det)
-        object.__setattr__(self, "_inv", inv)
-        # |s| <= |(m00, m01)| |z| and |t| <= |(m10, m11)| |z|
-        row_norm = max(math.hypot(inv[0], inv[1]), math.hypot(inv[2], inv[3]))
-        object.__setattr__(self, "_max_abs", MAX_LATTICE_COORD / row_norm)
-        # c[k] is zero unless 3 divides k, so wp(z) = z^-2 + z^4 sum_j c[3j+3] z^(6j)
-        nonzero = [float(c) for c in self.coeffs[3::3]]
-        horner = (tuple(nonzero), tuple((6 * j + 4) * c for j, c in enumerate(nonzero)))
-        object.__setattr__(self, "_horner", horner)
-
-    @staticmethod
-    def create(order: int = 32, series_radius: float = 0.95, pole_radius: float = 1e-2) -> "EllipticContext":
-        w1 = complex(OMEGA1)
-        w2 = OMEGA1 * cmath.exp(1j * math.pi / 3.0)
-        coeffs = _laurent_coefficients(order)
-        coeffs.setflags(write=False)
-        return EllipticContext(w1, w2, coeffs, series_radius, pole_radius)
-
-    def half_periods(self) -> tuple[complex, complex]:
-        return self.omega1, self.omega2
-
-    @property
-    def b1(self) -> complex:
-        return 2.0 * self.omega1
-
-    @property
-    def b2(self) -> complex:
-        return 2.0 * self.omega2
+    __slots__ = ()
+    omega1 = complex(OMEGA1)
+    omega2 = OMEGA2
+    coeffs = _COEFFS
+    pole_radius = POLE_RADIUS
 
     # -- reduction ---------------------------------------------------------
 
     def _reduce_array(self, z: np.ndarray) -> np.ndarray:
         """z minus its nearest lattice point, over a 1-D array."""
-        m00, m01, m10, m11 = self._inv
+        m00, m01, m10, m11 = _INV
         x, y = z.real, z.imag
         s = m00 * x + m01 * y  # lattice coordinates: z = s b1 + t b2
         t = m10 * x + m11 * y
@@ -144,10 +128,9 @@ class EllipticContext:
         to_b2 = (e2 < e0) & (e2 < e1)
         m += (to_b1 | upper) & ~to_b2
         n += (to_b2 | upper) & ~to_b1
-        b1, b2 = self.b1, self.b2
         zr = np.empty_like(z)
-        zr.real = x - m * b1.real - n * b2.real
-        zr.imag = y - m * b1.imag - n * b2.imag
+        zr.real = x - m * _B1.real - n * _B2.real
+        zr.imag = y - m * _B1.imag - n * _B2.imag
         return zr
 
     def reduce_point(self, z: complex) -> complex:
@@ -157,8 +140,8 @@ class EllipticContext:
         reduce (the limit `wp_many` rejects), where the representative
         would be rounding noise.
         """
-        if not abs(z) < self._max_abs:
-            raise PoleHitError(f"point {z!r} is too large to reduce (|z| >= {self._max_abs:.3g})")
+        if not abs(z) < _MAX_ABS:
+            raise PoleHitError(f"point {z!r} is too large to reduce (|z| >= {_MAX_ABS:.3g})")
         zr = complex(self._reduce_array(np.asarray([complex(z)], dtype=np.complex128))[0])
         if abs(zr) < LATTICE_EPS:
             raise PoleHitError(f"point {z!r} is within {LATTICE_EPS} of a lattice point")
@@ -177,34 +160,27 @@ class EllipticContext:
         z = z.reshape(-1)
         zr = self._reduce_array(z)
         r = np.abs(zr)
-        ok = (r >= self.pole_radius) & (np.abs(z) < self._max_abs)
-        halve = [np.flatnonzero(r > 2.0**k * self.series_radius) for k in range(MAX_HALVINGS)]
+        ok = (r >= POLE_RADIUS) & (np.abs(z) < _MAX_ABS)
+        far = r > SERIES_RADIUS
         with np.errstate(all="ignore"):  # pole lanes divide by ~0; they are masked below
-            u = zr
-            for lanes in halve:
-                u[lanes] *= 0.5
+            u = np.where(far, 0.5 * zr, zr)
             u2 = u * u
             u3 = u2 * u
             u6 = u3 * u3
-            cp, cd = self._horner
-            p = np.full_like(u, cp[-1])
-            dp = np.full_like(u, cd[-1])
-            for a, b in zip(cp[-2::-1], cd[-2::-1]):
+            p = np.full_like(u, _HORNER[-1])
+            dp = np.full_like(u, _HORNER_D[-1])
+            for a, b in zip(_HORNER[-2::-1], _HORNER_D[-2::-1]):
                 p *= u6
                 p += a
                 dp *= u6
                 dp += b
             x = 1.0 / u2 + (u2 * u2) * p
             y = -2.0 / u3 + u3 * dp
-            for lanes in halve:
-                xs, ys = x[lanes], y[lanes]
-                lam = 6.0 * xs * xs / ys
-                xn = 0.25 * lam * lam - 2.0 * xs
-                y[lanes] = -(ys + lam * (xn - xs))
-                x[lanes] = xn
-        bad = np.flatnonzero(~ok)
-        x[bad] = np.nan
-        y[bad] = np.nan
+            lam = 6.0 * x * x / y  # the doubling step, kept on the halved lanes
+            xn = 0.25 * lam * lam - 2.0 * x
+            x, y = np.where(far, xn, x), np.where(far, -(y + lam * (xn - x)), y)
+        x = np.where(ok, x, np.nan)
+        y = np.where(ok, y, np.nan)
         return x.reshape(shape), y.reshape(shape), ok.reshape(shape)
 
     def wp_pair(self, z: complex) -> tuple[complex, complex]:
@@ -212,17 +188,20 @@ class EllipticContext:
         x, y, ok = self.wp_many(np.asarray([complex(z)], dtype=np.complex128))
         if not ok[0]:
             raise PoleHitError(
-                f"wp argument {z!r} is within {self.pole_radius} of a lattice point"
+                f"wp argument {z!r} is within {POLE_RADIUS} of a lattice point"
                 " or too large to reduce"
             )
         return complex(x[0]), complex(y[0])
 
 
-@lru_cache(maxsize=1)
+_CONTEXT = EllipticContext()
+
+
 def default_context() -> EllipticContext:
-    return EllipticContext.create()
+    """The one context: the lattice and the series are fixed."""
+    return _CONTEXT
 
 
 def half_periods() -> tuple[complex, complex]:
     """Half-periods (omega1, omega2) of the lattice with (g2, g3) = (0, 1)."""
-    return default_context().half_periods()
+    return EllipticContext.omega1, EllipticContext.omega2

@@ -104,12 +104,13 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     node decides on its own: its opcode, immediate and instruction
     argument, the operand positions its instruction reads (a negation
     summand past the first is read through its argument and subtracted),
-    its fail index, and the last position that reads each operand.  A
-    negation is emitted when it is a root or when something reads it
-    other than as a folded summand; its readers come after it, so that is
-    known once the loop ends.  Then one loop over the emitted positions
-    writes the instructions: it takes a slot when an instruction first
-    writes a node and frees it after the node's last read.
+    its fail index, the fail indices at or below it, and the last position
+    that reads each operand.  A negation is emitted when it is a root or
+    when something reads it other than as a folded summand; its readers
+    come after it, so that is known once the loop ends.  Then one loop
+    over the emitted positions writes the instructions: it takes a slot
+    when an instruction first writes a node and frees it after the node's
+    last read.
     """
     single = isinstance(e, ex.Expr)
     roots = [e] if single else list(e)
@@ -130,6 +131,10 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     folded_negs = set()  # negations no reader has emitted so far
     fixed_fails = []
     n_fail = 0
+    # per position, the fail indices at or below it as a bitset: its read
+    # operands' (a folded negation's argument carries the negation's), its
+    # own, and for the second of a wp pair those of its partner
+    fails = [0] * n
     wp_first = {}  # (class, argument position) -> position of a wp node with no partner yet
     partner = {}  # position of the first node of a wp pair -> that of the second
     n_min = 0
@@ -191,8 +196,13 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
                 op = OP_WP_SHARED
                 arg = None
                 rd = []
+                fails[i] = fails[other]
         if fail >= 0:
+            fails[i] = 1 << fail
             n_fail += 1
+        if n_fail:  # before the first fail index every bitset is 0
+            for x in rd:
+                fails[i] |= fails[x]
         if folded_negs and not folded_negs.isdisjoint(marks):
             for x in marks:
                 if x in folded_negs:  # a negation read as itself
@@ -205,22 +215,9 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
                 last[x] = i
         info.append((op, arg, rd, fail))
 
-    # the fail indices at or below each node: a read operand carries those
-    # below it, and a folded negation's argument those of the negation
-    root_fails = ((),) * len(roots)
-    if n_fail:
-        second = {j: i for i, j in partner.items()}
-        fails = []
-        for i, (op, arg, rd, fail) in enumerate(info):
-            below = fails[second[i]] if i in second else 0
-            for x in rd:
-                below |= fails[x]
-            if fail >= 0:
-                below |= 1 << fail
-            fails.append(below)
-        root_fails = tuple(
-            tuple(f for f in range(n_fail) if fails[pos[root]] >> f & 1) for root in roots
-        )
+    root_fails = tuple(
+        tuple(f for f in range(n_fail) if fails[pos[root]] >> f & 1) for root in roots
+    )
 
     emit = [True] * n
     for x in (*idle, *folded_negs):

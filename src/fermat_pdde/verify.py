@@ -410,9 +410,12 @@ def estimate_order(
     every radius, so M(r) is smooth in r and the top-of-ladder slope is
     stable.  Radii where the candidate overflows are dropped from the top
     (the usable prefix is reported); pole hits abort, since the estimator
-    is only meaningful for candidates that are entire on the sample.  The
-    ladder streams through `eval_blocks` in blocks of whole radii and
-    stops after the first group of radii that overflows or hits a pole.
+    is only meaningful for candidates that are entire on the sample.  A
+    candidate with wp is refused before any point is drawn: it is
+    meromorphic, M(r) is infinite, and the fit would give a meaningless
+    (even negative) order.  The ladder streams through `eval_blocks` in
+    blocks of whole radii and stops after the first group of radii that
+    overflows or hits a pole.
     """
     radii = tuple(float(r) for r in (radii if radii is not None else default_radii()))
     if len(radii) < 2 or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -421,6 +424,9 @@ def estimate_order(
         raise EstimationError("need at least one direction")
     if seed is not None and seed < 0:
         raise ProblemSpecError(f"seed must be >= 0, got {seed}")
+    tape = compile_expr(f)
+    if tape.has_wp:
+        raise EstimationError("order estimation needs an entire candidate or a quotient of entire ones")
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((directions, n)) + 1j * rng.standard_normal((directions, n))
     norms = np.linalg.norm(vecs, axis=1)
@@ -436,7 +442,7 @@ def estimate_order(
     blocks = ((ladder[i:j, None, None] * dirs[lo:hi]).reshape(-1, n) for i, j, lo, hi in plan)
     mod = np.zeros(len(radii))  # running max |f| per radius: np.maximum keeps a NaN
     pole = np.zeros(len(radii), dtype=bool)
-    for (i, j, lo, hi), (vals, ok) in zip(plan, eval_blocks(compile_expr(f), n, blocks, pole_eps=1e-12)):
+    for (i, j, lo, hi), (vals, ok) in zip(plan, eval_blocks(tape, n, blocks, pole_eps=1e-12)):
         np.maximum(mod[i:j], np.abs(vals).reshape(j - i, hi - lo).max(axis=1), out=mod[i:j])
         pole[i:j] |= ~ok.reshape(j - i, hi - lo).all(axis=1)
         if hi == directions and (pole[i:j].any() or not np.isfinite(mod[i:j]).all()):

@@ -383,8 +383,8 @@ class TestOrderCommand:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
 
     def test_estimation_failure_exits_one(self, capsys):
-        # circles inside the wp pole guard: estimation must abort, not lie
-        code = run_cli("order", "wp(z1)", "--n", "1", "--radii", "0.001,0.002")
+        # circles inside the pole guard of 1/z1: estimation must abort, not lie
+        code = run_cli("order", "1/z1", "--n", "1", "--radii", "1e-13,2e-13")
         assert code == 1
         assert "error" in capsys.readouterr().err
 

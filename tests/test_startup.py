@@ -76,8 +76,15 @@ def test_verify_and_order_import_no_constructor_and_no_elliptic(argv):
     assert not OPTIONAL & set(out["modules"])
 
 
+def test_order_refuses_wp_without_loading_elliptic():
+    # the refusal comes before any point is evaluated
+    out = run_command("order", "wp(z1+1)", "--n", "1", "--radii", "0.3,0.4")
+    assert out["code"] == 1
+    assert "fermat_pdde.verify" in out["modules"]
+    assert "fermat_pdde.elliptic" not in out["modules"]
+
+
 @pytest.mark.parametrize("argv, loads", [
-    (("order", "wp(z1+1)", "--n", "1", "--radii", "0.3,0.4"), {"fermat_pdde.elliptic"}),
     (("fermat", "--kind", "cubic", "--h", "z1", "--n", "1"), OPTIONAL),
     (("construct", "--theorem", "t1-ii", "--c", "0,pi*i,pi*i"),
      {"fermat_pdde.construct", "fermat_pdde.periodic"}),

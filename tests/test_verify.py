@@ -437,9 +437,16 @@ class TestEstimateOrder:
         assert all(b >= a for a, b in zip(est.max_modulus, est.max_modulus[1:]))
 
     def test_pole_hits_abort(self):
-        # every point of these circles lies inside the wp pole guard
-        with pytest.raises(EstimationError):
-            estimate_order(parse("wp(z1)", 1), 1, radii=(0.001, 0.002))
+        # every point of these circles lies inside the pole guard of 1/z1
+        with pytest.raises(EstimationError, match="pole hit at radius 1e-13"):
+            estimate_order(parse("1/z1", 1), 1, radii=(1e-13, 2e-13))
+
+    @pytest.mark.parametrize("text", ["wp(z1)", "exp(z1) + wpd(2*z1)"])
+    def test_wp_candidates_are_refused(self, text):
+        # wp is meromorphic: M(r) is infinite, and the fit of log log M(r)
+        # gave rho_hat -1.26 for wp(z1) instead of refusing
+        with pytest.raises(EstimationError, match="needs an entire candidate or a quotient of entire ones"):
+            estimate_order(parse(text, 1), 1)
 
     def test_needs_increasing_radii(self):
         with pytest.raises(EstimationError):
