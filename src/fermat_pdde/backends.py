@@ -64,11 +64,14 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
                out: np.ndarray, pole_eps: float, ell: EllipticContext | None) -> None:
     """Run the tape on one block of points, `pts` of shape (m, n).
 
-    A divisor near zero is divided as it stands: its fail row voids the
-    lane in every root that reads the quotient (see `eval_blocks`).
+    Every rejection is ORed into the one row `bad`, which the caller
+    clears: a non-constant divisor or the base of a negative power below
+    `pole_eps`, a lane `wp_many` refuses, and every lane when a constant
+    divisor is below `pole_eps`.  A divisor near zero is divided as it
+    stands, since `eval_blocks` voids a rejected lane in every root.
     """
     rows = [*tape.consts, *slots]  # operand index -> immediate or slot row
-    for op, dst, src, arg, fail, outs in tape.ops:
+    for op, dst, src, arg, outs in tape.ops:
         d = rows[dst]
         if op == tp.OP_ADD or op == tp.OP_MUL:
             acc = rows[src[0]]  # a folded sum or product has two operands or more
@@ -83,17 +86,19 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
             d[...] = pts[:, arg]
         elif op == tp.OP_DIV:
             den = rows[src[1]]
-            if arg is None:  # not a constant, whose fail row eval_blocks fixes once
-                np.less(np.abs(den), pole_eps, out=bad[fail])
+            if arg is None:
+                bad |= np.abs(den) < pole_eps
+            elif np.abs(arg) < pole_eps:
+                bad[...] = True
             np.divide(rows[src[0]], den, out=d)
         elif op == tp.OP_POWI:
             _power_into(d, rows[src[0]], abs(arg))
             if arg < 0:
-                np.less(np.abs(d), pole_eps, out=bad[fail])
+                bad |= np.abs(d) < pole_eps
                 np.divide(1.0, d, out=d)
         elif op == tp.OP_WP:
             x, y, wok = ell.wp_many(rows[src[0]])  # NaN on the lanes it rejects
-            np.logical_not(wok, out=bad[fail])
+            bad |= ~wok
             for s, val in zip(arg, (x, y)):
                 if s >= 0:
                     rows[s][...] = val
@@ -108,16 +113,19 @@ def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = 
     """Run a tape over a stream of point blocks, yielding (values, ok) per block.
 
     `blocks` yields arrays of shape (m, n), m at most `BLOCK`.  Each block
-    gives arrays of shape (roots, m): lanes with ok=False hit a pole
-    (near-zero denominator, negative power of a near-zero base, or a wp
-    lattice neighborhood) and carry NaN values.  The slot, value and mask
-    rows are allocated once per call and re-sized only for a block wider
-    than every block before it, so memory does not grow with the number of
-    blocks.  The yielded arrays are views of those rows: they stay valid
-    until the next block is drawn, and a caller that keeps them longer
-    copies them.  A tape that uses wp runs on `ell`, by default
-    `elliptic.default_context()`, imported only then.  Blocks are drawn
-    one at a time: a caller that stops iterating draws no further block.
+    gives values of shape (roots, m) and one ok row of shape (m,).  A lane
+    with ok=False was rejected by some instruction of the tape (a
+    near-zero denominator, a negative power of a near-zero base, or a wp
+    lattice neighborhood), whichever roots read it, and carries NaN in
+    every root; an overflow leaves ok=True with a non-finite value.  The
+    slot, value and mask rows are allocated once per call and re-sized only
+    for a block wider than every block before it, so memory does not grow
+    with the number of blocks.  The yielded arrays are views of those
+    rows: they stay valid until the next block is drawn, and a caller that
+    keeps them longer copies them.  A tape that uses wp runs on `ell`, by
+    default `elliptic.default_context()`, imported only then.  Blocks are
+    drawn one at a time: a caller that stops iterating draws no further
+    block.
     """
     if n < tape.n_min:
         raise PDDEError(f"points have {n} coordinates but the expression uses z{tape.n_min}")
@@ -125,35 +133,22 @@ def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = 
         from .elliptic import default_context
 
         ell = default_context()
-    # a quotient by a constant rejects every lane or none, once per call: per
-    # root, whether one rejects them all, and the fail rows read per block
-    fixed = {fail for fail, _ in tape.fixed_fails}
-    hit = {fail for fail, divisor in tape.fixed_fails if np.abs(divisor) < pole_eps}
-    masks = [(not hit.isdisjoint(fails), [f for f in fails if f not in fixed])
-             for fails in tape.root_fails]
-    R = len(masks)
     width = 0
     for pts in blocks:
         m = pts.shape[0]
         if m > width:
             width = m
             slots = np.empty((tape.n_slots, width), dtype=np.complex128)
-            bad = np.empty((tape.n_fail, width), dtype=bool)  # live rows are written per block
-            values = np.empty((R, width), dtype=np.complex128)
-            failed = np.empty((R, width), dtype=bool)
-            ok = np.empty((R, width), dtype=bool)
-            for r, (all_fail, _) in enumerate(masks):
-                failed[r] = all_fail
-        vals, fails = values[:, :m], failed[:, :m]
+            values = np.empty((tape.n_roots, width), dtype=np.complex128)
+            mask = np.empty(width, dtype=bool)
+        vals, row = values[:, :m], mask[:m]
+        row[...] = False
         with np.errstate(all="ignore"):
-            _run_block(tape, pts, slots[:, :m], bad[:, :m], vals, pole_eps, ell)
-        for r, (all_fail, live) in enumerate(masks):
-            if live and not all_fail:
-                np.any(bad[live, :m], axis=0, out=fails[r])
-        if fails.any():
-            vals[fails] = np.nan
-        np.logical_not(fails, out=ok[:, :m])
-        yield vals, ok[:, :m]
+            _run_block(tape, pts, slots[:, :m], row, vals, pole_eps, ell)
+        if row.any():
+            vals[:, row] = np.nan
+        np.logical_not(row, out=row)  # the reject row becomes the ok row
+        yield vals, row
 
 
 def eval_batch(
@@ -167,25 +162,25 @@ def eval_batch(
 
     `points` is an array of shape (P, n) of complex coordinates, run
     through `eval_blocks` in blocks of `BLOCK` rows and collected.
-    Returns (values, ok) as `eval_blocks` gives them: a tape compiled from
-    a list of roots gives arrays of shape (roots, P), one row per root;
-    otherwise both are of shape (P,).
+    Returns (values, ok): a tape compiled from a list of roots gives
+    arrays of shape (roots, P), one row per root, whose ok rows are one
+    read-only row broadcast, since a lane is rejected for every root or
+    for none; otherwise both are of shape (P,).
     """
     tape = e if isinstance(e, tp.Tape) else tp.compile_expr(e)
     points = np.asarray(points, dtype=np.complex128)
     if points.ndim == 1:
         points = points.reshape(1, -1)
     P, n = points.shape
-    R = len(tape.root_fails)
-    values = np.empty((R, P), dtype=np.complex128)
-    ok = np.empty((R, P), dtype=bool)
+    values = np.empty((tape.n_roots, P), dtype=np.complex128)
+    ok = np.empty(P, dtype=bool)
     blocks = (points[lo : lo + BLOCK] for lo in range(0, P, BLOCK))
     lo = 0
     for v, k in eval_blocks(tape, n, blocks, ell=ell, pole_eps=pole_eps):
         hi = lo + v.shape[1]
         values[:, lo:hi] = v
-        ok[:, lo:hi] = k
+        ok[lo:hi] = k
         lo = hi
     if tape.single:
-        return values[0], ok[0]
-    return values, ok
+        return values[0], ok
+    return values, np.broadcast_to(ok, values.shape)

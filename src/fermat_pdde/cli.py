@@ -40,6 +40,8 @@ _FERMAT_KINDS = {"cos-sin": ("cos_sin", 1e-12), "mobius": ("mobius", 1e-12), "cu
 #: and one block of points, and evaluates radii x directions points of n
 #: coordinates: each factor is bounded, and their product bounds the work
 MAX_DIRECTIONS = 100_000
+#: `construct --gen-terms`: the generator's cost grows faster than the term count
+MAX_GEN_TERMS = 64
 _MAX_RADII = 64
 MAX_ORDER_VALUES = 10_000_000
 
@@ -169,6 +171,8 @@ def cmd_construct(args) -> int:
     from .construct import QuadraticParams, construct_quadratic
 
     theorem = args.theorem
+    if args.gen_terms > MAX_GEN_TERMS:
+        raise ProblemSpecError(f"--gen-terms must be at most {MAX_GEN_TERMS}, got {args.gen_terms}")
     if args.phi is not None and not theorem.startswith(("t1-", "t2-")):
         raise ProblemSpecError(f"theorem {theorem} fixes the right side to 1; --phi applies to t1-* and t2-* only")
     c = _parse_c(args.c)
@@ -288,7 +292,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi", default=None,
                     help="right side, for t1-* and t2-* only: the other theorems fix it to 1 (default 1)")
     sp.add_argument("--gen-seed", type=int, default=0, help="seed for the generated g part")
-    sp.add_argument("--gen-terms", type=int, default=2, help="terms in the generated g part")
+    sp.add_argument("--gen-terms", type=int, default=2,
+                    help=f"terms in the generated g part (default 2, at most {MAX_GEN_TERMS})")
     _add_policy_flags(sp)
     _add_format_flag(sp)
     sp.set_defaults(fn=cmd_construct)

@@ -28,12 +28,10 @@ value is ready.
 Operands are numbered in one index space: index k < len(Tape.consts)
 is the immediate `Tape.consts[k]`, and index len(consts) + s is slot s.
 
-Each root gets one output row.  Instructions that can reject a point
-(quotients, negative powers, wp) carry a fail index, and each root's
-point mask covers exactly the fail indices below it, so output i of a
-multi-root tape equals, values and mask, the tape of root i alone.  A
-quotient by a constant rejects all points or none: its fail row is
-fixed once per evaluation from `Tape.fixed_fails`.
+Each root gets one output row.  Quotients, negative powers and wp can
+reject a point; the evaluator rejects such a point for every root at
+once (`backends.eval_blocks`), so the tape records neither which
+instructions can reject a point nor which roots read them.
 """
 
 from __future__ import annotations
@@ -76,7 +74,6 @@ class Instr(NamedTuple):
     #: operand after the first (np.subtract for a folded negation); OP_DIV: the
     #: divisor when it is a constant, else None; OP_WP: the (wp, wp') slot pair
     arg: object
-    fail: int  # fail index of an instruction that can reject points, else -1
     outs: tuple[int, ...]  # output rows that take this slot's value
 
 
@@ -86,11 +83,7 @@ class Tape:
     n_slots: int
     #: immediate operands, numbered before the slots
     consts: tuple[np.complex128, ...]
-    n_fail: int
-    #: (fail index, divisor) of each quotient by a constant
-    fixed_fails: tuple[tuple[int, complex], ...]
-    #: per output row, the fail indices whose rejections mask that row
-    root_fails: tuple[tuple[int, ...], ...]
+    n_roots: int  # output rows
     n_min: int  # largest variable index used
     has_wp: bool
     #: compiled from a single expression: evaluation returns 1-D rows
@@ -103,24 +96,22 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     One loop over the nodes in `expr._postorder` settles everything a
     node decides on its own: its opcode, immediate and instruction
     argument, the operand positions its instruction reads (a negation
-    summand past the first is read through its argument and subtracted),
-    its fail index, the fail indices at or below it, and the last position
-    that reads each operand.  A negation is emitted when it is a root or
-    when something reads it other than as a folded summand; its readers
-    come after it, so that is known once the loop ends.  Then one loop
-    over the emitted positions writes the instructions: it takes a slot
-    when an instruction first writes a node and frees it after the node's
-    last read.
+    summand past the first is read through its argument and subtracted)
+    and the last position that reads each operand.  A negation is emitted
+    when it is a root or when something reads it other than as a folded
+    summand; its readers come after it, so that is known once the loop
+    ends.  Then one loop over the emitted positions writes the
+    instructions: it takes a slot when an instruction first writes a node
+    and frees it after the node's last read.
     """
     single = isinstance(e, ex.Expr)
     roots = [e] if single else list(e)
     is_root = set(roots)
 
     # Per postfix position: (opcode, instruction arg, operand positions
-    # read, fail index) and the last position that reads it (its own if
-    # none does).  The arg of a sum or product is the ufunc folding in
-    # each operand after the first, that of the first of a wp pair
-    # whether it is wp'.
+    # read) and the last position that reads it (its own if none does).
+    # The arg of a sum or product is the ufunc folding in each operand
+    # after the first, that of the first of a wp pair whether it is wp'.
     pos = ex._postorder(roots)
     n = len(pos)
     info: list[tuple] = []
@@ -129,12 +120,6 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     const_at: list[int] = []  # position of each immediate
     idle: list[int] = []  # positions of the constants that are no root
     folded_negs = set()  # negations no reader has emitted so far
-    fixed_fails = []
-    n_fail = 0
-    # per position, the fail indices at or below it as a bitset: its read
-    # operands' (a folded negation's argument carries the negation's), its
-    # own, and for the second of a wp pair those of its partner
-    fails = [0] * n
     wp_first = {}  # (class, argument position) -> position of a wp node with no partner yet
     partner = {}  # position of the first node of a wp pair -> that of the second
     n_min = 0
@@ -148,18 +133,17 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
         rd = [pos[c] for c in kids]  # the operand positions
         if not rd:
             if op == OP_VAR:
-                info.append((OP_VAR, node.index - 1, rd, -1))
+                info.append((OP_VAR, node.index - 1, rd))
                 n_min = max(n_min, node.index)
             else:  # a constant
                 value = np.complex128(node.value)
-                info.append((OP_CONST, value, rd, -1))
+                info.append((OP_CONST, value, rd))
                 const_at.append(i)
                 consts.append(value)
                 if node not in is_root:
                     idle.append(i)
             continue
         marks = rd  # operands that are emitted if they are negations
-        fail = -1
         if op == OP_MUL:
             arg = (np.multiply,) * (len(rd) - 1)
         elif op == OP_ADD:
@@ -176,33 +160,19 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
                 folded_negs.add(i)
         elif op == OP_POWI:
             arg = node.exponent
-            if arg < 0:
-                fail = n_fail
-        elif op == OP_DIV:
-            fail = n_fail
-            arg = None
-            if info[rd[1]][0] == OP_CONST:  # a quotient by a constant
-                arg = info[rd[1]][1]
-                fixed_fails.append((fail, arg))
+        elif op == OP_DIV:  # the divisor when it is a constant
+            arg = info[rd[1]][1] if info[rd[1]][0] == OP_CONST else None
         else:  # OP_WP
             cls = type(node)
             other = wp_first.pop((ex.WpPrime if cls is ex.Wp else ex.Wp, rd[0]), None)
             if other is None:
                 wp_first[cls, rd[0]] = i
                 arg = cls is ex.WpPrime
-                fail = n_fail
             else:  # written by its partner, which reads the argument
                 partner[other] = i
                 op = OP_WP_SHARED
                 arg = None
                 rd = []
-                fails[i] = fails[other]
-        if fail >= 0:
-            fails[i] = 1 << fail
-            n_fail += 1
-        if n_fail:  # before the first fail index every bitset is 0
-            for x in rd:
-                fails[i] |= fails[x]
         if folded_negs and not folded_negs.isdisjoint(marks):
             for x in marks:
                 if x in folded_negs:  # a negation read as itself
@@ -213,11 +183,7 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
         if i not in folded_negs:  # a folded negation's reads happen at its readers
             for x in rd:
                 last[x] = i
-        info.append((op, arg, rd, fail))
-
-    root_fails = tuple(
-        tuple(f for f in range(n_fail) if fails[pos[root]] >> f & 1) for root in roots
-    )
+        info.append((op, arg, rd))
 
     emit = [True] * n
     for x in (*idle, *folded_negs):
@@ -248,7 +214,7 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
 
     ops: list[Instr] = []
     for i in compress(range(n), emit):
-        op, arg, rd, fail = info[i]
+        op, arg, rd = info[i]
         dst = ref[i]
         if dst < 0:
             dst = ref[i] = take()
@@ -262,7 +228,7 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
             if j is not None:
                 pair[not arg] = ref[j] = take()
             arg = tuple(pair)
-        ops.append(_new(Instr, (op, dst, tuple(src), arg, fail, outs[i])))
+        ops.append(_new(Instr, (op, dst, tuple(src), arg, outs[i])))
         if dies[i] is not None:
             free.extend(dies[i])
         t = last[i]
@@ -277,9 +243,7 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
         ops=tuple(ops),
         n_slots=max(n_slots, 1),
         consts=tuple(consts),
-        n_fail=n_fail,
-        fixed_fails=tuple(fixed_fails),
-        root_fails=root_fails,
+        n_roots=len(roots),
         n_min=n_min,
         has_wp=bool(wp_first or partner),
         single=single,

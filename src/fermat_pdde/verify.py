@@ -214,15 +214,16 @@ def _sampled(roots: list[Expr], policy: SamplingPolicy, n: int):
     """Evaluate the roots as one tape on the policy's sample, one block at a time.
 
     Yields, per block of at most BLOCK points, the values, one row per
-    root, and the mask of the points where every root is pole-free and
+    root, and the mask of the points where every root is finite.
+    `eval_blocks` NaN-fills a rejected lane in every root, so that mask
+    is its ok row ANDed with finiteness; an overflow lane is ok and not
     finite.  A subexpression the roots share is computed once per point.
     The values are `eval_blocks`' view, valid until the next block.
     """
     blocks = eval_blocks(compile_expr(roots), n, _point_blocks(policy, n), pole_eps=policy.pole_eps)
     for vals, _ in blocks:
-        # a pole-hit lane carries NaN, so the finite values are the kept
-        # ones; |v| can overflow where v does not, so finiteness is judged
-        # on the values, not on their moduli
+        # |v| can overflow where v does not, so finiteness is judged on
+        # the values, not on their moduli
         yield vals, np.isfinite(vals).all(axis=0)
 
 
@@ -413,9 +414,12 @@ def estimate_order(
     is only meaningful for candidates that are entire on the sample.  A
     candidate with wp is refused before any point is drawn: it is
     meromorphic, M(r) is infinite, and the fit would give a meaningless
-    (even negative) order.  The ladder streams through `eval_blocks` in
-    blocks of whole radii and stops after the first group of radii that
-    overflows or hits a pole.
+    (even negative) order.  So is a fit whose max modulus falls from the
+    next radius to the top one: an entire function's max modulus never
+    falls, so a falling one means poles off the sample or too few
+    directions to find the growth.  The ladder streams through
+    `eval_blocks` in blocks of whole radii and stops after the first group
+    of radii that overflows or hits a pole.
     """
     radii = tuple(float(r) for r in (radii if radii is not None else default_radii()))
     if len(radii) < 2 or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -478,6 +482,12 @@ def estimate_order(
             break
     if len(fit_r) < 2:
         raise EstimationError("max modulus never exceeded 1; cannot fit a growth order")
+    if fit_m[0] < fit_m[1]:  # the fit would give a negative order
+        raise EstimationError(
+            f"max modulus falls from {fit_m[1]:.6g} at radius {fit_r[1]:g} to {fit_m[0]:.6g} at "
+            f"radius {fit_r[0]:g}, which an entire function's cannot: the candidate has poles, "
+            "or the directions miss where it grows"
+        )
     x = np.log(np.asarray(fit_r))
     y = np.log(np.log(np.asarray(fit_m)))
     slope = float(np.polyfit(x, y, 1)[0])

@@ -143,12 +143,12 @@ STREAM_EPS = 1e-9
 
 
 def stream_roots():
-    """Roots whose tape has every kind of fail index.
+    """Roots whose tape has every kind of rejecting instruction.
 
     Root 0 alone reads a quotient by a constant below STREAM_EPS (every
-    lane masked), roots 0 and 1 one by a constant above it (no lane
-    masked); root 1 has a live divisor, roots 2 and 3 wp, root 4 can
-    overflow to inf with ok=True, and roots 5 and 6 have no fail index.
+    lane rejected), roots 0 and 1 one by a constant above it (no lane
+    rejected); root 1 has a live divisor, roots 2 and 3 wp, root 4 can
+    overflow to inf with ok=True, and roots 5 and 6 reject no lane.
     """
     z1, z2 = Var(1), Var(2)
     third = Div(z1 + z2, Const(3.0))
@@ -161,6 +161,12 @@ def stream_roots():
         z1 * z2,
         Const(2.5),
     ]
+
+
+def stream_groups():
+    """Root 0 in a tape of its own: it rejects every lane of every root it shares a tape with."""
+    roots = stream_roots()
+    return [roots[:1], roots[1:]]
 
 
 def stream_points(count):
@@ -180,38 +186,43 @@ class TestBlockStream:
 
     @pytest.mark.parametrize("count", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_blocks_equal_the_batch(self, count):
-        tape = compile_expr(stream_roots())
         pts = stream_points(count)
-        vals, ok = eval_batch(tape, pts, pole_eps=STREAM_EPS)
-        assert not ok[0].any() and ok[5:].all()
-        assert not ok[1, 0] and (count == 1 or not ok[2, 1] and not ok[3, 1])
-        # uniform blocks, and blocks that grow after a narrow first one
-        sizes = [BLOCK] * (count // BLOCK + 1)
-        ragged = [1, 3, BLOCK, 2] * (count // BLOCK + 1)
-        for widths in (sizes, ragged):
-            lo, blocks = 0, []
-            for w in widths:
-                blocks.append(pts[lo : lo + w])
-                lo += w
-            lo = 0
-            for v, k in eval_blocks(tape, 2, (b for b in blocks if len(b)), pole_eps=STREAM_EPS):
-                hi = lo + v.shape[1]
-                assert v.tobytes() == vals[:, lo:hi].tobytes()
-                assert np.array_equal(k, ok[:, lo:hi])
-                lo = hi
-            assert lo == count
+        for g, roots in enumerate(stream_groups()):
+            tape = compile_expr(roots)
+            vals, ok = eval_batch(tape, pts, pole_eps=STREAM_EPS)
+            if g == 0:
+                assert not ok.any()
+            else:
+                assert not ok[:, :2].any() and (count < 3 or ok[:, 2:].any())
+            # uniform blocks, and blocks that grow after a narrow first one
+            sizes = [BLOCK] * (count // BLOCK + 1)
+            ragged = [1, 3, BLOCK, 2] * (count // BLOCK + 1)
+            for widths in (sizes, ragged):
+                lo, blocks = 0, []
+                for w in widths:
+                    blocks.append(pts[lo : lo + w])
+                    lo += w
+                lo = 0
+                for v, k in eval_blocks(tape, 2, (b for b in blocks if len(b)), pole_eps=STREAM_EPS):
+                    hi = lo + v.shape[1]
+                    assert v.tobytes() == vals[:, lo:hi].tobytes()
+                    assert np.array_equal(k, ok[0, lo:hi])
+                    lo = hi
+                assert lo == count
 
     def test_masks_match_the_scalar_reference(self):
         pts = stream_points(64)
-        vals, ok = eval_batch(stream_roots(), pts, pole_eps=STREAM_EPS)
-        for root, v, k in zip(stream_roots(), vals, ok):
-            for pt, lane_ok in zip(pts, k):
-                try:
-                    evaluate(root, pt, pole_eps=STREAM_EPS)
-                except PoleHitError:
-                    assert not lane_ok
-                except OverflowError:  # exp(800*z1): an overflow is no pole
-                    assert lane_ok
-                else:
-                    assert lane_ok
-            assert np.isnan(v[~k]).all()
+        for roots in stream_groups():
+            vals, ok = eval_batch(roots, pts, pole_eps=STREAM_EPS)
+            for p, pt in enumerate(pts):
+                pole = False
+                for root in roots:
+                    try:
+                        evaluate(root, pt, pole_eps=STREAM_EPS)
+                    except PoleHitError:
+                        pole = True
+                    except OverflowError:  # exp(800*z1): an overflow is no pole
+                        pass
+                # a lane is rejected, in every root, exactly when some root hits a pole
+                assert not ok[:, p].any() if pole else ok[:, p].all()
+            assert np.isnan(vals[~ok]).all()

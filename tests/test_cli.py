@@ -270,6 +270,21 @@ class TestConstructCommand:
         assert run_cli("construct", "--theorem", theorem, "--c", c, "--gen-seed", "-1") == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_generated_term_count_is_bounded(self, capsys, monkeypatch, excess):
+        from fermat_pdde import periodic
+
+        terms = str(cli.MAX_GEN_TERMS + excess)
+        if excess:  # refused before anything is generated
+            monkeypatch.setattr(periodic, "make_periodic", None)
+        code = run_cli("construct", "--theorem", "t1-ii", "--c", "0,pi*i,pi*i", "--gen-terms", terms)
+        out, err = capsys.readouterr()
+        if excess:
+            assert code == 2 and out == ""
+            assert f"--gen-terms must be at most {cli.MAX_GEN_TERMS}, got {terms}" in err
+        else:
+            assert code == 0 and "verdict: pass" in out
+
     def test_dimension_mismatch(self, capsys):
         # the dimension is the length of --c; there is no --n to disagree with it
         assert run_cli("construct", "--theorem", "t1-ii", "--c", "0,1", "--n", "3") == 2
@@ -382,6 +397,19 @@ class TestOrderCommand:
         assert run_cli("order", "z1", "--n", "1", "--seed", "-3") == 2
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["42", "7", "1"])
+    @pytest.mark.parametrize("target", ["2*(z1*z2)/(1+(z1*z2)^2)", "2*exp(z1)/(1+exp(2*z1))"])
+    def test_falling_max_modulus_exits_one(self, capsys, target, seed):
+        # meromorphic: M(r) falls over the top fit pair, so the fit would give a negative order
+        assert run_cli("order", target, "--n", "2", "--seed", seed) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "max modulus falls" in err
+
+    def test_constant_exits_zero(self, capsys):
+        # M(r) neither rises nor falls: order 0, not a refusal
+        assert run_cli("--format", "machine", "order", "5", "--n", "1") == 0
+        assert abs(json.loads(capsys.readouterr().out)["estimate"]["rho_hat"]) < 1e-12
+
     def test_estimation_failure_exits_one(self, capsys):
         # circles inside the pole guard of 1/z1: estimation must abort, not lie
         code = run_cli("order", "1/z1", "--n", "1", "--radii", "1e-13,2e-13")
@@ -444,6 +472,10 @@ class TestHelp:
             if ":" in shown:  # one default per --kind
                 shown = dict(part.split(": ") for part in shown.split(", "))[argv[2]]
             assert float(shown) == value, field
+
+    def test_construct_states_the_generated_term_bound(self, capsys):
+        text = help_text(capsys, "construct")
+        assert f"terms in the generated g part (default 2, at most {cli.MAX_GEN_TERMS})" in text
 
     def test_verify_names_the_file_policy_first(self, capsys):
         assert "A policy flag overrides the file's policy" in help_text(capsys, "verify")

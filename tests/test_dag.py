@@ -56,7 +56,7 @@ def dags(draw, entire=False, max_nodes=12):
     the pool too, so other nodes (and roots) can read it as well.  Unless
     `entire`, nodes include quotients, negative powers and wp/wpd, whose
     poles exercise the point masks, and quotients by a constant, some of
-    modulus below POLE_EPS (every lane masked).  Other constants are 0 or
+    modulus below POLE_EPS (every lane of every root rejected).  Other constants are 0 or
     have modulus >= 0.1, so no computed denominator sits near the pole
     threshold by construction.
     """
@@ -137,14 +137,12 @@ def run_symbolic(tape: Tape, n_roots: int):
     Each slot holds the node whose value it holds (a folded negation
     summand comes back as its Neg), so reading a slot that holds another
     node's value, or one never written, shows in the rows.  Returns the
-    node written to each output row and, per fail index, the node of the
-    instruction that carries it.
+    node written to each output row.
     """
     base = len(tape.consts)
     rows = {k: Const(c) for k, c in enumerate(tape.consts)}
     out = [None] * n_roots
-    fail_node = {}
-    for op, dst, src, arg, fail, outs in tape.ops:
+    for op, dst, src, arg, outs in tape.ops:
         assert dst < base + tape.n_slots
         vals = [rows[s] for s in src]
         if op == tp.OP_CONST:
@@ -163,7 +161,6 @@ def run_symbolic(tape: Tape, n_roots: int):
             value = Div(vals[0], vals[1])
             if arg is not None:
                 assert src[1] < base and arg == tape.consts[src[1]]
-                assert (fail, arg) in tape.fixed_fails
         elif op == tp.OP_POWI:
             value = Pow(vals[0], arg)
         elif op == tp.OP_WP:
@@ -175,16 +172,12 @@ def run_symbolic(tape: Tape, n_roots: int):
         else:
             assert op == tp.OP_WP_SHARED and src == ()
             value = rows[dst]
-        can_fail = op in (tp.OP_DIV, tp.OP_WP) or (op == tp.OP_POWI and arg < 0)
-        assert (fail >= 0) == can_fail
-        if fail >= 0:
-            fail_node[fail] = value
         if op != tp.OP_CONST:
             rows[dst] = value
         for r in outs:
             assert out[r] is None
             out[r] = value
-    return out, fail_node
+    return out
 
 
 class TestInterning:
@@ -319,21 +312,11 @@ class TestSlotTape:
     @given(dags(max_nodes=20))
     @example([Add((Mul((Var(1), Var(1))), Neg(Var(2)), Var(1), Var(2)))])
     def test_symbolic_run_rebuilds_every_root(self, roots):
-        """Instructions, slots, immediates, outputs and fail indices, by property."""
+        """Instructions, slots, immediates and outputs, by property."""
         tape = compile_expr(roots)
-        out, fail_node = run_symbolic(tape, len(roots))
+        assert tape.n_roots == len(roots)
+        out = run_symbolic(tape, len(roots))
         assert all(o is r for o, r in zip(out, roots))
-        # fail indices are numbered in instruction order, and a root's row
-        # is masked by exactly the fail indices of the nodes below it
-        assert [ins.fail for ins in tape.ops if ins.fail >= 0] == list(range(tape.n_fail))
-        assert len(fail_node) == tape.n_fail
-        for root, fails in zip(roots, tape.root_fails):
-            below = distinct_nodes([root])
-            expect = [f for f, node in fail_node.items()
-                      if node in below or (isinstance(node, (Wp, WpPrime))
-                                           and {Wp(node.arg), WpPrime(node.arg)} & below)]
-            assert list(fails) == sorted(expect)
-        assert [f for f, _ in tape.fixed_fails] == sorted(f for f, _ in tape.fixed_fails)
         # slots are numbered densely after the immediates
         written = {ins.dst for ins in tape.ops if ins.op != tp.OP_CONST}
         written |= {s for ins in tape.ops if ins.op == OP_WP for s in ins.arg if s >= 0}
@@ -346,13 +329,16 @@ class TestSlotTape:
     @settings(max_examples=80, deadline=None)
     @given(dags())
     def test_multi_root_rows_equal_single_root_tapes(self, roots):
+        # a lane is rejected for every root when any single-root tape rejects it
         pts = disc_points(50, 40, N, radius=1.6)
         vals, ok = eval_batch(compile_expr(roots), pts, ell=ELL, pole_eps=POLE_EPS)
         assert vals.shape == ok.shape == (len(roots), len(pts))
-        for i, root in enumerate(roots):
-            v1, ok1 = eval_batch(compile_expr(root), pts, ell=ELL, pole_eps=POLE_EPS)
-            assert np.array_equal(ok[i], ok1)
-            assert np.array_equal(bits(vals[i]), bits(v1))
+        singles = [eval_batch(compile_expr(root), pts, ell=ELL, pole_eps=POLE_EPS) for root in roots]
+        every = np.logical_and.reduce([ok1 for _, ok1 in singles])
+        for i, (v1, _) in enumerate(singles):
+            assert np.array_equal(ok[i], every)
+            assert np.array_equal(bits(vals[i, every]), bits(v1[every]))
+            assert np.isnan(vals[i, ~every]).all()
 
     @settings(max_examples=80, deadline=None)
     @given(dags())
@@ -364,14 +350,19 @@ class TestSlotTape:
         inner, _ = eval_batch(compile_expr(nodes), pts, ell=ELL, pole_eps=POLE_EPS)
         with np.errstate(all="ignore"):
             scale = np.maximum(1.0, np.abs(inner).max(axis=0))
-        for i, root in enumerate(roots):
-            for p, pt in enumerate(pts):
+        for p, pt in enumerate(pts):
+            refs = []
+            for root in roots:
                 try:
-                    ref = evaluate(root, pt, ell=ELL, pole_eps=POLE_EPS)
+                    refs.append(evaluate(root, pt, ell=ELL, pole_eps=POLE_EPS))
                 except (PoleHitError, EvalError):
-                    assert not ok[i, p]
-                    continue
-                assert ok[i, p]
+                    refs = None
+                    break
+            # a lane is rejected exactly when some root's oracle raises
+            assert (refs is None) == (not ok[:, p].any())
+            if refs is None:
+                continue
+            for i, ref in enumerate(refs):
                 if np.isfinite(ref) and np.isfinite(scale[p]) and scale[p] < 1e100:
                     assert abs(vals[i, p] - ref) <= 1e-9 * scale[p]
 
@@ -417,6 +408,13 @@ class TestSlotTape:
                 assert np.isnan(vals).all()
             else:
                 assert np.array_equal(bits(vals), bits(pts[:, 0] / c))
+
+    def test_constant_divisor_below_the_threshold_rejects_every_root(self):
+        # one reject row per block: the quotient voids the lanes of z1 too
+        pts = disc_points(57, 300, 1, radius=1.5)
+        vals, ok = eval_batch([Div(Var(1), Const(0.5 * POLE_EPS)), Var(1)], pts, pole_eps=POLE_EPS)
+        assert not ok.any()
+        assert np.isnan(vals).all()
 
     def test_wp_pair_shares_one_call(self):
         h = parse("z1 + z2/2", 2)
@@ -524,32 +522,35 @@ CHECKS = {
 
 #: digests of the check tapes, recorded from the nine-pass compiler that
 #: the one-walk compiler replaced: a compiler change that moves one
-#: instruction, slot, immediate or fail index of these tapes changes one.
+#: instruction, slot, immediate or output row of these tapes changes one.
 #: The six fg pins were re-recorded when the product rule began to keep the
 #: factors a direction does not touch outside its sum: the mixed partial
 #: d^(1,...,1) is another expression since, and its tapes are shorter
 #: (36/38/50/70/106/174 -> 37/37/43/49/55/61 instructions for n = 2..7)
 #: All 18 were re-recorded when the fold steps and the `steps` field of
-#: `Instr` went: slots moved, instructions, opcodes and fail indices did not
+#: `Instr` went: slots moved, instructions, opcodes and fail indices did not.
+#: All 18 were re-recorded again when the fail indices went (`Instr.fail`,
+#: `Tape.n_fail`, `fixed_fails` and `root_fails`; `Tape.n_roots` came in):
+#: each equals the digest of the tape before it with those fields removed
 TAPE_DIGESTS = {
-    "fermat cos-sin z1+z2^2": "9da6fd6defedf830c64c9150df4a72a1c9003564e1da5d14b395f868ef49b951",
-    "fermat cubic z1": "f1b7b7e35df9b11a8c2a85a01bf35ff6b43243b3c796fb7ed1852a21e702b240",
-    "fermat cubic z1 + z2/2": "e6f7af0465840c578345efa79da48d4b77282f1d313e3509461edd1890e5f5f5",
-    "fermat mobius z1*z2": "cade12cfa080f26223e7ffc2fe717f98a86d2195979aad1fbf84622f282e810c",
-    "fg n=2": "38e2c254f178ba57224230bcc49e08dc20e68709dca4e49fa77114b82c8126a5",
-    "fg n=3": "408681279db036c84381b812c77bb475c0fec39a08abf809513d6001d3f59c7c",
-    "fg n=4": "410c39536fdefb5900a855ec70963746724db3e13d0b05a301be9391e72cf2be",
-    "fg n=5": "97d4f86fea4b378108364b83686aa22afffacf568e8ce5adbcbb5fd1122a1afc",
-    "fg n=6": "c27e0ec9eddf9083424a6c2e9124189ea8e1d938183c183591a528a92fc74b39",
-    "fg n=7": "99644891d94e04e81797a10770d76203b43573ee3488435b7bb69360f0024222",
-    "fixture bad_poly": "c3a67e662a17f779f4f55fc98adee81d7af1cf67e76dbb697e0f42fc28cc1bf4",
-    "fixture example1": "ca2af825ca683a58866aa586fdf26aac6f7fe26fb07310be5171d7fb0568de1d",
-    "fixture example2": "1fddd1c3e4dbaeeb5f78463c8dd508c2c49692aa901c2a0e1aeb9d8df7286b78",
-    "fixture example3": "624ff895eec583f4d3864b6c4924dfe566f93f182cc5d71704ffa537056fddd8",
-    "fixture example4": "096234d98d58b0f5db70115cd849521dbe8e6dc0ef88aaad54197754b7458450",
-    "fixture example5": "8ae3b7cbec370691b5b898d2d8aa76ce044d5963de891ba011b2188b634b94a2",
-    "fixture example6": "ece6bd8f95a4684c7b394faa73aa3bbb5e3865c617e8542a787fb52231f70cc3",
-    "fixture example7": "0a51b18c11156c29afc7b15de92dee3418776753d41edc3a49cc8095c72c863d",
+    "fermat cos-sin z1+z2^2": "e98f27fbfb9f0dff48d893b01ecbe1c2b8c384c26ebf7fec0d382faa16b4d32c",
+    "fermat cubic z1": "73249cb7b40d1ff7ae98b23d3d6ec60212d1027662900731365d4f7f2b656d29",
+    "fermat cubic z1 + z2/2": "3c7ba86ae94f3174979cfae208af4850c00c499206c5ef15d746ec50544d3569",
+    "fermat mobius z1*z2": "54f0ebeda2dc2a88784c968967fe2ff91bade7619e8bf129da78dcae1b6c55b4",
+    "fg n=2": "6b5837f121a4d9d95186d5ba183158b833558f6db7c24a889435da4085aebb3d",
+    "fg n=3": "9859a593a121cc38111d16ed514a4dc2d090a295d3f6067623736a7aae5d5ca3",
+    "fg n=4": "558364055f53272dfa03d3ee6cbbfa45d4b01a2e2719de24f4743e0097121024",
+    "fg n=5": "9961053433c5ca6a912af353633a94778f171e6c3c4cd3f07c311cf8c05dc8bd",
+    "fg n=6": "7e46f77e512ede950ee19abc30288a72422108da7e19b1a545f5b25101b3b562",
+    "fg n=7": "d4a88b30b2fbf6f74023e4ab0adc93eeafd8584e38feb1b1b0f144d4e58da0c7",
+    "fixture bad_poly": "76681679f03116646a35086766472805cfe9c6d303d44f3ce7752880d6b616b3",
+    "fixture example1": "0df8e09c545325770bf5e004b354d719a248e083a19f30b398f7ab83b4a22e3d",
+    "fixture example2": "090cb90231bf2f76b3f519efc84501b2af6c904941e0df6bd5f4e9881e8fb837",
+    "fixture example3": "7a148b2bf33b2775a6667a9f904ca2eb5a3251ad44a7d2cdbd4cdbb62e62e1a6",
+    "fixture example4": "e16f060a9763cd992dbfac347a6f1ed65f0c0629f071c30c7b1f10110370915d",
+    "fixture example5": "e4bd811dd9d3173652456c9de167870ccb5b01565c956ba17bcf323b1819ab50",
+    "fixture example6": "1f4e82cee22031f8f98a5cac827e6c21835ace45ffcefcea9da647302be5a794",
+    "fixture example7": "e5ac0d759a749cbc7926d19a311515971b3956ec60d38a939f54a7f049836e77",
 }
 
 

@@ -368,6 +368,8 @@ def whole_ladder_reference(f, n, directions, seed=42):
         usable.append(r)
         max_mod.append(m)
     fit = [(r, m) for r, m in zip(usable, max_mod) if m > 1.0][:-3:-1]  # the largest first
+    if fit[0][1] < fit[1][1]:
+        raise EstimationError("max modulus falls")
     x = np.log([r for r, _ in fit])
     y = np.log(np.log([m for _, m in fit]))
     return GrowthEstimate(tuple(usable), tuple(max_mod), float(np.polyfit(x, y, 1)[0]),
@@ -386,8 +388,13 @@ class TestStreamedOrder:
             f, n = loaded.f, loaded.problem.n
         else:
             f, n = parse(target, 1), 1
-        est = estimate_order(f, n, directions=directions)
-        assert est.to_json() == whole_ladder_reference(f, n, directions).to_json()
+        try:
+            expect = whole_ladder_reference(f, n, directions).to_json()
+        except EstimationError:  # one direction of exp(exp(z1)) sees |f| fall
+            with pytest.raises(EstimationError, match="max modulus falls"):
+                estimate_order(f, n, directions=directions)
+        else:
+            assert estimate_order(f, n, directions=directions).to_json() == expect
 
     def test_memory_does_not_grow_with_the_ladder(self):
         estimate_order(F_EX1, 5)  # warm the interned nodes
