@@ -69,9 +69,12 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
     `pole_eps`, a lane `wp_many` refuses, and every lane when a constant
     divisor is below `pole_eps`.  A divisor near zero is divided as it
     stands, since `eval_blocks` voids a rejected lane in every root.
+    After the last instruction, each root's operand (`Tape.roots`) is
+    copied to its row of `out`: a slot no later instruction overwrote, or
+    an immediate, which fills the row.
     """
     rows = [*tape.consts, *slots]  # operand index -> immediate or slot row
-    for op, dst, src, arg, outs in tape.ops:
+    for op, dst, src, arg in tape.ops:
         d = rows[dst]
         if op == tp.OP_ADD or op == tp.OP_MUL:
             acc = rows[src[0]]  # a folded sum or product has two operands or more
@@ -80,8 +83,6 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
                 acc = d
         elif op == tp.OP_MAP:
             arg(rows[src[0]], out=d)
-        elif op == tp.OP_CONST:  # d is the immediate; `outs` broadcast it
-            pass
         elif op == tp.OP_VAR:
             d[...] = pts[:, arg]
         elif op == tp.OP_DIV:
@@ -102,10 +103,10 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
             for s, val in zip(arg, (x, y)):
                 if s >= 0:
                     rows[s][...] = val
-        elif op != tp.OP_WP_SHARED:  # pragma: no cover
+        else:  # pragma: no cover
             raise PDDEError(f"bad opcode {op}")
-        for r in outs:
-            out[r] = d
+    for r, k in enumerate(tape.roots):
+        out[r] = rows[k]
 
 
 def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = None,
@@ -113,8 +114,9 @@ def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = 
     """Run a tape over a stream of point blocks, yielding (values, ok) per block.
 
     `blocks` yields arrays of shape (m, n), m at most `BLOCK`.  Each block
-    gives values of shape (roots, m) and one ok row of shape (m,).  A lane
-    with ok=False was rejected by some instruction of the tape (a
+    gives values of shape (roots, m), each root's row read from its
+    operand after the last instruction, and one ok row of shape (m,).  A
+    lane with ok=False was rejected by some instruction of the tape (a
     near-zero denominator, a negative power of a near-zero base, or a wp
     lattice neighborhood), whichever roots read it, and carries NaN in
     every root; an overflow leaves ok=True with a non-finite value.  The
@@ -139,7 +141,7 @@ def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = 
         if m > width:
             width = m
             slots = np.empty((tape.n_slots, width), dtype=np.complex128)
-            values = np.empty((tape.n_roots, width), dtype=np.complex128)
+            values = np.empty((len(tape.roots), width), dtype=np.complex128)
             mask = np.empty(width, dtype=bool)
         vals, row = values[:, :m], mask[:m]
         row[...] = False
@@ -172,7 +174,7 @@ def eval_batch(
     if points.ndim == 1:
         points = points.reshape(1, -1)
     P, n = points.shape
-    values = np.empty((tape.n_roots, P), dtype=np.complex128)
+    values = np.empty((len(tape.roots), P), dtype=np.complex128)
     ok = np.empty(P, dtype=bool)
     blocks = (points[lo : lo + BLOCK] for lo in range(0, P, BLOCK))
     lo = 0

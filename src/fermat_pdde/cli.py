@@ -171,6 +171,8 @@ def cmd_construct(args) -> int:
     from .construct import QuadraticParams, construct_quadratic
 
     theorem = args.theorem
+    if args.gen_terms < 1:
+        raise ProblemSpecError(f"--gen-terms must be at least 1, got {args.gen_terms}")
     if args.gen_terms > MAX_GEN_TERMS:
         raise ProblemSpecError(f"--gen-terms must be at most {MAX_GEN_TERMS}, got {args.gen_terms}")
     if args.phi is not None and not theorem.startswith(("t1-", "t2-")):
@@ -210,6 +212,8 @@ def cmd_order(args) -> int:
 
         loaded = load_problem(target)
         f, n = loaded.f, loaded.problem.n
+        if args.n is not None and args.n != n:
+            raise ProblemSpecError(f"--n {args.n} disagrees with the file's n = {n}")
         label = loaded.path
     else:
         if args.n is None:
@@ -293,14 +297,15 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="right side, for t1-* and t2-* only: the other theorems fix it to 1 (default 1)")
     sp.add_argument("--gen-seed", type=int, default=0, help="seed for the generated g part")
     sp.add_argument("--gen-terms", type=int, default=2,
-                    help=f"terms in the generated g part (default 2, at most {MAX_GEN_TERMS})")
+                    help=f"terms in the generated g part (default 2, 1 to {MAX_GEN_TERMS})")
     _add_policy_flags(sp)
     _add_format_flag(sp)
     sp.set_defaults(fn=cmd_construct)
 
     sp = sub.add_parser("order", help="estimate the growth order exponent")
     sp.add_argument("target", help="problem file or expression string")
-    sp.add_argument("--n", type=int, default=None, help="dimension (for expression targets)")
+    sp.add_argument("--n", type=int, default=None,
+                    help="dimension: required for an expression target; for a problem file, the file's n")
     sp.add_argument("--radii", default=None,
                     help="comma-separated radius ladder (default 4 .. 1024, ratio sqrt(2))")
     sp.add_argument("--directions", type=int, default=200, help="directions per radius (default 200)")

@@ -3,41 +3,42 @@
 `compile_expr` takes one expression or a list of them and emits one
 instruction per distinct node of the DAG their interned nodes form, in
 the post-order of `expr._postorder`, which printing and pickling read
-too.  It gives each instruction a value slot; a slot is reused once the
-last instruction reading it has run.  A negation, exp, sin or cos is one
-`OP_MAP` instruction that applies the node class's ufunc
-(`expr.FUNCTIONS`).  Two kinds of node get no instruction of their own:
+too.  Every instruction computes a value into a slot.  A negation, exp,
+sin or cos is one `OP_MAP` instruction that applies the node class's
+ufunc (`expr.FUNCTIONS`).  Three kinds of node get no instruction of
+their own:
 
 - a constant is an immediate operand, a scalar the reading instruction
-  broadcasts; a root constant gets an `OP_CONST` instruction, which only
-  fills its output row (expressions are folded as they are built, so no
-  sum or product is empty);
+  broadcasts (expressions are folded as they are built, so no sum or
+  product is empty);
 - a negation read as a summand other than the first is folded into that
   sum as a subtraction, a - b for a + (-b) (it gets an `OP_MAP`
-  instruction only when something else reads it).
+  instruction only when it is a root or something else reads it);
+- a `Wp` and a `WpPrime` of the same argument share one evaluation of
+  the pair: the `OP_WP` instruction of the first of the two writes both
+  slots.
 
 Sums and products are one n-ary instruction each and are folded left to
 right, in the order of their operands, so every value matches the one a
 node-by-node postfix evaluation of the same tree gives, bit for bit.  The
 operands of a sum or product are all live when its instruction runs, so a
-sum of K freshly computed terms holds K slots at once.  A `Wp` and a
-`WpPrime` of the same argument share one evaluation of the pair: the
-first of the two writes both slots and the second only marks where its
-value is ready.
+sum of K freshly computed terms holds K slots at once.
 
 Operands are numbered in one index space: index k < len(Tape.consts)
 is the immediate `Tape.consts[k]`, and index len(consts) + s is slot s.
+A slot is reused once the last instruction reading it has run, except a
+root's: after the run, root r's value sits in operand `Tape.roots[r]`,
+an immediate for a constant root and a slot otherwise.
 
-Each root gets one output row.  Quotients, negative powers and wp can
-reject a point; the evaluator rejects such a point for every root at
-once (`backends.eval_blocks`), so the tape records neither which
-instructions can reject a point nor which roots read them.
+Quotients, negative powers and wp can reject a point; the evaluator
+rejects such a point for every root at once (`backends.eval_blocks`), so
+the tape records neither which instructions can reject a point nor which
+roots read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -46,7 +47,6 @@ from . import expr as ex
 
 __all__ = ["Instr", "Tape", "compile_expr"]
 
-OP_CONST = 0
 OP_VAR = 1
 OP_ADD = 2
 OP_MUL = 3
@@ -54,12 +54,11 @@ OP_MAP = 4  # a one-operand node's ufunc, applied elementwise; `arg` is the ufun
 OP_DIV = 5
 OP_POWI = 6
 OP_WP = 7  # wp_many of the argument; `arg` is the (wp slot, wp' slot) pair, -1 if unused
-OP_WP_SHARED = 8  # the partner of an OP_WP: its slot is already written
 
 _new = tuple.__new__  # builds an Instr without the Python-level Instr.__new__
 
 _OPCODE = {
-    ex.Const: OP_CONST, ex.Var: OP_VAR, ex.Add: OP_ADD, ex.Mul: OP_MUL, ex.Div: OP_DIV,
+    ex.Var: OP_VAR, ex.Add: OP_ADD, ex.Mul: OP_MUL, ex.Div: OP_DIV,
     ex.Pow: OP_POWI, ex.Wp: OP_WP, ex.WpPrime: OP_WP,
     **{cls: OP_MAP for cls in (ex.Neg, *ex.FUNCTIONS.values()) if cls.ufunc is not None},
 }
@@ -67,14 +66,13 @@ _OPCODE = {
 
 class Instr(NamedTuple):
     op: int
-    dst: int  # operand index written: a slot (an OP_CONST root's own immediate)
+    dst: int  # the slot written (an OP_WP writes the slots in `arg`, this one among them)
     src: tuple[int, ...]  # operand indices read: immediates, then slots (module docstring)
-    #: OP_CONST: the value; OP_VAR: the 0-based variable index; OP_MAP: the
-    #: ufunc; OP_POWI: the exponent; OP_ADD/OP_MUL: the ufunc folding in each
-    #: operand after the first (np.subtract for a folded negation); OP_DIV: the
-    #: divisor when it is a constant, else None; OP_WP: the (wp, wp') slot pair
+    #: OP_VAR: the 0-based variable index; OP_MAP: the ufunc; OP_POWI: the
+    #: exponent; OP_ADD/OP_MUL: the ufunc folding in each operand after the
+    #: first (np.subtract for a folded negation); OP_DIV: the divisor when it
+    #: is a constant, else None; OP_WP: the (wp, wp') slot pair
     arg: object
-    outs: tuple[int, ...]  # output rows that take this slot's value
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +81,8 @@ class Tape:
     n_slots: int
     #: immediate operands, numbered before the slots
     consts: tuple[np.complex128, ...]
-    n_roots: int  # output rows
+    #: per root, the operand index holding its value after the last instruction
+    roots: tuple[int, ...]
     n_min: int  # largest variable index used
     has_wp: bool
     #: compiled from a single expression: evaluation returns 1-D rows
@@ -101,50 +100,50 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     when it is a root or when something reads it other than as a folded
     summand; its readers come after it, so that is known once the loop
     ends.  Then one loop over the emitted positions writes the
-    instructions: it takes a slot when an instruction first writes a node
-    and frees it after the node's last read.
+    instructions: it takes a slot for the node an instruction writes (and
+    for its wp partner) and, after it, frees the slots of the operands it
+    is the last to read.  A root's slot is never freed.
     """
     single = isinstance(e, ex.Expr)
     roots = [e] if single else list(e)
     is_root = set(roots)
 
     # Per postfix position: (opcode, instruction arg, operand positions
-    # read) and the last position that reads it (its own if none does).
-    # The arg of a sum or product is the ufunc folding in each operand
-    # after the first, that of the first of a wp pair whether it is wp'.
+    # read), None for a node with no instruction, and the last position
+    # that reads it (its own if none does).  The arg of a sum or product
+    # is the ufunc folding in each operand after the first, that of the
+    # first of a wp pair whether it is wp'.
     pos = ex._postorder(roots)
     n = len(pos)
-    info: list[tuple] = []
+    info: list = []
     last = list(range(n))
     consts: list = []
+    ref = [-1] * n  # operand index: an immediate's from the start, a slot once written
     const_at: list[int] = []  # position of each immediate
-    idle: list[int] = []  # positions of the constants that are no root
     folded_negs = set()  # negations no reader has emitted so far
     wp_first = {}  # (class, argument position) -> position of a wp node with no partner yet
     partner = {}  # position of the first node of a wp pair -> that of the second
     n_min = 0
 
     for node, i in pos.items():
+        cls = type(node)
+        if cls is ex.Const:
+            ref[i] = len(consts)
+            const_at.append(i)
+            consts.append(np.complex128(node.value))
+            info.append(None)
+            continue
         try:
-            op = _OPCODE[type(node)]
+            op = _OPCODE[cls]
         except KeyError:
             raise TypeError(f"unknown node {node!r}") from None
         kids = node._kids
         rd = [pos[c] for c in kids]  # the operand positions
-        if not rd:
-            if op == OP_VAR:
-                info.append((OP_VAR, node.index - 1, rd))
-                n_min = max(n_min, node.index)
-            else:  # a constant
-                value = np.complex128(node.value)
-                info.append((OP_CONST, value, rd))
-                const_at.append(i)
-                consts.append(value)
-                if node not in is_root:
-                    idle.append(i)
-            continue
         marks = rd  # operands that are emitted if they are negations
-        if op == OP_MUL:
+        if op == OP_VAR:
+            arg = node.index - 1
+            n_min = max(n_min, node.index)
+        elif op == OP_MUL:
             arg = (np.multiply,) * (len(rd) - 1)
         elif op == OP_ADD:
             marks = rd[:1]
@@ -156,23 +155,20 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
             arg = tuple(folds)
         elif op == OP_MAP:
             arg = node.ufunc
-            if type(node) is ex.Neg and node not in is_root:
+            if cls is ex.Neg and node not in is_root:
                 folded_negs.add(i)
         elif op == OP_POWI:
             arg = node.exponent
         elif op == OP_DIV:  # the divisor when it is a constant
-            arg = info[rd[1]][1] if info[rd[1]][0] == OP_CONST else None
+            arg = consts[ref[rd[1]]] if type(kids[1]) is ex.Const else None
         else:  # OP_WP
-            cls = type(node)
             other = wp_first.pop((ex.WpPrime if cls is ex.Wp else ex.Wp, rd[0]), None)
-            if other is None:
-                wp_first[cls, rd[0]] = i
-                arg = cls is ex.WpPrime
-            else:  # written by its partner, which reads the argument
+            if other is not None:  # written by its partner, which reads the argument
                 partner[other] = i
-                op = OP_WP_SHARED
-                arg = None
-                rd = []
+                info.append(None)
+                continue
+            wp_first[cls, rd[0]] = i
+            arg = cls is ex.WpPrime
         if folded_negs and not folded_negs.isdisjoint(marks):
             for x in marks:
                 if x in folded_negs:  # a negation read as itself
@@ -185,24 +181,16 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
                 last[x] = i
         info.append((op, arg, rd))
 
-    emit = [True] * n
-    for x in (*idle, *folded_negs):
-        emit[x] = False
-    ref = [-1] * n  # operand index: an immediate's now, a slot once written
-    for k, x in enumerate(const_at):
-        ref[x] = k
-        last[x] = n  # an immediate is never freed
+    for x in folded_negs:
+        info[x] = None
+    for x in (*const_at, *(pos[r] for r in roots)):
+        last[x] = n  # an immediate or a root is never freed
 
-    outs: list = [()] * n
-    for r, root in enumerate(roots):
-        outs[pos[root]] += (r,)
-
-    # Emit.  A slot is taken from the free list (last freed first) or is
-    # new, and is freed after the last read of its node: the slots of
-    # nodes whose last read comes later wait in `dies` under its position.
+    # Emit.  An instruction takes its slot from the free list (last freed
+    # first) or a new one before it runs; after it, the slots of the
+    # operands it reads last go back on the list.
     base = len(consts)
     free: list[int] = []
-    dies: list = [None] * (n + 1)
     n_slots = 0
 
     def take() -> int:
@@ -213,11 +201,11 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
         return base + n_slots - 1
 
     ops: list[Instr] = []
-    for i in compress(range(n), emit):
-        op, arg, rd = info[i]
-        dst = ref[i]
-        if dst < 0:
-            dst = ref[i] = take()
+    for i, ins in enumerate(info):
+        if ins is None:
+            continue
+        op, arg, rd = ins
+        dst = ref[i] = take()
         src = []
         for x in rd:
             src.append(ref[x])
@@ -228,22 +216,17 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
             if j is not None:
                 pair[not arg] = ref[j] = take()
             arg = tuple(pair)
-        ops.append(_new(Instr, (op, dst, tuple(src), arg, outs[i])))
-        if dies[i] is not None:
-            free.extend(dies[i])
-        t = last[i]
-        if t == i:
-            free.append(dst)
-        elif dies[t] is None:
-            dies[t] = [dst]
-        else:
-            dies[t].append(dst)
+        ops.append(_new(Instr, (op, dst, tuple(src), arg)))
+        for x in rd:
+            if last[x] == i:
+                last[x] = n  # an operand read twice is freed once
+                free.append(ref[x])
 
     return Tape(
         ops=tuple(ops),
         n_slots=max(n_slots, 1),
         consts=tuple(consts),
-        n_roots=len(roots),
+        roots=tuple(ref[pos[r]] for r in roots),
         n_min=n_min,
         has_wp=bool(wp_first or partner),
         single=single,

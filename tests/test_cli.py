@@ -285,6 +285,17 @@ class TestConstructCommand:
         else:
             assert code == 0 and "verdict: pass" in out
 
+    @pytest.mark.parametrize("terms", ["-3", "0"])
+    def test_generated_term_count_is_positive(self, capsys, monkeypatch, terms):
+        # refused up front for form I too, whose generator takes no term count
+        from fermat_pdde import periodic
+
+        monkeypatch.setattr(periodic, "make_polynomial_quasi_periodic", None)
+        code = run_cli("construct", "--theorem", "t1-i", "--c", "0,1", "--gen-terms", terms)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"--gen-terms must be at least 1, got {terms}" in err
+
     def test_dimension_mismatch(self, capsys):
         # the dimension is the length of --c; there is no --n to disagree with it
         assert run_cli("construct", "--theorem", "t1-ii", "--c", "0,1", "--n", "3") == 2
@@ -319,6 +330,13 @@ class TestOrderCommand:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert 1.8 <= doc["estimate"]["rho_hat"] <= 2.2
+
+    def test_file_target_n_must_match_the_file(self, fixtures_dir, capsys):
+        path = str(fixtures_dir / "example1.json")  # n = 5
+        assert run_cli("order", path, "--n", "3") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--n 3 disagrees with the file's n = 5" in err
+        assert run_cli("order", path, "--n", "5", "--directions", "20") == 0
 
     def test_expression_needs_n(self, capsys):
         assert run_cli("order", "z1^2") == 2
@@ -475,7 +493,7 @@ class TestHelp:
 
     def test_construct_states_the_generated_term_bound(self, capsys):
         text = help_text(capsys, "construct")
-        assert f"terms in the generated g part (default 2, at most {cli.MAX_GEN_TERMS})" in text
+        assert f"terms in the generated g part (default 2, 1 to {cli.MAX_GEN_TERMS})" in text
 
     def test_verify_names_the_file_policy_first(self, capsys):
         assert "A policy flag overrides the file's policy" in help_text(capsys, "verify")

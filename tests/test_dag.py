@@ -111,9 +111,9 @@ def distinct_nodes(roots):
 def instruction_count(roots):
     """Distinct nodes that need an instruction of their own.
 
-    A constant is an immediate unless it is a root; a negation is folded
-    into subtraction unless it is a root or is read other than as a sum's
-    operand past the first.
+    A constant is an immediate; a negation is folded into subtraction
+    unless it is a root or is read other than as a sum's operand past the
+    first; a wp and a wpd of one argument share one instruction.
     """
     nodes = distinct_nodes(roots)
     needed = set(roots)
@@ -121,7 +121,10 @@ def instruction_count(roots):
         for k, kid in enumerate(node._kids):
             if isinstance(kid, Neg) and not (isinstance(node, Add) and k > 0):
                 needed.add(kid)
-    return sum(1 for node in nodes if not isinstance(node, (Const, Neg)) or node in needed)
+    return sum(1 for node in nodes
+               if not (isinstance(node, Const)
+                       or isinstance(node, Neg) and node not in needed
+                       or isinstance(node, WpPrime) and Wp(node._kids[0]) in nodes))
 
 
 def bits(a):
@@ -131,24 +134,20 @@ def bits(a):
 _MAPPED = {cls.ufunc: cls for cls in (Neg, Exp, Sin, Cos)}
 
 
-def run_symbolic(tape: Tape, n_roots: int):
+def run_symbolic(tape: Tape):
     """Run the tape on expressions instead of values.
 
     Each slot holds the node whose value it holds (a folded negation
     summand comes back as its Neg), so reading a slot that holds another
-    node's value, or one never written, shows in the rows.  Returns the
-    node written to each output row.
+    node's value, or one never written, shows in the result.  Returns the
+    node in each root's operand after the last instruction.
     """
     base = len(tape.consts)
     rows = {k: Const(c) for k, c in enumerate(tape.consts)}
-    out = [None] * n_roots
-    for op, dst, src, arg, outs in tape.ops:
-        assert dst < base + tape.n_slots
+    for op, dst, src, arg in tape.ops:
+        assert base <= dst < base + tape.n_slots
         vals = [rows[s] for s in src]
-        if op == tp.OP_CONST:
-            assert dst < base and src == ()
-            value = rows[dst]
-        elif op == tp.OP_VAR:
+        if op == tp.OP_VAR:
             value = Var(arg + 1)
         elif op in (tp.OP_ADD, tp.OP_MUL):
             cls = Add if op == tp.OP_ADD else Mul
@@ -163,21 +162,14 @@ def run_symbolic(tape: Tape, n_roots: int):
                 assert src[1] < base and arg == tape.consts[src[1]]
         elif op == tp.OP_POWI:
             value = Pow(vals[0], arg)
-        elif op == tp.OP_WP:
-            assert dst in arg
+        else:
+            assert op == OP_WP and dst in arg
             for slot, cls in zip(arg, (Wp, WpPrime)):
                 if slot >= 0:
                     rows[slot] = cls(vals[0])
-            value = rows[dst]
-        else:
-            assert op == tp.OP_WP_SHARED and src == ()
-            value = rows[dst]
-        if op != tp.OP_CONST:
-            rows[dst] = value
-        for r in outs:
-            assert out[r] is None
-            out[r] = value
-    return out
+            continue
+        rows[dst] = value
+    return [rows[k] for k in tape.roots]
 
 
 class TestInterning:
@@ -314,11 +306,10 @@ class TestSlotTape:
     def test_symbolic_run_rebuilds_every_root(self, roots):
         """Instructions, slots, immediates and outputs, by property."""
         tape = compile_expr(roots)
-        assert tape.n_roots == len(roots)
-        out = run_symbolic(tape, len(roots))
-        assert all(o is r for o, r in zip(out, roots))
+        out = run_symbolic(tape)
+        assert len(out) == len(roots) and all(o is r for o, r in zip(out, roots))
         # slots are numbered densely after the immediates
-        written = {ins.dst for ins in tape.ops if ins.op != tp.OP_CONST}
+        written = {ins.dst for ins in tape.ops}
         written |= {s for ins in tape.ops if ins.op == OP_WP for s in ins.arg if s >= 0}
         base = len(tape.consts)
         assert written == set(range(base, base + len(written)))
@@ -392,11 +383,23 @@ class TestSlotTape:
         assert Add(()) is Const(0.0) and Mul(()) is Const(1.0)
         roots = [Add(()), Mul(()), Add((Var(1), Mul(()))), Const(2.5j)]
         tape = compile_expr(roots)
-        assert len(tape.ops) == 5  # three constant roots, z1 and z1 + 1
+        assert len(tape.ops) == 2  # z1 and z1 + 1: a constant root is read from its immediate
         vals, ok = eval_batch(tape, pts)
         assert ok.all()
         for row, expect in zip(vals, (0j, 1 + 0j, pts[:, 0] + 1, 2.5j)):
             assert np.array_equal(bits(row), bits(np.broadcast_to(expect, row.shape)))
+
+    def test_a_root_read_by_a_later_root_keeps_its_value(self):
+        # z1 + 1 is read again by the second root, after the first root's row
+        # would once have been written: its slot is not reused
+        z1, z2 = Var(1), Var(2)
+        roots = [z1 + 1, Exp(z2) * (z1 + 1), z1 + 1, Const(2)]
+        pts = disc_points(59, 300, 2, radius=1.5)
+        vals, ok = eval_batch(compile_expr(roots), pts)
+        assert ok.all()
+        for row, root in zip(vals, roots):
+            single, _ = eval_batch(compile_expr(root), pts)
+            assert np.array_equal(bits(row), bits(single))
 
     def test_constant_divisor_masks_all_or_none(self):
         pts = disc_points(57, 300, 1, radius=1.5)
@@ -522,7 +525,7 @@ CHECKS = {
 
 #: digests of the check tapes, recorded from the nine-pass compiler that
 #: the one-walk compiler replaced: a compiler change that moves one
-#: instruction, slot, immediate or output row of these tapes changes one.
+#: instruction, slot, immediate or root operand of these tapes changes one.
 #: The six fg pins were re-recorded when the product rule began to keep the
 #: factors a direction does not touch outside its sum: the mixed partial
 #: d^(1,...,1) is another expression since, and its tapes are shorter
@@ -531,26 +534,31 @@ CHECKS = {
 #: `Instr` went: slots moved, instructions, opcodes and fail indices did not.
 #: All 18 were re-recorded again when the fail indices went (`Instr.fail`,
 #: `Tape.n_fail`, `fixed_fails` and `root_fails`; `Tape.n_roots` came in):
-#: each equals the digest of the tape before it with those fields removed
+#: each equals the digest of the tape before it with those fields removed.
+#: All 18 were re-recorded when `Instr.outs`, OP_CONST and OP_WP_SHARED
+#: went and `Tape.roots` replaced `Tape.n_roots`: each tape computes the
+#: nodes of the tape before it in the same order, less those two no-op
+#: instructions, and slots moved (the cubic tapes' guard wp(h) is evaluated
+#: after the residual's and the scale terms' roots, which keep their slots)
 TAPE_DIGESTS = {
-    "fermat cos-sin z1+z2^2": "e98f27fbfb9f0dff48d893b01ecbe1c2b8c384c26ebf7fec0d382faa16b4d32c",
-    "fermat cubic z1": "73249cb7b40d1ff7ae98b23d3d6ec60212d1027662900731365d4f7f2b656d29",
-    "fermat cubic z1 + z2/2": "3c7ba86ae94f3174979cfae208af4850c00c499206c5ef15d746ec50544d3569",
-    "fermat mobius z1*z2": "54f0ebeda2dc2a88784c968967fe2ff91bade7619e8bf129da78dcae1b6c55b4",
-    "fg n=2": "6b5837f121a4d9d95186d5ba183158b833558f6db7c24a889435da4085aebb3d",
-    "fg n=3": "9859a593a121cc38111d16ed514a4dc2d090a295d3f6067623736a7aae5d5ca3",
-    "fg n=4": "558364055f53272dfa03d3ee6cbbfa45d4b01a2e2719de24f4743e0097121024",
-    "fg n=5": "9961053433c5ca6a912af353633a94778f171e6c3c4cd3f07c311cf8c05dc8bd",
-    "fg n=6": "7e46f77e512ede950ee19abc30288a72422108da7e19b1a545f5b25101b3b562",
-    "fg n=7": "d4a88b30b2fbf6f74023e4ab0adc93eeafd8584e38feb1b1b0f144d4e58da0c7",
-    "fixture bad_poly": "76681679f03116646a35086766472805cfe9c6d303d44f3ce7752880d6b616b3",
-    "fixture example1": "0df8e09c545325770bf5e004b354d719a248e083a19f30b398f7ab83b4a22e3d",
-    "fixture example2": "090cb90231bf2f76b3f519efc84501b2af6c904941e0df6bd5f4e9881e8fb837",
-    "fixture example3": "7a148b2bf33b2775a6667a9f904ca2eb5a3251ad44a7d2cdbd4cdbb62e62e1a6",
-    "fixture example4": "e16f060a9763cd992dbfac347a6f1ed65f0c0629f071c30c7b1f10110370915d",
-    "fixture example5": "e4bd811dd9d3173652456c9de167870ccb5b01565c956ba17bcf323b1819ab50",
-    "fixture example6": "1f4e82cee22031f8f98a5cac827e6c21835ace45ffcefcea9da647302be5a794",
-    "fixture example7": "e5ac0d759a749cbc7926d19a311515971b3956ec60d38a939f54a7f049836e77",
+    "fermat cos-sin z1+z2^2": "7863fe2d31542f585d96d58243e0e88e8ea05800f44667fcb520e2e24e9ca45d",
+    "fermat cubic z1": "c12bc5ca750e73fe2b4b02d1f4043c6382b315d3d45622e19a4b9ae2979d0b2f",
+    "fermat cubic z1 + z2/2": "d12b90475272da69bf5cc6e19b1f3a8f35b45b98c79f6bbf555bc672b933e6fc",
+    "fermat mobius z1*z2": "1c31ef7394710b1ffbdb4dc14721cab106beed995a339b48b70c805641686a6f",
+    "fg n=2": "d4c5d1a2e9d408bc1273b43dcb5c1387a4491686e01dc2aad704b2e69b090cbd",
+    "fg n=3": "5f7995f022ef58f85573ac16b4d1526337607ddc55bf2257bca0e5d2ba0592c4",
+    "fg n=4": "062d47ab0f18af4270e575136499fe62f16d4917980bc5de7d956ed807f05a78",
+    "fg n=5": "6e8f76b64f6bab02b1ba1d43f30a0b41eeedaa152fa8e0c427a617c973811a13",
+    "fg n=6": "5788a87b538237807786b1640970c1ee43701e9603bb27c237ce26ef4aa67685",
+    "fg n=7": "29f20675bab4e3573c8d5dd71322243b281e454e40d0f27a8d76729aa6b9e590",
+    "fixture bad_poly": "9c759f5736141792fda7b9d0750ae682eccd15b09e05566e820ee84d7ee99e4d",
+    "fixture example1": "16b3919d1530b0f77b4694707915b8a8c2f07b5aed8b394f78e579972c0662df",
+    "fixture example2": "03a8314b3d852ca3972ba78aca1e738910e04921063e8a87ccf8a176e9823a4b",
+    "fixture example3": "a99e5d729c7ed103cec637ce3abc712d81d9d2660d256fa8fb76c866e7d3f0bc",
+    "fixture example4": "11b9e9a085f40d29712fd13421c4d51107035c4be024f6065d2ee4898d2a7c23",
+    "fixture example5": "a18bbb0e29ea4e1151a565eebe685229aca99738109a1fc8d0991610339eb97a",
+    "fixture example6": "ac9512f32e3af2522d4b20401a0c5014188cb1e4403d0bc3a1ba83e5db853a10",
+    "fixture example7": "ee6f607bb3acda0bfa4f81847293877b15e6de948385346adfbcca997d194f93",
 }
 
 
@@ -558,3 +566,13 @@ TAPE_DIGESTS = {
 def test_check_tapes_are_unchanged(monkeypatch, name):
     roots = check_roots(monkeypatch, CHECKS[name])
     assert tape_digest(compile_expr(roots)) == TAPE_DIGESTS[name]
+
+
+def test_every_instruction_computes_a_value(monkeypatch):
+    # a constant root is read from its immediate and a wp partner from the
+    # slot its pair's instruction writes: neither is an instruction
+    computing = {tp.OP_VAR, tp.OP_ADD, tp.OP_MUL, tp.OP_MAP, tp.OP_DIV, tp.OP_POWI, OP_WP}
+    roots = [check_roots(monkeypatch, CHECKS[name]) for name in sorted(CHECKS)]
+    roots.append([Wp(Var(1)) ** 3, WpPrime(Var(1)), Const(2.0)])
+    for rs in roots:
+        assert {ins.op for ins in compile_expr(rs).ops} <= computing
