@@ -171,10 +171,16 @@ def cmd_construct(args) -> int:
     from .construct import QuadraticParams, construct_quadratic
 
     theorem = args.theorem
-    if args.gen_terms < 1:
-        raise ProblemSpecError(f"--gen-terms must be at least 1, got {args.gen_terms}")
-    if args.gen_terms > MAX_GEN_TERMS:
-        raise ProblemSpecError(f"--gen-terms must be at most {MAX_GEN_TERMS}, got {args.gen_terms}")
+    kind, form = _THEOREMS[theorem]
+    if args.gen_terms is not None:
+        if args.gen_terms < 1:
+            raise ProblemSpecError(f"--gen-terms must be at least 1, got {args.gen_terms}")
+        if args.gen_terms > MAX_GEN_TERMS:
+            raise ProblemSpecError(f"--gen-terms must be at most {MAX_GEN_TERMS}, got {args.gen_terms}")
+        if form == "I":
+            raise ProblemSpecError(f"theorem {theorem} generates a polynomial g part; --gen-terms applies to form II only")
+    if args.g is not None and (args.gen_seed, args.gen_terms) != (None, None):
+        raise ProblemSpecError("--gen-seed and --gen-terms apply to a generated g part, not to --g")
     if args.phi is not None and not theorem.startswith(("t1-", "t2-")):
         raise ProblemSpecError(f"theorem {theorem} fixes the right side to 1; --phi applies to t1-* and t2-* only")
     c = _parse_c(args.c)
@@ -182,9 +188,8 @@ def cmd_construct(args) -> int:
     if args.g is not None:
         g = parse(args.g, n)
     else:
-        g = _generated_g(theorem, c, args.gen_seed, args.gen_terms)
+        g = _generated_g(theorem, c, args.gen_seed or 0, args.gen_terms or 2)
     phi = parse("1" if args.phi is None else args.phi, n)
-    kind, form = _THEOREMS[theorem]
     f, problem = construct_quadratic(kind, QuadraticParams(n=n, c=c, form=form, g_part=g, phi=phi))
 
     policy = _policy_with_overrides(SamplingPolicy(), args)
@@ -295,9 +300,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--g", default=None, help="periodic/polynomial part (generated when omitted)")
     sp.add_argument("--phi", default=None,
                     help="right side, for t1-* and t2-* only: the other theorems fix it to 1 (default 1)")
-    sp.add_argument("--gen-seed", type=int, default=0, help="seed for the generated g part")
-    sp.add_argument("--gen-terms", type=int, default=2,
-                    help=f"terms in the generated g part (default 2, 1 to {MAX_GEN_TERMS})")
+    sp.add_argument("--gen-seed", type=int, default=None,
+                    help="seed for the generated g part (default 0); not with --g")
+    sp.add_argument("--gen-terms", type=int, default=None,
+                    help=f"terms in the generated g part (default 2, 1 to {MAX_GEN_TERMS}); form II only, not with --g")
     _add_policy_flags(sp)
     _add_format_flag(sp)
     sp.set_defaults(fn=cmd_construct)

@@ -13,13 +13,12 @@ b1 to b2 splits it into two such triangles, and the nearest lattice point
 is the closest of the three vertices of the triangle holding the point.
 wp(w z) = w wp(z) for w = e^{2 pi i/3}, so the Laurent series has nonzero
 terms only in z^-2 and z^(6j+4); it is summed by Horner's rule in u^6.
-The lattice, the series and both radii are module constants: one context
-serves every caller.  A reduced argument beyond `SERIES_RADIUS` = 0.95
-is halved before the sum and doubled back with the curve's
-point-doubling step.  One halving always suffices: the cell's
-circumradius, 2 omega1 / sqrt(3) = 1.767, is below 2 * 0.95.  Every lane
-of a block runs the same steps, and the halving and the doubling are
-kept only on the lanes beyond the radius.
+The lattice, the series and the pole radius are module constants: one
+context serves every caller.  The series converges for |z| < |b1| = 3.06,
+and the cell's circumradius is 2 omega1 / sqrt(3) = 1.767, so every
+reduced argument takes the one sum directly.  At order 36 (12 terms in
+u^6) it agrees with a 60-term exact-coefficient sum to 3.5e-15 relative
+over the cell, and (wp')^2 = 4 wp^3 - 1 holds to 2.5e-15.
 
 Arguments within `POLE_RADIUS` = 1e-2 of a lattice point are reported
 as pole hits: their lanes carry NaN and ok=False.  So are
@@ -58,9 +57,6 @@ LATTICE_EPS = 1e-8
 #: wp_many rejects lanes whose reduced argument is closer than this to 0
 POLE_RADIUS = 1e-2
 
-#: wp_many halves the reduced arguments beyond this before the series sum
-SERIES_RADIUS = 0.95
-
 
 def _laurent_coefficients(order: int) -> np.ndarray:
     """c[k] such that wp(z) = z^-2 + sum_{k>=2} c[k] z^(2k-2), for g2=0, g3=1."""
@@ -85,7 +81,7 @@ _INV = (_B2.imag / _DET, -_B2.real / _DET, -_B1.imag / _DET, _B1.real / _DET)
 #: as |s| <= |(m00, m01)| |z| and |t| <= |(m10, m11)| |z|
 _MAX_ABS = MAX_LATTICE_COORD / max(math.hypot(*_INV[:2]), math.hypot(*_INV[2:]))
 
-_COEFFS = _laurent_coefficients(32)
+_COEFFS = _laurent_coefficients(36)
 _COEFFS.setflags(write=False)
 #: Horner coefficients in u^6 of wp and of wp': c[k] is zero unless 3
 #: divides k, so wp(z) = z^-2 + z^4 sum_j c[3j+3] z^(6j); wp' takes (6j+4) c[3j+3]
@@ -152,18 +148,17 @@ class EllipticContext:
     def wp_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(wp(z), wp'(z), ok) over an array.
 
-        ok is False near lattice points and where z is too large to reduce
-        (see the module docstring); those lanes carry NaN in both values.
+        Each lane reduces z to the cell and sums the order-36 series once
+        (see the module docstring for its error).  ok is False near
+        lattice points and where z is too large to reduce; those lanes
+        carry NaN in both values.
         """
         z = np.asarray(z, dtype=np.complex128)
         shape = z.shape
         z = z.reshape(-1)
-        zr = self._reduce_array(z)
-        r = np.abs(zr)
-        ok = (r >= POLE_RADIUS) & (np.abs(z) < _MAX_ABS)
-        far = r > SERIES_RADIUS
+        u = self._reduce_array(z)
+        ok = (np.abs(u) >= POLE_RADIUS) & (np.abs(z) < _MAX_ABS)
         with np.errstate(all="ignore"):  # pole lanes divide by ~0; they are masked below
-            u = np.where(far, 0.5 * zr, zr)
             u2 = u * u
             u3 = u2 * u
             u6 = u3 * u3
@@ -176,11 +171,8 @@ class EllipticContext:
                 dp += b
             x = 1.0 / u2 + (u2 * u2) * p
             y = -2.0 / u3 + u3 * dp
-            lam = 6.0 * x * x / y  # the doubling step, kept on the halved lanes
-            xn = 0.25 * lam * lam - 2.0 * x
-            x, y = np.where(far, xn, x), np.where(far, -(y + lam * (xn - x)), y)
-        x = np.where(ok, x, np.nan)
-        y = np.where(ok, y, np.nan)
+        bad = ~ok
+        x[bad] = y[bad] = np.nan  # x and y are fresh arrays
         return x.reshape(shape), y.reshape(shape), ok.reshape(shape)
 
     def wp_pair(self, z: complex) -> tuple[complex, complex]:

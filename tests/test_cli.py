@@ -296,6 +296,31 @@ class TestConstructCommand:
         assert code == 2 and out == ""
         assert f"--gen-terms must be at least 1, got {terms}" in err
 
+    @pytest.mark.parametrize("theorem,c", [("t1-i", "0,1"), ("t2-i", "2,3,2,4")])
+    def test_term_count_on_form_one_is_malformed_input(self, capsys, theorem, c):
+        # a polynomial g part takes no term count: the flag would be dropped
+        assert run_cli("construct", "--theorem", theorem, "--c", c, "--gen-terms", "3") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"theorem {theorem} generates a polynomial g part" in err
+
+    @pytest.mark.parametrize("flag,value", [("--gen-terms", "7"), ("--gen-seed", "5")])
+    def test_generator_flag_with_explicit_g_is_malformed_input(self, capsys, flag, value):
+        code = run_cli("construct", "--theorem", "t1-ii", "--c", "0,pi*i,pi*i",
+                       "--g", "exp(2*z2)", flag, value)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert "apply to a generated g part, not to --g" in err
+
+    def test_generator_defaults_are_two_terms_and_seed_zero(self, capsys):
+        argv = ("--format", "machine", "construct", "--theorem", "t1-ii", "--c", "0,pi*i,pi*i")
+        run_cli(*argv)
+        default = capsys.readouterr().out
+        run_cli(*argv, "--gen-seed", "0", "--gen-terms", "2")
+        assert capsys.readouterr().out == default
+        run_cli(*argv, "--gen-terms", "3")
+        assert capsys.readouterr().out != default
+
     def test_dimension_mismatch(self, capsys):
         # the dimension is the length of --c; there is no --n to disagree with it
         assert run_cli("construct", "--theorem", "t1-ii", "--c", "0,1", "--n", "3") == 2

@@ -344,6 +344,21 @@ class TestFermatPairs:
         assert rep.passed
         assert rep.points_tested >= 100
 
+    @pytest.mark.parametrize("text, n", [("z1", 1), ("z1 + z2/2", 2)])
+    def test_cubic_identity_to_double_precision(self, text, n):
+        # the `fermat` command's guard; wp and wp' each hold to a few ulps
+        # over the cell, so the cubic identity does too
+        h = parse(text, n)
+        f, g = construct_fermat_pair("cubic", h)
+        problem = PDDEProblem(kind="fermat", n=n, m1=3, g=g)
+        res, scales = residual(problem, f), scale_terms(problem, f)
+        for seed in range(10):
+            for radius in (2.0, 8.0):
+                rep = check_residual(res, scales, SamplingPolicy(seed=seed, radius=radius, tol=1e-14),
+                                     n, guards=[(Wp(h), 0.1)])
+                assert rep.points_tested >= 100
+                assert rep.max_rel_residual < 1e-14, (seed, radius)
+
     def test_unknown_kind(self):
         with pytest.raises(ConstructionError):
             construct_fermat_pair("tan", parse("z1", 1))
