@@ -18,6 +18,12 @@ and residual maxima; the digest covers the whole `construct` output for
 t1-i and t1-ii, so it shows whether a change moved those solutions' text
 or reports by a single bit.
 
+A header line first names numpy and its highest enabled SIMD target:
+the max_abs and max_rel bits, and so the three digests above, can move
+with the target (numpy picks its loops by CPU).  Last comes a verdict
+digest over the verdict, tested and skipped counts of every report line,
+which should read the same on every target.
+
 It also checks the verdicts: one count line per fixture, pair and family
 goes to stderr, and the script exits 1 when a fixture's verdict differs
 from its `expected_status` (`inconsistent` expects fail), a Fermat pair
@@ -38,6 +44,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
+from bench_pipeline import simd_target
 from fermat_pdde import (
     SamplingPolicy,
     check_residual,
@@ -87,9 +96,12 @@ def _tally(label: str, verdicts: list[str], expected: str | None) -> int:
     return wrong
 
 
-def _line(digest, record: dict) -> None:
+def _line(record: dict, verdicts, digest=None) -> None:
+    """Print one report line: its verdict, tested and skipped counts go to `verdicts`, all of it to `digest`."""
     line = json.dumps(record)
-    digest.update(line.encode() + b"\n")
+    verdicts.update(json.dumps([record["verdict"], record["tested"], record["skipped"]]).encode() + b"\n")
+    if digest is not None:
+        digest.update(line.encode() + b"\n")
     print(line)
 
 
@@ -123,7 +135,9 @@ def main() -> None:
     lo, hi = (int(x) for x in args.seeds.split("-"))
     radii = [float(r) for r in args.radii.split(",")]
 
+    print(json.dumps({"numpy": np.__version__, "simd": simd_target()}))
     wrong = 0
+    verdict_digest = hashlib.sha256()
     digest = hashlib.sha256()
     for path in sorted(FIXTURES.glob("*.json")):
         lp = load_problem(path)
@@ -135,12 +149,12 @@ def main() -> None:
                 policy = replace(lp.policy, seed=seed, radius=radius, samples=args.samples)
                 rep = check_residual(res, scales, policy, lp.problem.n)
                 verdicts.append(rep.verdict)
-                _line(digest, {
+                _line({
                     "fixture": path.stem, "seed": seed, "radius": radius,
                     "verdict": rep.verdict, "tested": rep.points_tested,
                     "skipped": rep.points_skipped, "max_abs": repr(rep.max_abs_residual),
                     "max_rel": repr(rep.max_rel_residual),
-                })
+                }, verdict_digest, digest)
         wrong += _tally(path.stem, verdicts, EXPECTED_VERDICT.get(lp.expected_status))
     print(json.dumps({"sha256": digest.hexdigest()}))
 
@@ -151,12 +165,12 @@ def main() -> None:
             for radius in radii:
                 rep = _fermat_report(kind, h, n, seed, radius, args.samples)
                 verdicts.append(rep["verdict"])
-                _line(digest, {
+                _line({
                     "pair": kind, "h": h, "seed": seed, "radius": radius,
                     "verdict": rep["verdict"], "tested": rep["points_tested"],
                     "skipped": rep["points_skipped"], "max_abs": repr(rep["max_abs_residual"]),
                     "max_rel": repr(rep["max_rel_residual"]),
-                })
+                }, verdict_digest, digest)
         wrong += _tally(f"{kind} {h}", verdicts, "pass")
     print(json.dumps({"fermat_sha256": digest.hexdigest()}))
 
@@ -167,7 +181,7 @@ def main() -> None:
             doc = _cli_doc(["construct", "--theorem", theorem, "--c", c, "--gen-seed", str(seed),
                             "--seed", str(seed), "--samples", str(args.samples)])
             verdicts.append(doc["report"]["verdict"])
-            print(json.dumps(_family_record(theorem, seed, doc["report"])))
+            _line(_family_record(theorem, seed, doc["report"]), verdict_digest)
             if theorem.startswith("t1-"):
                 digest.update(json.dumps(doc).encode() + b"\n")
         wrong += _tally(f"construct {theorem}", verdicts, "pass")
@@ -177,9 +191,10 @@ def main() -> None:
         f, problem = construct_cor1_m3_control(len(CONTROL_C), CONTROL_C, g)
         rep = verify_problem(problem, f, SamplingPolicy(seed=seed, samples=args.samples)).to_dict()
         verdicts.append(rep["verdict"])
-        print(json.dumps(_family_record("cor1 m1=3 control", seed, rep)))
+        _line(_family_record("cor1 m1=3 control", seed, rep), verdict_digest)
     wrong += _tally("cor1 m1=3 control", verdicts, "fail")
     print(json.dumps({"t1_families_sha256": digest.hexdigest()}))
+    print(json.dumps({"verdict_sha256": verdict_digest.hexdigest()}))
     if wrong:
         raise SystemExit(f"{wrong} verdicts differ from the expected ones")
 

@@ -446,7 +446,7 @@ def estimate_order(
     blocks = ((ladder[i:j, None, None] * dirs[lo:hi]).reshape(-1, n) for i, j, lo, hi in plan)
     mod = np.zeros(len(radii))  # running max |f| per radius: np.maximum keeps a NaN
     pole = np.zeros(len(radii), dtype=bool)
-    for (i, j, lo, hi), (vals, ok) in zip(plan, eval_blocks(tape, n, blocks, pole_eps=1e-12)):
+    for (i, j, lo, hi), (vals, ok) in zip(plan, eval_blocks(tape, n, blocks, pole_eps=DEFAULT_POLE_EPS)):
         np.maximum(mod[i:j], np.abs(vals).reshape(j - i, hi - lo).max(axis=1), out=mod[i:j])
         pole[i:j] |= ~ok.reshape(j - i, hi - lo).all(axis=1)
         if hi == directions and (pole[i:j].any() or not np.isfinite(mod[i:j]).all()):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,13 @@ def rel_err(actual, expected) -> float:
 
 
 def load_script(name: str):
-    """The module of `benchmarks/<name>.py`, imported without running its main()."""
+    """The module of `benchmarks/<name>.py`, imported without running its main().
+
+    The scripts' directory goes on the import path first, as it does when a
+    script runs, so a script can import its siblings.
+    """
+    if str(BENCHMARKS) not in sys.path:
+        sys.path.insert(0, str(BENCHMARKS))
     spec = importlib.util.spec_from_file_location(f"benchmarks_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

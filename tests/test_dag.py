@@ -234,10 +234,10 @@ class TestInterning:
     @pytest.mark.parametrize("kind", ["xc", "fg"])
     def test_scale_terms_after_residual_reuses_the_shift(self, monkeypatch, kind):
         n = 3
-        f_text, beta_text = FG_RUNG.fg_texts(n)
+        f_text, beta_text = BENCH.fg_texts(n)
         f = parse(f_text, n)
         if kind == "fg":
-            p = FG_RUNG.fg_problem(parse(beta_text, n), n)
+            p = BENCH.fg_problem(parse(beta_text, n), n)
         else:
             p = operators.PDDEProblem(kind="xc", n=n, m1=2, m2=3, c=(0.5j, 0, -1.25))
         operators.residual(p, f)
@@ -505,14 +505,14 @@ def check_roots(monkeypatch, run) -> list:
     return caught.value.args[0]
 
 
-FG_RUNG = load_script("fg_rung")
+BENCH = load_script("bench_pipeline")
 FERMAT_PAIRS = load_script("fixture_reports").FERMAT_PAIRS
 
 
 def fg_run(n):
-    f_text, beta_text = FG_RUNG.fg_texts(n)
+    f_text, beta_text = BENCH.fg_texts(n)
     f = parse(f_text, n)
-    return lambda: verify.verify_problem(FG_RUNG.fg_problem(parse(beta_text, n), n), f)
+    return lambda: verify.verify_problem(BENCH.fg_problem(parse(beta_text, n), n), f)
 
 
 CHECKS = {

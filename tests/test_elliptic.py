@@ -297,14 +297,19 @@ class TestPoleGuard:
 def test_wp_many_is_pinned():
     # x, y and ok of 4096 arguments, pole lanes (|zr| < 1e-2) and lanes
     # beyond the reduction limit among them, recorded on x86-64 with numpy
-    # 2.4 once wp_many summed the order-36 series on every lane
+    # 2.4 once wp_many summed the order-36 series on every lane.  The
+    # magnitudes come from ldexp of integer draws, not from a real pow:
+    # pow returns other bits on numpy's AVX2 loops than on its AVX-512
+    # ones, ldexp returns the same.  The pin holds on both; on the SSE4.2
+    # baseline wp_many's own complex arithmetic returns other bits
     rng = np.random.default_rng(2026)
-    z = 10.0 ** rng.uniform(0.0, 4.0, 4096) * (rng.uniform(-1, 1, 4096) + 1j * rng.uniform(-1, 1, 4096))
+    k = rng.integers(0, 14 * 64, 4096)
+    z = np.ldexp(1 + (k % 64) / 64, k // 64) * (rng.uniform(-1, 1, 4096) + 1j * rng.uniform(-1, 1, 4096))
     b1, b2 = 2 * OMEGA1, 2 * OMEGA1 * cmath.exp(1j * math.pi / 3)
-    m, n = rng.integers(-50, 50, (2, 64))
-    z[:64] = m * b1 + n * b2 + 0.02 * np.exp(2j * np.pi * rng.random(64)) * rng.random(64)
-    z[64:72] = 3e6 * np.exp(2j * np.pi * rng.random(8))
+    m, n = rng.integers(-50, 50, (2, 65))
+    z[:65] = m * b1 + n * b2 + 0.02 * np.exp(2j * np.pi * rng.random(65)) * rng.random(65)
+    z[65:73] = 3e6 * np.exp(2j * np.pi * rng.random(8))
     x, y, ok = default_context().wp_many(z)
     assert (~ok).sum() == 39
     assert hashlib.sha256(x.tobytes() + y.tobytes() + ok.tobytes()).hexdigest() == (
-        "22cb587a98e0603e9de9e19b2b8e1cccbb83a7da7731fc79fe3d06e70d85f06f")
+        "a017986ff0c2353c6015da041c3459b4061f9e5cafe4269f219eda9b65b4435e")

@@ -45,7 +45,7 @@ F_EX1_TEXT = (
     " - (exp(5*z2*z3-2*z2*z4+z5+9) + (z2+z3+z4+z5-9*pi*i)/18)^2"
 )
 F_EX1 = parse(F_EX1_TEXT, 5)
-FG_RUNG = load_script("fg_rung")
+BENCH = load_script("bench_pipeline")
 
 
 def recipes(n=3):
@@ -255,7 +255,7 @@ class TestPartial:
             gc.collect()
             gc.disable()
             try:
-                f = parse(FG_RUNG.fg_texts(n)[0], n)
+                f = parse(BENCH.fg_texts(n)[0], n)
                 before = len(ex._TABLE)
                 d = partial(f, (1,) * n)
                 assert len(ex._TABLE) - before <= 4 * n + 8, n

@@ -283,7 +283,7 @@ def constructor_texts():
 def gathered_texts(source):
     """The fixture, fg rung or constructor texts."""
     if source == "fg":
-        fg_texts = load_script("fg_rung").fg_texts
+        fg_texts = load_script("bench_pipeline").fg_texts
         return [t for n in range(2, 8) for t in fg_texts(n)]
     return {"fixtures": fixture_texts, "constructors": constructor_texts}[source]()
 

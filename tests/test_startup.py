@@ -163,3 +163,28 @@ def test_a_reader_that_goes_away_ends_the_batch_quietly():
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 1
     assert err == b""
+
+
+#: the fg section of the pipeline record at the sizes CI runs
+_BENCH_FG = """
+import json, sys
+sys.path.insert(0, "benchmarks")
+import bench_pipeline as bench
+json.dump(bench.fg_rung(bench.QUICK.fg, bench.QUICK.fg_repeats), sys.stdout, allow_nan=False)
+"""
+
+
+def test_bench_fg_rung_at_quick_sizes():
+    # fresh, because the intern entries the residual adds depend on the
+    # nodes the process holds already: the test process holds many
+    proc = fresh(_BENCH_FG)
+    assert proc.returncode == 0, proc.stderr
+
+    def not_strict(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    rows = json.loads(proc.stdout, parse_constant=not_strict)
+    assert [row["n"] for row in rows] == [3, 12]
+    counts = {k: rows[1][k] for k in ("distinct_nodes", "instructions", "slots", "intern_entries")}
+    assert counts == {"distinct_nodes": 98, "instructions": 91, "slots": 40, "intern_entries": 47}
+    assert all(v["min"] > 0 for row in rows for v in row["ms"].values())

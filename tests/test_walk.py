@@ -155,7 +155,7 @@ def agrees_with_the_reference(e, n):
 
 
 def fg_candidates():
-    fg_texts = load_script("fg_rung").fg_texts
+    fg_texts = load_script("bench_pipeline").fg_texts
     return [(parse(t, n), n) for n in range(2, 9) for t in fg_texts(n)]
 
 
@@ -201,7 +201,7 @@ class TestSameAsTheRecursiveReference:
 
 class TestPrintingCost:
     def test_each_distinct_node_is_rendered_once(self, monkeypatch):
-        fg = load_script("fg_rung")
+        fg = load_script("bench_pipeline")
         f_text, beta_text = fg.fg_texts(7)
         e = residual(fg.fg_problem(parse(beta_text, 7), 7), parse(f_text, 7))
         calls = []
