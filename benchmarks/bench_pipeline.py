@@ -320,7 +320,7 @@ def cold_start(trees: list[Path], rounds: int) -> list[dict]:
         seen = {m: [run[m] for run in imports[t] if m in run] for m in modules}
         batch = walls[t, "batch"]
         rows.append({
-            "src": str(t), "rounds": rounds,
+            "src": os.path.relpath(t, ROOT), "rounds": rounds,
             "commands": {c: {"argv": " ".join(argv), "wall_ms": quartiles_ms(walls[t, c])}
                          for c, argv in COMMANDS.items()},
             "import_self_ms": {**{m: round(statistics.mean(v) * 1e3, 2) if v else None for m, v in seen.items()},
