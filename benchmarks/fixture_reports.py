@@ -97,7 +97,7 @@ def _tally(label: str, verdicts: list[str], expected: str | None) -> int:
 
 
 def _line(record: dict, verdicts, digest=None) -> None:
-    """Print one report line: its verdict, tested and skipped counts go to `verdicts`, all of it to `digest`."""
+    """Print one report line; add its verdict and counts to `verdicts`, the whole line to `digest`."""
     line = json.dumps(record)
     verdicts.update(json.dumps([record["verdict"], record["tested"], record["skipped"]]).encode() + b"\n")
     if digest is not None:
