@@ -30,13 +30,14 @@ The record has a header and four sections:
   mean over repeats, then the tracemalloc peak of one more.  A count
   depends on what ran before it in the process, so this section runs
   first: the ops in the mix of a fresh benchmark process.
-* ``cold_start``: fresh `python -m fermat_pdde --format machine`
-  processes, one BLAS thread, the tree's `src` as PYTHONPATH.  Each round
-  runs every command once per `--src` tree, in an order that alternates
-  from round to round, so a drift of the host's speed reaches every tree
-  alike.  Per tree: the median and quartiles of each command's wall time,
-  the mean `-X importtime` self-time of each `fermat_pdde` module in one
-  more `verify` per round (null for a module not imported), and the 8
+* ``cold_start``: fresh processes that run `fermat_pdde --format machine`
+  as `python -m` does, one BLAS thread, the tree's `src` as PYTHONPATH.
+  Each round runs every command once per `--src` tree, in an order that
+  alternates from round to round, so a drift of the host's speed reaches
+  every tree alike.  Per tree: the median and quartiles of each command's
+  wall time and of its own peak RSS (the `VmHWM` the process reads as it
+  exits), the mean `-X importtime` self-time of each `fermat_pdde` module
+  in one more `verify` per round (null for a module not imported), and the 8
   fixtures verified by one process against 8 processes (null when the
   tree's `verify` takes one file).
 
@@ -268,8 +269,27 @@ def call_faults(bulk: int, repeats: int) -> list[dict]:
     return rows
 
 
-def child(src: Path, argv: list[str], flags: tuple[str, ...] = (), strict: bool = True) -> tuple[float | None, str]:
-    """Wall time of one `fermat_pdde` process on tree `src`, and its stderr.
+#: `python -m fermat_pdde` run by `-c`, which copies the process's own
+#: `VmHWM` line to stderr as it exits, through `os._exit` or otherwise.
+#: wait4's `ru_maxrss` of an exec'd child counts the image it was forked
+#: from, so only the process itself can read its peak.
+PEAK_MAIN = """
+import os, runpy, sys
+def report():
+    with open("/proc/self/status") as status:
+        sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+    sys.stderr.flush()
+os._exit = lambda code, exit=os._exit: (report(), exit(code))
+try:
+    runpy.run_module("fermat_pdde", run_name="__main__", alter_sys=True)
+finally:
+    report()
+"""
+
+
+def child(src: Path, argv: list[str], flags: tuple[str, ...] = (),
+          strict: bool = True) -> tuple[float | None, str, int | None]:
+    """Wall time of one `fermat_pdde` process on tree `src`, its stderr and its peak RSS in KiB.
 
     A child that exits 2 (malformed input) stops the script, or when not
     `strict` gives no wall time: a tree whose `verify` takes one file
@@ -277,13 +297,14 @@ def child(src: Path, argv: list[str], flags: tuple[str, ...] = (), strict: bool 
     """
     env = {**os.environ, **SINGLE_THREAD, "PYTHONPATH": str(src)}
     wall, _, proc = measure(lambda: subprocess.run(
-        [sys.executable, *flags, "-m", "fermat_pdde", "--format", "machine", *argv], cwd=ROOT, env=env,
+        [sys.executable, *flags, "-c", PEAK_MAIN, "--format", "machine", *argv], cwd=ROOT, env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True))
+    peak = next((int(line.split()[1]) for line in proc.stderr.splitlines() if line.startswith("VmHWM:")), None)
     if proc.returncode not in (0, 1):
         if not strict:
-            return None, proc.stderr
+            return None, proc.stderr, peak
         raise SystemExit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-    return wall, proc.stderr
+    return wall, proc.stderr, peak
 
 
 def self_times(stderr: str) -> dict[str, float]:
@@ -297,18 +318,21 @@ def self_times(stderr: str) -> dict[str, float]:
     return out
 
 
-def quartiles_ms(values: list[float]) -> dict[str, float]:
+def quartiles(values: list[float], scale: float) -> dict[str, float]:
     qs = values * 3 if len(values) == 1 else statistics.quantiles(values, n=4, method="inclusive")
-    return {k: round(q * 1e3, 2) for k, q in zip(("q1", "median", "q3"), qs)}
+    return {k: round(q * scale, 2) for k, q in zip(("q1", "median", "q3"), qs)}
 
 
 def cold_start(trees: list[Path], rounds: int) -> list[dict]:
     walls = {(t, c): [] for t in trees for c in [*COMMANDS, "batch", "separate"]}
+    peaks = {(t, c): [] for t in trees for c in COMMANDS}
     imports = {t: [] for t in trees}
     for k in range(rounds):
         jobs = [(t, c) for t in trees for c in COMMANDS]
         for t, c in jobs[::-1] if k % 2 else jobs:
-            walls[t, c].append(child(t, COMMANDS[c])[0])
+            wall, _, peak = child(t, COMMANDS[c])
+            walls[t, c].append(wall)
+            peaks[t, c].append(peak)
         for t in trees[::-1] if k % 2 else trees:
             imports[t].append(self_times(child(t, COMMANDS["verify"], ("-X", "importtime"))[1]))
             walls[t, "batch"].append(child(t, ["verify", *FIXTURE_ARGS], strict=False)[0])
@@ -321,7 +345,8 @@ def cold_start(trees: list[Path], rounds: int) -> list[dict]:
         batch = walls[t, "batch"]
         rows.append({
             "src": os.path.relpath(t, ROOT), "rounds": rounds,
-            "commands": {c: {"argv": " ".join(argv), "wall_ms": quartiles_ms(walls[t, c])}
+            "commands": {c: {"argv": " ".join(argv), "wall_ms": quartiles(walls[t, c], 1e3),
+                             "peak_rss_mib": quartiles(peaks[t, c], 1 / 1024)}
                          for c, argv in COMMANDS.items()},
             "import_self_ms": {**{m: round(statistics.mean(v) * 1e3, 2) if v else None for m, v in seen.items()},
                                "total": round(sum(sum(v) for v in seen.values()) / rounds * 1e3, 2)},

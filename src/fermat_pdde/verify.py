@@ -8,14 +8,16 @@ own largest term, so cancellations between huge terms are judged
 relative to those terms, never in absolute size.
 
 The growth order of an entire candidate is estimated from the maximum
-modulus over random directions at a geometric ladder of radii, fitting
-the slope of log log M(r) against log r over the largest radii that
-evaluate without overflow.
+modulus over random directions at a geometric ladder of radii: the
+secant of log log M(r) against log r through the two largest radii
+that evaluate without overflow and where M(r) > 1, with no
+least-squares solve.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -405,7 +407,7 @@ def estimate_order(
     directions: int = 200,
     seed: int = 42,
 ) -> GrowthEstimate:
-    """Order exponent from the slope of log log M(r) against log r.
+    """Order exponent: the secant of log log M(r) against log r through the top two usable radii.
 
     One direction set is drawn on the unit sphere of C^n and rescaled to
     every radius, so M(r) is smooth in r and the top-of-ladder slope is
@@ -417,9 +419,11 @@ def estimate_order(
     (even negative) order.  So is a fit whose max modulus falls from the
     next radius to the top one: an entire function's max modulus never
     falls, so a falling one means poles off the sample or too few
-    directions to find the growth.  The ladder streams through
-    `eval_blocks` in blocks of whole radii and stops after the first group
-    of radii that overflows or hits a pole.
+    directions to find the growth.  The slope is taken in ratio form,
+    log(log M_top / log M_next) / log(r_top / r_next), on two floats: no
+    least-squares solve, and radii one rounding apart keep their slope.
+    The ladder streams through `eval_blocks` in blocks of whole radii and
+    stops after the first group of radii that overflows or hits a pole.
     """
     radii = tuple(float(r) for r in (radii if radii is not None else default_radii()))
     if len(radii) < 2 or radii[0] <= 0 or any(b <= a for a, b in zip(radii, radii[1:])):
@@ -488,9 +492,10 @@ def estimate_order(
             f"radius {fit_r[0]:g}, which an entire function's cannot: the candidate has poles, "
             "or the directions miss where it grows"
         )
-    x = np.log(np.asarray(fit_r))
-    y = np.log(np.log(np.asarray(fit_m)))
-    slope = float(np.polyfit(x, y, 1)[0])
+    # strictly increasing radii keep the denominator positive, and a max
+    # modulus above 1 that does not fall keeps the numerator finite and >= 0
+    (r_top, r_next), (m_top, m_next) = fit_r, fit_m
+    slope = math.log(math.log(m_top) / math.log(m_next)) / math.log(r_top / r_next)
     return GrowthEstimate(
         radii=tuple(usable),
         max_modulus=tuple(max_mod),

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -452,6 +453,17 @@ class TestOrderCommand:
         # M(r) neither rises nor falls: order 0, not a refusal
         assert run_cli("--format", "machine", "order", "5", "--n", "1") == 0
         assert abs(json.loads(capsys.readouterr().out)["estimate"]["rho_hat"]) < 1e-12
+
+    def test_radii_one_rounding_apart(self, capsys):
+        # a least-squares line through log r and its neighbour lost half the
+        # slope (0.49998) and warned that it was poorly conditioned
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("--format", "machine", "order", "exp(z1)", "--n", "1",
+                           "--radii", "100,100.00000000000001") == 0
+        out, err = capsys.readouterr()
+        assert abs(json.loads(out)["estimate"]["rho_hat"] - 1) < 1e-9
+        assert err == "" and caught == []
 
     def test_estimation_failure_exits_one(self, capsys):
         # circles inside the pole guard of 1/z1: estimation must abort, not lie

@@ -16,6 +16,8 @@ from fermat_pdde.elliptic import (
 )
 from fermat_pdde.errors import PoleHitError
 
+from conftest import load_script
+
 #: wp(0.1) from the exact-fraction Laurent series (frozen oracle value)
 WP_AT_TENTH = 100.00000357142858
 
@@ -294,14 +296,24 @@ class TestPoleGuard:
         assert np.isnan(x[0].real)
 
 
+#: wp_many's byte pin per numpy loop family.  Complex multiply and complex
+#: abs round otherwise with FMA, so the X86_V3 loops (AVX2 + FMA3) and the
+#: wider ones return one set of bits and the SSE4.2 baseline (X86_V2)
+#: another, recorded under
+#: NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+WP_MANY_PINS = {
+    "X86_V3": "a017986ff0c2353c6015da041c3459b4061f9e5cafe4269f219eda9b65b4435e",
+    "X86_V2": "bfc97a04926afc27d7ac00f9166018e8f7497ed1d552173627c73785e81fbaa3",
+}
+
+
 def test_wp_many_is_pinned():
     # x, y and ok of 4096 arguments, pole lanes (|zr| < 1e-2) and lanes
     # beyond the reduction limit among them, recorded on x86-64 with numpy
     # 2.4 once wp_many summed the order-36 series on every lane.  The
     # magnitudes come from ldexp of integer draws, not from a real pow:
     # pow returns other bits on numpy's AVX2 loops than on its AVX-512
-    # ones, ldexp returns the same.  The pin holds on both; on the SSE4.2
-    # baseline wp_many's own complex arithmetic returns other bits
+    # ones, ldexp returns the same, so the input is one on every target
     rng = np.random.default_rng(2026)
     k = rng.integers(0, 14 * 64, 4096)
     z = np.ldexp(1 + (k % 64) / 64, k // 64) * (rng.uniform(-1, 1, 4096) + 1j * rng.uniform(-1, 1, 4096))
@@ -311,5 +323,5 @@ def test_wp_many_is_pinned():
     z[65:73] = 3e6 * np.exp(2j * np.pi * rng.random(8))
     x, y, ok = default_context().wp_many(z)
     assert (~ok).sum() == 39
-    assert hashlib.sha256(x.tobytes() + y.tobytes() + ok.tobytes()).hexdigest() == (
-        "a017986ff0c2353c6015da041c3459b4061f9e5cafe4269f219eda9b65b4435e")
+    family = "X86_V2" if load_script("bench_pipeline").simd_target() == "X86_V2" else "X86_V3"
+    assert hashlib.sha256(x.tobytes() + y.tobytes() + ok.tobytes()).hexdigest() == WP_MANY_PINS[family]

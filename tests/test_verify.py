@@ -348,6 +348,11 @@ class TestStreamedCheck:
         assert peak < 4 * 2**20, peak / 2**20
 
 
+def secant(r_top, r_next, m_top, m_next):
+    """Slope of log log M against log r through two points, in ratio form."""
+    return math.log(math.log(m_top) / math.log(m_next)) / math.log(r_top / r_next)
+
+
 def whole_ladder_reference(f, n, directions, seed=42):
     """estimate_order by evaluating every radius at once with eval_batch, then reading in order."""
     radii = default_radii()
@@ -370,9 +375,8 @@ def whole_ladder_reference(f, n, directions, seed=42):
     fit = [(r, m) for r, m in zip(usable, max_mod) if m > 1.0][:-3:-1]  # the largest first
     if fit[0][1] < fit[1][1]:
         raise EstimationError("max modulus falls")
-    x = np.log([r for r, _ in fit])
-    y = np.log(np.log([m for _, m in fit]))
-    return GrowthEstimate(tuple(usable), tuple(max_mod), float(np.polyfit(x, y, 1)[0]),
+    (r_top, m_top), (r_next, m_next) = fit
+    return GrowthEstimate(tuple(usable), tuple(max_mod), secant(r_top, r_next, m_top, m_next),
                           tuple(sorted(r for r, _ in fit)), truncated, directions, seed)
 
 
@@ -438,6 +442,22 @@ class TestEstimateOrder:
         a = estimate_order(F_EX1, 5, directions=200)
         b = estimate_order(F_EX1, 5, directions=400)
         assert abs(a.rho_hat - b.rho_hat) < 0.1
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
+    def test_rho_hat_is_the_secant_of_the_fit_pair(self, monkeypatch, name):
+        # two points need no least-squares solve, and a LAPACK call would
+        # page in numpy's BLAS (about 1.1 MiB) in every process that
+        # estimates an order
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit pair needs no least-squares solve")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        loaded = load_problem(FIXTURES / f"{name}.json")
+        est = estimate_order(loaded.f, loaded.problem.n)
+        r_next, r_top = est.fit_radii
+        m_next, m_top = (est.max_modulus[est.radii.index(r)] for r in est.fit_radii)
+        assert est.rho_hat == secant(r_top, r_next, m_top, m_next)
 
     def test_max_modulus_nondecreasing(self):
         est = estimate_order(parse("exp(z1+z2)", 2), 2)
