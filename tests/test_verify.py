@@ -446,7 +446,7 @@ class TestEstimateOrder:
     @pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")))
     def test_rho_hat_is_the_secant_of_the_fit_pair(self, monkeypatch, name):
         # two points need no least-squares solve, and a LAPACK call would
-        # page in numpy's BLAS (about 1.1 MiB) in every process that
+        # page in numpy's OpenBLAS (about 1.3 MiB) in every process that
         # estimates an order
         def refuse(*args, **kwargs):
             raise AssertionError("the fit pair needs no least-squares solve")
