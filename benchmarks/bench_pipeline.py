@@ -26,7 +26,7 @@ The record has a header and four sections:
   per call alone: the fg n = 7 check, example1 at 200 and at the bulk
   points, the cubic pair at the bulk points, one `is_identically_zero`
   probe and `estimate_order` of the example1..3 candidates.  Each call
-  runs once untimed (interned nodes, memos, the wp context), then the
+  runs once untimed (interned nodes, memos, the `elliptic` import), then the
   mean over repeats, then the tracemalloc peak of one more.  A count
   depends on what ran before it in the process, so this section runs
   first: the ops in the mix of a fresh benchmark process.
@@ -216,7 +216,7 @@ def check_call(case: tuple, samples: int):
 def sample_ladder(ladder: tuple[int, ...]) -> list[dict]:
     rows = []
     for name, case in ladder_cases().items():
-        check_call(case, ladder[0])()  # warm: wp context, interned nodes
+        check_call(case, ladder[0])()  # warm: the `elliptic` import, interned nodes
         for samples in ladder:
             call = check_call(case, samples)
             wall, faults, _ = measure(call)

@@ -28,7 +28,7 @@ _EXPORTS = {
         "construct_t1",
         "construct_t2",
     ),
-    "elliptic": ("EllipticContext", "default_context", "half_periods"),
+    "elliptic": ("default_context",),
     "errors": (
         "ConstructionError",
         "DimensionError",

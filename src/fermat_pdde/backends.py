@@ -10,16 +10,11 @@ it falls in.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from . import tape as tp
 from .errors import PDDEError
 from .expr import DEFAULT_POLE_EPS, Expr
-
-if TYPE_CHECKING:  # annotations only: elliptic is imported where a tape uses wp
-    from .elliptic import EllipticContext
 
 __all__ = [
     "BLOCK",
@@ -61,7 +56,7 @@ def _power_into(d: np.ndarray, base, k: int) -> None:
 
 
 def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarray,
-               out: np.ndarray, pole_eps: float, ell: EllipticContext | None) -> None:
+               out: np.ndarray, pole_eps: float, ell) -> None:
     """Run the tape on one block of points, `pts` of shape (m, n).
 
     Every rejection is ORed into the one row `bad`, which the caller
@@ -109,8 +104,7 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
         out[r] = rows[k]
 
 
-def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = None,
-                pole_eps: float = DEFAULT_POLE_EPS):
+def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell=None, pole_eps: float = DEFAULT_POLE_EPS):
     """Run a tape over a stream of point blocks, yielding (values, ok) per block.
 
     `blocks` yields arrays of shape (m, n), m at most `BLOCK`.  Each block
@@ -124,17 +118,16 @@ def eval_blocks(tape: tp.Tape, n: int, blocks, *, ell: EllipticContext | None = 
     for a block wider than every block before it, so memory does not grow
     with the number of blocks.  The yielded arrays are views of those
     rows: they stay valid until the next block is drawn, and a caller that
-    keeps them longer copies them.  A tape that uses wp runs on `ell`, by
-    default `elliptic.default_context()`, imported only then.  Blocks are
-    drawn one at a time: a caller that stops iterating draws no further
-    block.
+    keeps them longer copies them.  A tape that uses wp calls
+    `ell.wp_many`, by default the `elliptic` module's, imported only then;
+    a test or a profiler passes an object with its own `wp_many`.  Blocks
+    are drawn one at a time: a caller that stops iterating draws no
+    further block.
     """
     if n < tape.n_min:
         raise PDDEError(f"points have {n} coordinates but the expression uses z{tape.n_min}")
     if tape.has_wp and ell is None:
-        from .elliptic import default_context
-
-        ell = default_context()
+        from . import elliptic as ell
     width = 0
     for pts in blocks:
         m = pts.shape[0]
@@ -157,7 +150,7 @@ def eval_batch(
     e: Expr | tp.Tape,
     points,
     *,
-    ell: EllipticContext | None = None,
+    ell=None,
     pole_eps: float = DEFAULT_POLE_EPS,
 ):
     """Evaluate an expression (or precompiled tape) at many points.

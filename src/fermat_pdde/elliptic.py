@@ -13,12 +13,13 @@ b1 to b2 splits it into two such triangles, and the nearest lattice point
 is the closest of the three vertices of the triangle holding the point.
 wp(w z) = w wp(z) for w = e^{2 pi i/3}, so the Laurent series has nonzero
 terms only in z^-2 and z^(6j+4); it is summed by Horner's rule in u^6.
-The lattice, the series and the pole radius are module constants: one
-context serves every caller.  The series converges for |z| < |b1| = 3.06,
-and the cell's circumradius is 2 omega1 / sqrt(3) = 1.767, so every
-reduced argument takes the one sum directly.  At order 36 (12 terms in
-u^6) it agrees with a 60-term exact-coefficient sum to 3.5e-15 relative
-over the cell, and (wp')^2 = 4 wp^3 - 1 holds to 2.5e-15.
+The lattice, the series and the pole radius are module constants, and
+`wp_many` and `wp_pair` are plain functions of them.  The series
+converges for |z| < |b1| = 3.06, and the cell's circumradius is
+2 omega1 / sqrt(3) = 1.767, so every reduced argument takes the one sum
+directly.  At order 36 (12 terms in u^6) it agrees with a 60-term
+exact-coefficient sum to 3.5e-15 relative over the cell, and
+(wp')^2 = 4 wp^3 - 1 holds to 2.5e-15.
 
 Arguments within `POLE_RADIUS` = 1e-2 of a lattice point are reported
 as pole hits: their lanes carry NaN and ok=False.  So are
@@ -35,12 +36,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
+from types import ModuleType
 
 import numpy as np
 
 from .errors import PoleHitError
 
-__all__ = ["EllipticContext", "default_context", "half_periods", "OMEGA1", "E1"]
+__all__ = ["OMEGA1", "OMEGA2", "E1", "POLE_RADIUS", "wp_many", "wp_pair", "default_context"]
 
 #: real half-period of the (g2, g3) = (0, 1) lattice: Gamma(1/3)^3 / (4 pi)
 OMEGA1 = math.gamma(1.0 / 3.0) ** 3 / (4.0 * math.pi)
@@ -50,9 +53,6 @@ OMEGA2 = OMEGA1 * cmath.exp(1j * math.pi / 3.0)
 
 #: real branch point: the real root of 4 t^3 - 1, equals wp(omega1)
 E1 = 0.25 ** (1.0 / 3.0)
-
-#: reduce_point refuses arguments closer than this to a lattice point
-LATTICE_EPS = 1e-8
 
 #: wp_many rejects lanes whose reduced argument is closer than this to 0
 POLE_RADIUS = 1e-2
@@ -89,111 +89,82 @@ _HORNER = tuple(float(c) for c in _COEFFS[3::3])
 _HORNER_D = tuple((6 * j + 4) * c for j, c in enumerate(_HORNER))
 
 
-class EllipticContext:
-    """wp and wp' on the one lattice; it holds no state, so it is safe to share."""
-
-    __slots__ = ()
-    omega1 = complex(OMEGA1)
-    omega2 = OMEGA2
-    coeffs = _COEFFS
-    pole_radius = POLE_RADIUS
-
-    # -- reduction ---------------------------------------------------------
-
-    def _reduce_array(self, z: np.ndarray) -> np.ndarray:
-        """z minus its nearest lattice point, over a 1-D array."""
-        m00, m01, m10, m11 = _INV
-        x, y = z.real, z.imag
-        s = m00 * x + m01 * y  # lattice coordinates: z = s b1 + t b2
-        t = m10 * x + m11 * y
-        m = np.floor(s)
-        n = np.floor(t)
-        s -= m
-        t -= n
-        # (s, t) lies in the triangle (0, b1, b2) when s + t <= 1, else in
-        # (b1, b2, b1 + b2).  As |a b1 + b b2|^2 = |b1|^2 (a^2 + ab + b^2),
-        # the squared distance to a vertex, less the one to 0 and in units
-        # of |b1|^2, is linear: e1 for b1, e2 for b2, e0 for the corner,
-        # 0 or b1 + b2.  The least of the three names the nearest point.
-        st = s + t
-        upper = st > 1.0
-        e0 = np.where(upper, 3.0 - 3.0 * st, 0.0)
-        e1 = 1.0 - s - st
-        e2 = 1.0 - t - st
-        to_b1 = (e1 < e0) & (e1 <= e2)
-        to_b2 = (e2 < e0) & (e2 < e1)
-        m += (to_b1 | upper) & ~to_b2
-        n += (to_b2 | upper) & ~to_b1
-        zr = np.empty_like(z)
-        zr.real = x - m * _B1.real - n * _B2.real
-        zr.imag = y - m * _B1.imag - n * _B2.imag
-        return zr
-
-    def reduce_point(self, z: complex) -> complex:
-        """Representative of z in the Voronoi cell of the lattice around 0.
-
-        Raises PoleHitError near a lattice point, and for |z| too large to
-        reduce (the limit `wp_many` rejects), where the representative
-        would be rounding noise.
-        """
-        if not abs(z) < _MAX_ABS:
-            raise PoleHitError(f"point {z!r} is too large to reduce (|z| >= {_MAX_ABS:.3g})")
-        zr = complex(self._reduce_array(np.asarray([complex(z)], dtype=np.complex128))[0])
-        if abs(zr) < LATTICE_EPS:
-            raise PoleHitError(f"point {z!r} is within {LATTICE_EPS} of a lattice point")
-        return zr
-
-    # -- evaluation --------------------------------------------------------
-
-    def wp_many(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(wp(z), wp'(z), ok) over an array.
-
-        Each lane reduces z to the cell and sums the order-36 series once
-        (see the module docstring for its error).  ok is False near
-        lattice points and where z is too large to reduce; those lanes
-        carry NaN in both values.
-        """
-        z = np.asarray(z, dtype=np.complex128)
-        shape = z.shape
-        z = z.reshape(-1)
-        u = self._reduce_array(z)
-        ok = (np.abs(u) >= POLE_RADIUS) & (np.abs(z) < _MAX_ABS)
-        with np.errstate(all="ignore"):  # pole lanes divide by ~0; they are masked below
-            u2 = u * u
-            u3 = u2 * u
-            u6 = u3 * u3
-            p = np.full_like(u, _HORNER[-1])
-            dp = np.full_like(u, _HORNER_D[-1])
-            for a, b in zip(_HORNER[-2::-1], _HORNER_D[-2::-1]):
-                p *= u6
-                p += a
-                dp *= u6
-                dp += b
-            x = 1.0 / u2 + (u2 * u2) * p
-            y = -2.0 / u3 + u3 * dp
-        bad = ~ok
-        x[bad] = y[bad] = np.nan  # x and y are fresh arrays
-        return x.reshape(shape), y.reshape(shape), ok.reshape(shape)
-
-    def wp_pair(self, z: complex) -> tuple[complex, complex]:
-        """(wp(z), wp'(z)) at one point; raises PoleHitError near the lattice."""
-        x, y, ok = self.wp_many(np.asarray([complex(z)], dtype=np.complex128))
-        if not ok[0]:
-            raise PoleHitError(
-                f"wp argument {z!r} is within {POLE_RADIUS} of a lattice point"
-                " or too large to reduce"
-            )
-        return complex(x[0]), complex(y[0])
+def _reduce_array(z: np.ndarray) -> np.ndarray:
+    """z minus its nearest lattice point, over a 1-D array."""
+    m00, m01, m10, m11 = _INV
+    x, y = z.real, z.imag
+    s = m00 * x + m01 * y  # lattice coordinates: z = s b1 + t b2
+    t = m10 * x + m11 * y
+    m = np.floor(s)
+    n = np.floor(t)
+    s -= m
+    t -= n
+    # (s, t) lies in the triangle (0, b1, b2) when s + t <= 1, else in
+    # (b1, b2, b1 + b2).  As |a b1 + b b2|^2 = |b1|^2 (a^2 + ab + b^2),
+    # the squared distance to a vertex, less the one to 0 and in units
+    # of |b1|^2, is linear: e1 for b1, e2 for b2, e0 for the corner,
+    # 0 or b1 + b2.  The least of the three names the nearest point.
+    st = s + t
+    upper = st > 1.0
+    e0 = np.where(upper, 3.0 - 3.0 * st, 0.0)
+    e1 = 1.0 - s - st
+    e2 = 1.0 - t - st
+    to_b1 = (e1 < e0) & (e1 <= e2)
+    to_b2 = (e2 < e0) & (e2 < e1)
+    m += (to_b1 | upper) & ~to_b2
+    n += (to_b2 | upper) & ~to_b1
+    zr = np.empty_like(z)
+    zr.real = x - m * _B1.real - n * _B2.real
+    zr.imag = y - m * _B1.imag - n * _B2.imag
+    return zr
 
 
-_CONTEXT = EllipticContext()
+def wp_many(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(wp(z), wp'(z), ok) over an array.
+
+    Each lane reduces z to the cell and sums the order-36 series once
+    (see the module docstring for its error).  ok is False near
+    lattice points and where z is too large to reduce; those lanes
+    carry NaN in both values.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    shape = z.shape
+    z = z.reshape(-1)
+    u = _reduce_array(z)
+    ok = (np.abs(u) >= POLE_RADIUS) & (np.abs(z) < _MAX_ABS)
+    with np.errstate(all="ignore"):  # pole lanes divide by ~0; they are masked below
+        u2 = u * u
+        u3 = u2 * u
+        u6 = u3 * u3
+        p = np.full_like(u, _HORNER[-1])
+        dp = np.full_like(u, _HORNER_D[-1])
+        for a, b in zip(_HORNER[-2::-1], _HORNER_D[-2::-1]):
+            p *= u6
+            p += a
+            dp *= u6
+            dp += b
+        x = 1.0 / u2 + (u2 * u2) * p
+        y = -2.0 / u3 + u3 * dp
+    bad = ~ok
+    x[bad] = y[bad] = np.nan  # x and y are fresh arrays
+    return x.reshape(shape), y.reshape(shape), ok.reshape(shape)
 
 
-def default_context() -> EllipticContext:
-    """The one context: the lattice and the series are fixed."""
-    return _CONTEXT
+def wp_pair(z: complex) -> tuple[complex, complex]:
+    """(wp(z), wp'(z)) at one point; raises PoleHitError near the lattice."""
+    x, y, ok = wp_many(np.asarray([complex(z)], dtype=np.complex128))
+    if not ok[0]:
+        raise PoleHitError(
+            f"wp argument {z!r} is within {POLE_RADIUS} of a lattice point"
+            " or too large to reduce"
+        )
+    return complex(x[0]), complex(y[0])
 
 
-def half_periods() -> tuple[complex, complex]:
-    """Half-periods (omega1, omega2) of the lattice with (g2, g3) = (0, 1)."""
-    return EllipticContext.omega1, EllipticContext.omega2
+def default_context() -> ModuleType:
+    """This module, whose `wp_many` is what `eval_blocks(ell=...)` calls.
+
+    perfbench calls it and wraps the result to time `wp_many`; nothing in
+    the package calls it.
+    """
+    return sys.modules[__name__]

@@ -4,7 +4,7 @@ The node set is deliberately small: constants, variables, sums, products,
 quotients, integer powers, and the one-operand nodes: negation,
 exp/sin/cos, and the Weierstrass pair wp/wpd.  Each one-operand class
 carries its grammar name and the numpy ufunc that evaluates it
-elementwise (none for wp/wpd, which need the elliptic context), and
+elementwise (none for wp/wpd, which `elliptic.wp_many` computes), and
 `FUNCTIONS` maps each name to its class: the parser, the printer,
 constant folding and the tape all read this one table.
 
@@ -378,7 +378,7 @@ class _Unary(Expr):
 
     `name` is the node's function name in the grammar (None for negation)
     and `ufunc` the numpy ufunc that computes it (None for wp and wpd,
-    which need the elliptic context and so are never folded).  A node with
+    which `elliptic.wp_many` computes and so are never folded).  A node with
     a ufunc and a constant operand is folded to its value.
     """
 

@@ -50,7 +50,6 @@ __all__ = [
     "residual",
     "scale_terms",
     "unit_index",
-    "is_identically_zero",
 ]
 
 

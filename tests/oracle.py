@@ -80,22 +80,20 @@ def _ipow(base: complex, k: int, pole_eps: float) -> complex:
     return out
 
 
-def evaluate(e: Expr, point: Sequence[complex], ell=None, pole_eps: float = DEFAULT_POLE_EPS) -> complex:
+def evaluate(e: Expr, point: Sequence[complex], pole_eps: float = DEFAULT_POLE_EPS) -> complex:
     """Value of the expression at one point of C^n.
 
-    `ell` is the EllipticContext wp/wpd nodes are evaluated on, by default
-    the package's lattice, as the tape takes it.  Near-zero denominators
-    (|den| < pole_eps) and lattice-point arguments of wp raise PoleHitError.
+    wp/wpd nodes are evaluated by `elliptic.wp_pair`, on the lattice the
+    tape takes.  Near-zero denominators (|den| < pole_eps) and
+    lattice-point arguments of wp raise PoleHitError.
     """
     pt = tuple(complex(x) for x in point)
     if max_var_index(e) > len(pt):
         raise DimensionError(
             f"point has {len(pt)} coordinates but the expression uses z{max_var_index(e)}"
         )
-    if ell is None and uses_wp(e):
-        from fermat_pdde.elliptic import default_context
-
-        ell = default_context()
+    if uses_wp(e):
+        from fermat_pdde.elliptic import wp_pair
 
     seen: dict[Expr, complex] = {}
 
@@ -134,16 +132,16 @@ def evaluate(e: Expr, point: Sequence[complex], ell=None, pole_eps: float = DEFA
         if isinstance(node, Cos):
             return complex(np.cos(np.complex128(ev(node.arg))))
         if isinstance(node, Wp):
-            return ell.wp_pair(ev(node.arg))[0]
+            return wp_pair(ev(node.arg))[0]
         if isinstance(node, WpPrime):
-            return ell.wp_pair(ev(node.arg))[1]
+            return wp_pair(ev(node.arg))[1]
         raise TypeError(f"unknown node {node!r}")
 
     with np.errstate(all="ignore"):
         return complex(ev(e))
 
 
-def fd_partial(e: Expr, j: int, point: Sequence[complex], step: float = 1e-5, ell=None) -> complex:
+def fd_partial(e: Expr, j: int, point: Sequence[complex], step: float = 1e-5) -> complex:
     """Central-difference estimate of d e / d z_j at a point.
 
     Independent numeric oracle for `partial`; the step is taken along the
@@ -158,7 +156,7 @@ def fd_partial(e: Expr, j: int, point: Sequence[complex], step: float = 1e-5, el
     dn = list(pt)
     up[j - 1] += step
     dn[j - 1] -= step
-    return (evaluate(e, up, ell=ell) - evaluate(e, dn, ell=ell)) / (2.0 * step)
+    return (evaluate(e, up) - evaluate(e, dn)) / (2.0 * step)
 
 
 _TOKEN = re.compile(

@@ -17,7 +17,7 @@ from fermat_pdde.construct import (
     construct_cor1_m3_control,
     construct_fermat_pair,
 )
-from fermat_pdde.elliptic import E1, OMEGA1, default_context
+from fermat_pdde.elliptic import E1, OMEGA1, OMEGA2, POLE_RADIUS, wp_many, wp_pair
 from fermat_pdde.errors import EvalError
 from fermat_pdde.expr import Const, Wp, free_variables, partial, uses_wp
 from fermat_pdde.operators import (
@@ -154,11 +154,9 @@ def _derivative_corpus(fixtures_dir):
 def test_criterion_4_derivative_oracle(fixtures_dir):
     corpus = _derivative_corpus(fixtures_dir)
     assert len(corpus) >= 30
-    ell = default_context()
     step = 1e-5
     checked = 0
     for idx, (e, n) in enumerate(corpus):
-        ctx = ell if uses_wp(e) else None
         pts = disc_points(9000 + idx, 8, n, radius=1.0)
         for j in sorted(free_variables(e)):
             unit = tuple(1 if i == j else 0 for i in range(1, n + 1))
@@ -166,9 +164,9 @@ def test_criterion_4_derivative_oracle(fixtures_dir):
             good_points = 0
             for pt in pts:
                 try:
-                    fval = evaluate(e, pt, ell=ctx)
-                    sym = evaluate(de, pt, ell=ctx)
-                    fd = fd_partial(e, j, pt, step=step, ell=ctx)
+                    fval = evaluate(e, pt)
+                    sym = evaluate(de, pt)
+                    fd = fd_partial(e, j, pt, step=step)
                 except EvalError:
                     continue  # pole-adjacent sample; skip
                 # scale includes |f|: the difference quotient carries
@@ -215,19 +213,18 @@ def test_criterion_5_fermat_parametrizations():
 
 @criterion(6, "elliptic identities at 1e-9 and wp(omega1) = (1/4)^(1/3) at 1e-8")
 def test_criterion_6_elliptic_identities():
-    ctx = default_context()
-    pts = sample_cell_points(300, seed=600, min_dist=ctx.pole_radius)
-    x, y, ok = ctx.wp_many(pts)
+    pts = sample_cell_points(300, seed=600, min_dist=POLE_RADIUS)
+    x, y, ok = wp_many(pts)
     assert ok.all()
     ode = np.abs(y**2 - 4 * x**3 + 1) / np.maximum(1.0, np.abs(4 * x**3))
     assert ode.max() <= 1e-9, f"ODE identity residual {ode.max():.3e}"
-    for period in (2 * ctx.omega1, 2 * ctx.omega2):
-        xs, ys, _ = ctx.wp_many(pts + period)
+    for period in (2 * OMEGA1, 2 * OMEGA2):
+        xs, ys, _ = wp_many(pts + period)
         drift = np.abs(xs - x) / np.maximum(1.0, np.abs(x))
         assert drift.max() <= 1e-9, f"periodicity drift {drift.max():.3e}"
         drift_d = np.abs(ys - y) / np.maximum(1.0, np.abs(y))
         assert drift_d.max() <= 1e-9
-    wp_at_half, _ = ctx.wp_pair(OMEGA1)
+    wp_at_half, _ = wp_pair(OMEGA1)
     assert abs(wp_at_half - E1) <= 1e-8
     assert abs(E1 - 0.25 ** (1.0 / 3.0)) < 1e-15
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 
 from fermat_pdde.backends import BLOCK, default_backend, eval_batch, eval_blocks
-from fermat_pdde.elliptic import default_context
+from fermat_pdde.elliptic import default_context, wp_many
 from fermat_pdde.errors import EvalError, PDDEError, PoleHitError
 from fermat_pdde.expr import Const, Div, Pow, Var
 from fermat_pdde.parser import parse
@@ -15,13 +15,13 @@ from test_expr import F_EX1, F_EX4, exprs
 
 
 
-def scalar_reference(e, pts, ell=None):
+def scalar_reference(e, pts):
     """Independent route: the recursive scalar evaluator, point by point."""
     vals = np.empty(len(pts), dtype=np.complex128)
     ok = np.ones(len(pts), dtype=bool)
     for i, pt in enumerate(pts):
         try:
-            vals[i] = evaluate(e, pt, ell=ell)
+            vals[i] = evaluate(e, pt)
         except (PoleHitError, EvalError):
             vals[i] = np.nan
             ok[i] = False
@@ -60,11 +60,10 @@ class TestAgainstScalarReference:
         assert (np.abs(vals[good] - ref[good]) / scale).max() < 1e-12
 
     def test_wp_expressions(self):
-        ctx = default_context()
         e = parse("wp(z1)^3*4 - wpd(z1)^2", 1)
         pts = disc_points(33, 30, 1, radius=1.4)
-        vals, ok = eval_batch(e, pts, ell=ctx)
-        x, y, wok = ctx.wp_many(pts[:, 0])
+        vals, ok = eval_batch(e, pts)
+        x, y, wok = wp_many(pts[:, 0])
         expect = 4 * x**3 - y**2
         assert (ok == wok).all()
         # scale by the cancelling terms, not the tiny result
@@ -74,11 +73,10 @@ class TestAgainstScalarReference:
     def test_wp_node_values(self):
         from fermat_pdde.expr import Var, Wp, WpPrime
 
-        ctx = default_context()
         pts = disc_points(33, 30, 1, radius=1.4)
-        x, y, wok = ctx.wp_many(pts[:, 0])
+        x, y, wok = wp_many(pts[:, 0])
         for node, expect in ((Wp(Var(1)), x), (WpPrime(Var(1)), y)):
-            vals, ok = eval_batch(node, pts, ell=ctx)
+            vals, ok = eval_batch(node, pts)
             assert (ok == wok).all()
             scale = np.maximum(1.0, np.abs(expect[ok]))
             assert (np.abs(vals[ok] - expect[ok]) / scale).max() < 1e-13

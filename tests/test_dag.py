@@ -18,7 +18,7 @@ from fermat_pdde import expr as ex
 from fermat_pdde import operators, verify
 from fermat_pdde.backends import BLOCK, eval_batch
 from fermat_pdde.cli import main as cli_main
-from fermat_pdde.elliptic import default_context
+from fermat_pdde.elliptic import default_context, wp_many
 from fermat_pdde.errors import EvalError, PoleHitError
 from fermat_pdde.expr import (
     Add,
@@ -43,7 +43,6 @@ from conftest import FIXTURES, disc_points, load_script
 from oracle import evaluate, fd_partial
 
 N = 3
-ELL = default_context()
 POLE_EPS = 1e-9
 
 
@@ -322,9 +321,9 @@ class TestSlotTape:
     def test_multi_root_rows_equal_single_root_tapes(self, roots):
         # a lane is rejected for every root when any single-root tape rejects it
         pts = disc_points(50, 40, N, radius=1.6)
-        vals, ok = eval_batch(compile_expr(roots), pts, ell=ELL, pole_eps=POLE_EPS)
+        vals, ok = eval_batch(compile_expr(roots), pts, pole_eps=POLE_EPS)
         assert vals.shape == ok.shape == (len(roots), len(pts))
-        singles = [eval_batch(compile_expr(root), pts, ell=ELL, pole_eps=POLE_EPS) for root in roots]
+        singles = [eval_batch(compile_expr(root), pts, pole_eps=POLE_EPS) for root in roots]
         every = np.logical_and.reduce([ok1 for _, ok1 in singles])
         for i, (v1, _) in enumerate(singles):
             assert np.array_equal(ok[i], every)
@@ -335,17 +334,17 @@ class TestSlotTape:
     @given(dags())
     def test_agrees_with_scalar_evaluate(self, roots):
         pts = disc_points(51, 12, N, radius=1.6)
-        vals, ok = eval_batch(compile_expr(roots), pts, ell=ELL, pole_eps=POLE_EPS)
+        vals, ok = eval_batch(compile_expr(roots), pts, pole_eps=POLE_EPS)
         # forward error is judged against the largest intermediate value
         nodes = list(distinct_nodes(roots))
-        inner, _ = eval_batch(compile_expr(nodes), pts, ell=ELL, pole_eps=POLE_EPS)
+        inner, _ = eval_batch(compile_expr(nodes), pts, pole_eps=POLE_EPS)
         with np.errstate(all="ignore"):
             scale = np.maximum(1.0, np.abs(inner).max(axis=0))
         for p, pt in enumerate(pts):
             refs = []
             for root in roots:
                 try:
-                    refs.append(evaluate(root, pt, ell=ELL, pole_eps=POLE_EPS))
+                    refs.append(evaluate(root, pt, pole_eps=POLE_EPS))
                 except (PoleHitError, EvalError):
                     refs = None
                     break
@@ -360,9 +359,9 @@ class TestSlotTape:
     def test_block_boundaries_do_not_change_values(self):
         e = parse("exp(z1*z2)/(1+z1^2) + sin(z2)^3 - cos(z1)^-1 + wp(z1+z2/2)*wpd(z1+z2/2)", 2)
         pts = disc_points(52, 2 * BLOCK + 37, 2, radius=1.8)
-        vals, ok = eval_batch(e, pts, ell=ELL)
+        vals, ok = eval_batch(e, pts)
         for lo, hi in ((0, 100), (BLOCK - 10, BLOCK + 10), (2 * BLOCK, 2 * BLOCK + 37)):
-            part, pok = eval_batch(e, pts[lo:hi], ell=ELL)
+            part, pok = eval_batch(e, pts[lo:hi])
             assert np.array_equal(pok, ok[lo:hi])
             assert np.array_equal(bits(part), bits(vals[lo:hi]))
 
@@ -430,12 +429,12 @@ class TestSlotTape:
         class Counting:
             def wp_many(self, z):
                 calls.append(len(z))
-                return ELL.wp_many(z)
+                return wp_many(z)
 
         pts = disc_points(53, 300, 2, radius=1.5)
         vals, ok = eval_batch(tape, pts, ell=Counting())
         assert calls == [300]
-        x, y, wok = ELL.wp_many(pts[:, 0] + pts[:, 1] / 2)
+        x, y, wok = wp_many(pts[:, 0] + pts[:, 1] / 2)
         assert np.array_equal(ok[2], wok)
         assert np.array_equal(bits(vals[2][wok]), bits(x[wok]))
 
@@ -464,7 +463,7 @@ def test_masks_match_single_expression_semantics(text, n):
     e = parse(text, n)
     pts = disc_points(55, 64, n, radius=1.5)
     pts[0] = 0.0  # a pole of every expression here
-    vals, ok = eval_batch(e, pts, ell=ELL, pole_eps=POLE_EPS)
+    vals, ok = eval_batch(e, pts, pole_eps=POLE_EPS)
     assert not ok[0] and np.isnan(vals[0])
     assert ok[1:].all()
 
@@ -566,6 +565,20 @@ TAPE_DIGESTS = {
 def test_check_tapes_are_unchanged(monkeypatch, name):
     roots = check_roots(monkeypatch, CHECKS[name])
     assert tape_digest(compile_expr(roots)) == TAPE_DIGESTS[name]
+
+
+def test_passing_the_default_context_keeps_the_bits(monkeypatch):
+    # perfbench passes default_context() (or a proxy of it) as `ell`: the
+    # cubic pair's check tape gives the same bits with `ell` omitted
+    tape = compile_expr(check_roots(monkeypatch, CHECKS["fermat cubic z1 + z2/2"]))
+    assert tape.has_wp
+    pts = disc_points(60, 2000, 2, radius=2.0)
+    pts[0] = 0.0  # h = 0, a lattice point: a rejected lane
+    vals, ok = eval_batch(tape, pts)
+    ref, ref_ok = eval_batch(tape, pts, ell=default_context())
+    assert not ok[:, 0].any() and ok[:, 1:].any()
+    assert np.array_equal(ok, ref_ok)
+    assert np.array_equal(bits(vals), bits(ref))
 
 
 def test_every_instruction_computes_a_value(monkeypatch):

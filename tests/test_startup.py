@@ -21,9 +21,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 OPTIONAL = {"fermat_pdde.construct", "fermat_pdde.periodic", "fermat_pdde.elliptic"}
 
 #: every name `from fermat_pdde import *` bound when the package imported
-#: each of its modules at start, submodules included
+#: each of its modules at start, submodules included, less the names the
+#: package has removed since (`EllipticContext` and `half_periods`)
 EXPORTED = [
-    "Const", "ConstructionError", "DimensionError", "EllipticContext", "EstimationError",
+    "Const", "ConstructionError", "DimensionError", "EstimationError",
     "EvalError", "Expr", "GrowthEstimate", "LinearPDOperator", "LoadedProblem",
     "PDDEError", "PDDEProblem", "ParseError", "PeriodicSpec",
     "PoleHitError", "ProblemFileError", "ProblemSpecError", "SamplingPolicy", "T1Params",
@@ -32,7 +33,7 @@ EXPORTED = [
     "construct_cor2", "construct_fermat_pair", "construct_legacy_xw", "construct_t1",
     "construct_t2", "default_backend", "default_context", "difference",
     "directional_derivative", "elliptic", "errors", "estimate_order", "eval_batch", "expr",
-    "half_periods", "load_problem", "make_periodic", "make_polynomial_quasi_periodic",
+    "load_problem", "make_periodic", "make_polynomial_quasi_periodic",
     "make_quasi_periodic", "operators", "parse", "parser", "partial", "periodic",
     "problemfile", "residual", "sample_points", "scale_terms", "shift", "tape", "to_string",
     "variables", "verify", "verify_problem",
