@@ -62,8 +62,11 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
     Every rejection is ORed into the one row `bad`, which the caller
     clears: a non-constant divisor or the base of a negative power below
     `pole_eps`, a lane `wp_many` refuses, and every lane when a constant
-    divisor is below `pole_eps`.  A divisor near zero is divided as it
-    stands, since `eval_blocks` voids a rejected lane in every root.
+    divisor is below `pole_eps`.  A divisor with no zeros (`OP_DIV_NZ`,
+    `OP_POWI_NZ`) is never tested: where it is small, the quotient is
+    large, and where it underflows to 0, the lane overflows (ok and not
+    finite).  A divisor near zero is divided as it stands, since
+    `eval_blocks` voids a rejected lane in every root.
     After the last instruction, each root's operand (`Tape.roots`) is
     copied to its row of `out`: a slot no later instruction overwrote, or
     an immediate, which fills the row.
@@ -92,6 +95,11 @@ def _run_block(tape: tp.Tape, pts: np.ndarray, slots: np.ndarray, bad: np.ndarra
             if arg < 0:
                 bad |= np.abs(d) < pole_eps
                 np.divide(1.0, d, out=d)
+        elif op == tp.OP_DIV_NZ:
+            np.divide(rows[src[0]], rows[src[1]], out=d)
+        elif op == tp.OP_POWI_NZ:
+            _power_into(d, rows[src[0]], -arg)
+            np.divide(1.0, d, out=d)
         elif op == tp.OP_WP:
             x, y, wok = ell.wp_many(rows[src[0]])  # NaN on the lanes it rejects
             bad |= ~wok

@@ -33,7 +33,9 @@ an immediate for a constant root and a slot otherwise.
 Quotients, negative powers and wp can reject a point; the evaluator
 rejects such a point for every root at once (`backends.eval_blocks`), so
 the tape records neither which instructions can reject a point nor which
-roots read them.
+roots read them.  A quotient or negative power whose divisor has no
+zeros (see `_no_zeros`) rejects no point: it is compiled to `OP_DIV_NZ`
+or `OP_POWI_NZ`, which divide without the pole test.
 """
 
 from __future__ import annotations
@@ -54,6 +56,8 @@ OP_MAP = 4  # a one-operand node's ufunc, applied elementwise; `arg` is the ufun
 OP_DIV = 5
 OP_POWI = 6
 OP_WP = 7  # wp_many of the argument; `arg` is the (wp slot, wp' slot) pair, -1 if unused
+OP_DIV_NZ = 8  # a quotient whose divisor has no zeros: no pole test
+OP_POWI_NZ = 9  # a negative power of a base with no zeros: no pole test
 
 _new = tuple.__new__  # builds an Instr without the Python-level Instr.__new__
 
@@ -71,7 +75,8 @@ class Instr(NamedTuple):
     #: OP_VAR: the 0-based variable index; OP_MAP: the ufunc; OP_POWI: the
     #: exponent; OP_ADD/OP_MUL: the ufunc folding in each operand after the
     #: first (np.subtract for a folded negation); OP_DIV: the divisor when it
-    #: is a constant, else None; OP_WP: the (wp, wp') slot pair
+    #: is a constant, else None; OP_DIV_NZ: None; OP_POWI_NZ: the (negative)
+    #: exponent; OP_WP: the (wp, wp') slot pair
     arg: object
 
 
@@ -89,6 +94,41 @@ class Tape:
     single: bool
 
 
+def _no_zeros(node: ex.Expr, memo: dict) -> bool:
+    """Whether `node` has no zeros by its form, so a divisor that is `node` needs no pole test.
+
+    exp of anything, a nonzero constant, and a product, integer power or
+    negation of such nodes have none.  Anything else (a sum, a quotient,
+    sin, a variable, wp) may vanish, so a divisor that is one keeps the
+    test.  The answers of every node reached are kept in `memo`, one per
+    compile, so a subtree shared by several divisors is decided once.
+    """
+    stack = [node]
+    while stack:
+        x = stack[-1]
+        if x in memo:
+            stack.pop()
+            continue
+        cls = type(x)
+        if cls is ex.Mul:
+            kids = x.factors
+        elif cls is ex.Pow:
+            kids = (x.base,)
+        elif cls is ex.Neg:
+            kids = (x.arg,)
+        else:
+            memo[x] = cls is ex.Exp or (cls is ex.Const and x.value != 0)
+            stack.pop()
+            continue
+        todo = [k for k in kids if k not in memo]
+        if todo:
+            stack.extend(todo)
+        else:
+            memo[x] = all(memo[k] for k in kids)
+            stack.pop()
+    return memo[node]
+
+
 def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     """Compile one expression, or a list of roots, to a slot tape.
 
@@ -102,7 +142,9 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     ends.  Then one loop over the emitted positions writes the
     instructions: it takes a slot for the node an instruction writes (and
     for its wp partner) and, after it, frees the slots of the operands it
-    is the last to read.  A root's slot is never freed.
+    is the last to read.  A root's slot is never freed.  A quotient by a
+    non-constant divisor or a negative power asks `_no_zeros` of its
+    divisor or base, so a tape without them does no such work.
     """
     single = isinstance(e, ex.Expr)
     roots = [e] if single else list(e)
@@ -124,6 +166,7 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
     wp_first = {}  # (class, argument position) -> position of a wp node with no partner yet
     partner = {}  # position of the first node of a wp pair -> that of the second
     n_min = 0
+    no_zeros: dict = {}  # `_no_zeros` answers, filled by the first divisor asked about
 
     for node, i in pos.items():
         cls = type(node)
@@ -159,8 +202,15 @@ def compile_expr(e: ex.Expr | Sequence[ex.Expr]) -> Tape:
                 folded_negs.add(i)
         elif op == OP_POWI:
             arg = node.exponent
+            if arg < 0 and _no_zeros(kids[0], no_zeros):
+                op = OP_POWI_NZ
         elif op == OP_DIV:  # the divisor when it is a constant
-            arg = consts[ref[rd[1]]] if type(kids[1]) is ex.Const else None
+            if type(kids[1]) is ex.Const:
+                arg = consts[ref[rd[1]]]
+            else:
+                arg = None
+                if _no_zeros(kids[1], no_zeros):
+                    op = OP_DIV_NZ
         else:  # OP_WP
             other = wp_first.pop((ex.WpPrime if cls is ex.Wp else ex.Wp, rd[0]), None)
             if other is not None:  # written by its partner, which reads the argument

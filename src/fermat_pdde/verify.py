@@ -136,7 +136,7 @@ class VerificationReport:
         return strict_json(self.to_dict())
 
 
-#: most candidate pairs one draw takes: its two work buffers are 128 KiB each
+#: most candidate pairs one draw takes: its work buffers are 128, 128 and 64 KiB
 _MAX_DRAW = 2 * BLOCK
 
 
@@ -149,38 +149,55 @@ def _draw_size(need: int) -> int:
     return min((4 * need + 2) // 3, _MAX_DRAW)
 
 
-def _inside_disc(rng: np.random.Generator, draws: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """Draw len(draws) // 2 candidate pairs; return those inside the unit disc.
+def _inside_disc(rng: np.random.Generator, draws: np.ndarray, squares: np.ndarray,
+                 rad2: np.ndarray) -> np.ndarray:
+    """Draw len(rad2) candidate pairs into `draws`; return the indices of those inside the unit disc.
 
-    `draws` and `squares` are work buffers of the same length.  Candidate
-    k is x + iy with x = 2*d[2k] - 1 and y = 2*d[2k+1] - 1 for the next
-    uniform doubles d of `rng`; it is kept when x*x + y*y < 1.0.
+    `draws` and `squares` are work buffers of twice the length of `rad2`.
+    Candidate k is x + iy with x = 2*d[2k] - 1 and y = 2*d[2k+1] - 1 for
+    the next uniform doubles d of `rng`; it is kept when x*x + y*y < 1.0.
+    `draws` is left holding the halves a = d - 1/2, so candidate k is
+    2 * draws.view(complex)[k].  That is one exact half-step: the doubles
+    are multiples of 2**-53 in [0, 1), so d - 1/2 is too and x = 2a.  The
+    test a*a + b*b < 0.25 on the halves is x*x + y*y < 1.0 with every step
+    scaled by a power of two, which changes no rounding, so both keep the
+    same pairs.  The indices come from `nonzero`, not a boolean-mask copy,
+    which branches on every pair and at acceptance pi/4 mispredicts.
     """
     rng.random(out=draws)
-    draws *= 2.0
-    draws -= 1.0
+    draws -= 0.5
     np.multiply(draws, draws, out=squares)
-    rad2 = squares[0::2]
-    np.add(rad2, squares[1::2], out=rad2)
-    return draws.view(np.complex128)[rad2 < 1.0]
+    np.add(squares[0::2], squares[1::2], out=rad2)
+    return (rad2 < 0.25).nonzero()[0]
 
 
 def _point_blocks(policy: SamplingPolicy, n: int):
     """The polydisc sample of `sample_points`, yielded in blocks of at most BLOCK rows.
 
     Each block draws about 4/3 of the candidate pairs it still needs (see
-    `_inside_disc`), at most _MAX_DRAW at a time, into two buffers reused
-    for the whole sample; it keeps the first accepted pairs it needs and
-    carries the rest into the next block.  The doubles a generator yields
-    do not depend on how its calls are chunked, so block k is rows
-    k*BLOCK.. of `sample_points`, bit for bit, whatever BLOCK and the draw
-    sizes are.
+    `_inside_disc`), at most _MAX_DRAW at a time, into work buffers reused
+    for the whole sample; it gathers the first accepted pairs it needs
+    straight into the block by index and carries a copy of the rest into
+    the next block.  The doubles a generator yields do not depend on how
+    its calls are chunked, so block k is rows k*BLOCK.. of
+    `sample_points`, bit for bit, whatever BLOCK and the draw sizes are.
+
+    The block holds the halves a of the accepted coordinates x = 2a and is
+    scaled once by 2 * radius: (2 * radius) * a and radius * x are one
+    rounding of the same real number, so each coordinate has the bits of
+    radius * x, subnormal results included.  Past max / 2, where 2 *
+    radius overflows, the block is scaled by radius and then by 2: a
+    nonzero radius * a is at least radius * 2**-53, far from subnormal,
+    so doubling it is exact, and it overflows where radius * x does.
     """
     if n < 1:
         raise ProblemSpecError(f"dimension must be >= 1, got {n}")
+    radius = policy.radius
+    fold = 2.0 * radius <= sys.float_info.max
     rng = np.random.default_rng(policy.seed)
     most = _draw_size(min(policy.samples, BLOCK) * n)
-    draws, squares = np.empty(2 * most), np.empty(2 * most)
+    draws, squares, rad2 = np.empty(2 * most), np.empty(2 * most), np.empty(most)
+    halves = draws.view(np.complex128)
     carry = np.empty(0, dtype=np.complex128)
     for lo in range(0, policy.samples, BLOCK):
         pts = np.empty(min(BLOCK, policy.samples - lo) * n, dtype=np.complex128)
@@ -189,12 +206,18 @@ def _point_blocks(policy: SamplingPolicy, n: int):
         carry = carry[have:]
         while have < pts.size:
             k = _draw_size(pts.size - have)
-            fresh = _inside_disc(rng, draws[: 2 * k], squares[: 2 * k])
-            take = min(fresh.size, pts.size - have)
-            pts[have : have + take] = fresh[:take]
-            carry = fresh[take:].copy()  # copied: between blocks only the surplus is held
+            idx = _inside_disc(rng, draws[: 2 * k], squares[: 2 * k], rad2[:k])
+            take = min(idx.size, pts.size - have)
+            # "clip" for indices known in range: the default "raise" buffers `out`
+            halves.take(idx[:take], out=pts[have : have + take], mode="clip")
+            carry = halves[idx[take:]]  # a copy: between blocks only the surplus is held
             have += take
-        pts.view(np.float64)[...] *= policy.radius  # radius * x and radius * y
+        flat = pts.view(np.float64)
+        if fold:
+            flat *= 2.0 * radius
+        else:
+            flat *= radius
+            flat *= 2.0
         yield pts.reshape(-1, n)
 
 

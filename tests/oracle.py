@@ -61,7 +61,23 @@ from fermat_pdde.expr import (
 __all__ = [
     "evaluate", "fd_partial", "parse", "tokenize", "free_variables", "max_var_index", "uses_wp",
     "partial", "directional_derivative", "shift", "to_string", "_zero_candidates", "postorder",
+    "no_zeros",
 ]
+
+
+def no_zeros(e: Expr) -> bool:
+    """Whether e has no zeros by its form: exp, a nonzero constant, or a product, power or negation of such."""
+    if isinstance(e, Exp):
+        return True
+    if isinstance(e, Const):
+        return e.value != 0
+    if isinstance(e, Mul):
+        return all(no_zeros(f) for f in e.factors)
+    if isinstance(e, Pow):
+        return no_zeros(e.base)
+    if isinstance(e, Neg):
+        return no_zeros(e.arg)
+    return False
 
 
 def _ipow(base: complex, k: int, pole_eps: float) -> complex:
@@ -85,7 +101,9 @@ def evaluate(e: Expr, point: Sequence[complex], pole_eps: float = DEFAULT_POLE_E
 
     wp/wpd nodes are evaluated by `elliptic.wp_pair`, on the lattice the
     tape takes.  Near-zero denominators (|den| < pole_eps) and
-    lattice-point arguments of wp raise PoleHitError.
+    lattice-point arguments of wp raise PoleHitError, except a
+    non-constant denominator that `no_zeros` clears, which is divided as
+    it stands.
     """
     pt = tuple(complex(x) for x in point)
     if max_var_index(e) > len(pt):
@@ -120,11 +138,11 @@ def evaluate(e: Expr, point: Sequence[complex], pole_eps: float = DEFAULT_POLE_E
             return -ev(node.arg)
         if isinstance(node, Div):
             den = ev(node.den)
-            if abs(den) < pole_eps:
+            if abs(den) < pole_eps and (isinstance(node.den, Const) or not no_zeros(node.den)):
                 raise PoleHitError(f"denominator {den!r} below pole threshold {pole_eps}")
             return ev(node.num) / den
         if isinstance(node, Pow):
-            return _ipow(ev(node.base), node.exponent, pole_eps)
+            return _ipow(ev(node.base), node.exponent, 0.0 if no_zeros(node.base) else pole_eps)
         if isinstance(node, Exp):
             return complex(np.exp(np.complex128(ev(node.arg))))
         if isinstance(node, Sin):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from fermat_pdde.backends import BLOCK, default_backend, eval_batch, eval_blocks
 from fermat_pdde.elliptic import default_context, wp_many
 from fermat_pdde.errors import EvalError, PDDEError, PoleHitError
-from fermat_pdde.expr import Const, Div, Pow, Var
+from fermat_pdde import tape as tp
+from fermat_pdde.expr import Const, Div, Exp, Pow, Var
 from fermat_pdde.parser import parse
 from fermat_pdde.tape import compile_expr
 
@@ -134,6 +135,70 @@ class TestTape:
         vals, ok = eval_batch(t, pts)
         ref, _ = scalar_reference(F_EX4, pts)
         assert np.abs(vals - ref).max() < 1e-9
+
+
+class TestDivisorsWithNoZeros:
+    """exp of anything, a nonzero constant, and products, integer powers and
+    negations of those have no zeros: a divisor of that form rejects no lane."""
+
+    @pytest.mark.parametrize("text", [
+        "1/exp(z1)", "z2/(2*exp(z1))", "exp(z1)^-2", "(3*exp(z1))^-1",
+        "z2/(-exp(z1)^3*exp(z2))", "z2/exp(z1 + z2)", "(exp(z1)*exp(z2)^-1)^-2",
+    ])
+    def test_a_tiny_divisor_is_divided(self, text):
+        e = parse(text, 2)
+        pts = disc_points(61, 64, 2)
+        pts[:, 0] -= 40.0  # |exp(z1)| below 1e-16, under the pole threshold
+        vals, ok = eval_batch(e, pts)
+        assert ok.all() and np.isfinite(vals).all()
+        ref, ref_ok = scalar_reference(e, pts)
+        assert ref_ok.all()
+        assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref))
+
+    def test_the_quotient_is_the_plain_division(self):
+        pts = disc_points(62, 300, 2, radius=30.0)
+        z1, z2 = pts[:, 0], pts[:, 1]
+        for e, expect in ((Div(Var(2), Exp(Var(1))), z2 / np.exp(z1)),
+                          (Pow(Exp(Var(1)), -3), 1.0 / (np.exp(z1) * (np.exp(z1) * np.exp(z1))))):
+            vals, ok = eval_batch(e, pts)
+            assert ok.all()
+            assert np.array_equal(vals.view(np.uint64), expect.view(np.uint64))
+
+    def test_a_divisor_that_underflows_overflows_the_lane(self):
+        # exp(-800) is 0: the lane is kept (ok) and not finite, as an overflow is
+        pts = np.array([[-800.0 + 0j, 1.0], [0.5, 1.0]])
+        vals, ok = eval_batch(parse("z2/exp(z1)", 2), pts)
+        assert ok.all()
+        assert not np.isfinite(vals[0]) and np.isfinite(vals[1])
+
+    @pytest.mark.parametrize("text, point", [
+        ("1/(1 + exp(z1))", (np.pi * 1j, 0.5)),  # a sum can vanish
+        ("z2/(exp(z1)*z2)", (0.5, 0.0)),  # so can a product with a variable factor
+        ("(z2*exp(z1))^-2", (0.5, 0.0)),
+        ("1/sin(z1)", (0.0, 0.5)),
+    ])
+    def test_a_divisor_that_can_vanish_is_still_tested(self, text, point):
+        pts = np.array([point, (0.3, 0.7)], dtype=np.complex128)
+        vals, ok = eval_batch(parse(text, 2), pts)
+        assert list(ok) == [False, True]
+
+    def test_only_a_divisor_is_asked_about(self, monkeypatch):
+        asked = []
+
+        def spy(node, memo):
+            asked.append(node)
+            return no_zeros(node, memo)
+
+        no_zeros = tp._no_zeros
+        monkeypatch.setattr(tp, "_no_zeros", spy)
+        # no quotient by a non-constant and no negative power: no walk at all
+        compile_expr(parse("exp(z1)*sin(z2) + z1^3 - cos(z1)/2", 2))
+        assert asked == []
+        tape = compile_expr(parse("z2/exp(z1) + z1^-2 + 1/(z1 + 1) + exp(z1)^-1", 2))
+        assert len(asked) == 4
+        ops = [ins.op for ins in tape.ops]
+        assert ops.count(tp.OP_DIV_NZ) == 1 and ops.count(tp.OP_POWI_NZ) == 1
+        assert ops.count(tp.OP_DIV) == 1 and ops.count(tp.OP_POWI) == 1
 
 
 #: the pole threshold of the block-stream tapes

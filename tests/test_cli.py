@@ -465,6 +465,11 @@ class TestOrderCommand:
         assert abs(json.loads(out)["estimate"]["rho_hat"] - 1) < 1e-9
         assert err == "" and caught == []
 
+    def test_divisor_with_no_zeros_is_no_pole(self, capsys):
+        # 1/exp(-z1) is exp(z1): entire, of order 1; exp has no zeros
+        assert run_cli("--format", "machine", "order", "1/exp(-z1)", "--n", "1") == 0
+        assert abs(json.loads(capsys.readouterr().out)["estimate"]["rho_hat"] - 1) < 0.01
+
     def test_estimation_failure_exits_one(self, capsys):
         # circles inside the pole guard of 1/z1: estimation must abort, not lie
         code = run_cli("order", "1/z1", "--n", "1", "--radii", "1e-13,2e-13")
@@ -480,6 +485,17 @@ class TestFermatCommand:
         assert code == 0
         assert doc["m"] == 2
         assert doc["report"]["max_rel_residual"] < 1e-12
+
+    @pytest.mark.parametrize("radius", ["32", "64"])
+    def test_quotient_by_exp_skips_no_point(self, capsys, radius):
+        # h = z1*exp(z2)/exp(z2) has no poles, and no lane overflows at these
+        # radii, so every point is tested
+        code = run_cli("--format", "machine", "fermat", "--kind", "cos-sin",
+                       "--h", "z1*exp(z2)/exp(z2)", "--n", "2", "--radius", radius)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["report"]["points_skipped"] == 0
+        assert doc["report"]["points_tested"] == 200
 
     def test_mobius(self, capsys):
         code = run_cli("--format", "machine", "fermat", "--kind", "mobius",

@@ -40,7 +40,7 @@ from fermat_pdde import tape as tp
 from fermat_pdde.tape import OP_WP, Tape, compile_expr
 
 from conftest import FIXTURES, disc_points, load_script
-from oracle import evaluate, fd_partial
+from oracle import evaluate, fd_partial, no_zeros
 
 N = 3
 POLE_EPS = 1e-9
@@ -155,12 +155,15 @@ def run_symbolic(tape: Tape):
                                     for f, v in zip(arg, vals[1:]))))
         elif op == tp.OP_MAP:
             value = _MAPPED[arg](vals[0])
-        elif op == tp.OP_DIV:
+        elif op in (tp.OP_DIV, tp.OP_DIV_NZ):
             value = Div(vals[0], vals[1])
             if arg is not None:
                 assert src[1] < base and arg == tape.consts[src[1]]
-        elif op == tp.OP_POWI:
+            # only a non-constant divisor with no zeros skips the pole test
+            assert (op == tp.OP_DIV_NZ) == (arg is None and no_zeros(vals[1]))
+        elif op in (tp.OP_POWI, tp.OP_POWI_NZ):
             value = Pow(vals[0], arg)
+            assert (op == tp.OP_POWI_NZ) == (arg < 0 and no_zeros(vals[0]))
         else:
             assert op == OP_WP and dst in arg
             for slot, cls in zip(arg, (Wp, WpPrime)):
@@ -584,7 +587,8 @@ def test_passing_the_default_context_keeps_the_bits(monkeypatch):
 def test_every_instruction_computes_a_value(monkeypatch):
     # a constant root is read from its immediate and a wp partner from the
     # slot its pair's instruction writes: neither is an instruction
-    computing = {tp.OP_VAR, tp.OP_ADD, tp.OP_MUL, tp.OP_MAP, tp.OP_DIV, tp.OP_POWI, OP_WP}
+    computing = {tp.OP_VAR, tp.OP_ADD, tp.OP_MUL, tp.OP_MAP, tp.OP_DIV, tp.OP_POWI, OP_WP,
+                 tp.OP_DIV_NZ, tp.OP_POWI_NZ}
     roots = [check_roots(monkeypatch, CHECKS[name]) for name in sorted(CHECKS)]
     roots.append([Wp(Var(1)) ** 3, WpPrime(Var(1)), Const(2.0)])
     for rs in roots:

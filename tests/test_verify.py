@@ -48,6 +48,20 @@ def disc_reference(samples, n, radius, seed):
     return z[: samples * n].reshape(samples, n)
 
 
+def float_view_reference(samples, n, radius, seed):
+    """`disc_reference` scaled on the float64 view, radius * x and radius * y.
+
+    Sign-exact where a product underflows, which radius * (x + iy) is not:
+    complex multiplication adds a signed zero to each part.
+    """
+    d = 2.0 * np.random.default_rng(seed).random(4 * samples * n + 64) - 1.0
+    pairs = d.reshape(-1, 2)
+    inside = pairs[:, 0] * pairs[:, 0] + pairs[:, 1] * pairs[:, 1] < 1.0
+    z = radius * pairs[inside]
+    assert len(z) >= samples * n
+    return z[: samples * n].copy().view(np.complex128).reshape(samples, n)
+
+
 def _reject_constant(token):
     raise ValueError(f"not standard JSON: {token}")
 
@@ -111,6 +125,18 @@ class TestSamplePoints:
         expect = disc_reference(samples, n, 2.0, 7)
         got = sample_points(SamplingPolicy(samples=samples, seed=7), n)
         assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("radius", [5e-324, 1e-300, 9e307, 1.7976931348623157e308])
+    def test_bit_equal_at_extreme_radii(self, n, radius):
+        # subnormal products keep their signs, and past max / 2, where
+        # 2 * radius overflows, no coordinate turns into inf
+        for seed in (0, 42):
+            for samples in (12, BLOCK + 1):
+                expect = float_view_reference(samples, n, radius, seed)
+                got = sample_points(SamplingPolicy(samples=samples, radius=radius, seed=seed), n)
+                assert np.isfinite(got).all()
+                assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     @pytest.mark.parametrize("samples", BLOCK_COUNTS)
