@@ -142,7 +142,8 @@ def evaluate(e: Expr, point: Sequence[complex], pole_eps: float = DEFAULT_POLE_E
                 raise PoleHitError(f"denominator {den!r} below pole threshold {pole_eps}")
             return ev(node.num) / den
         if isinstance(node, Pow):
-            return _ipow(ev(node.base), node.exponent, 0.0 if no_zeros(node.base) else pole_eps)
+            free = node.exponent < 0 and no_zeros(node.base)
+            return _ipow(ev(node.base), node.exponent, 0.0 if free else pole_eps)
         if isinstance(node, Exp):
             return complex(np.exp(np.complex128(ev(node.arg))))
         if isinstance(node, Sin):
